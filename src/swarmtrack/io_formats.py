@@ -351,7 +351,7 @@ def _read_pgm_bytes(path: Path) -> np.ndarray:
 def read_mask(path: Path | str) -> SoftMask:
     """Read a PGM into a SoftMask with values byte/255."""
     grid = _read_pgm_bytes(Path(path))
-    return SoftMask(grid.astype(float) / 255.0)
+    return SoftMask(grid / 255.0)
 
 
 def read_binary_mask(path: Path | str, threshold: float = 0.5) -> BinaryMask:

@@ -419,12 +419,45 @@ def _render_binary(
     return full
 
 
+def _blur_support(
+    values: np.ndarray, sigma: float, gain: np.ndarray | None = None
+) -> np.ndarray:
+    """clip(gaussian_filter(values, sigma) [* gain], 0, 1) on the support only.
+
+    values is non-negative. Only the bounding box of its nonzero pixels,
+    grown by the kernel radius int(4 sigma + 0.5) and clamped to the
+    image, is filtered; every pixel outside it is exactly 0. Inside the
+    box each pixel sums the same taps in the same order as the
+    full-frame filter: where the box stops short of the image edge its
+    reflect boundary reads only the zero margin, so the result is
+    byte-identical to the full-frame one for any finite gain >= 0.
+    """
+    if gain is not None and gain.shape != values.shape:
+        raise ValueError(
+            f"gain field {gain.shape} does not match mask {values.shape}"
+        )
+    out = np.zeros(values.shape, dtype=float)
+    rows = np.flatnonzero(values.any(axis=1))
+    if rows.size == 0:
+        return out
+    cols = np.flatnonzero(values.any(axis=0))
+    radius = int(4.0 * sigma + 0.5) if sigma > 0 else 0
+    box = (
+        slice(max(rows[0] - radius, 0), rows[-1] + radius + 1),
+        slice(max(cols[0] - radius, 0), cols[-1] + radius + 1),
+    )
+    block = values[box].astype(float)
+    if sigma > 0:
+        block = ndimage.gaussian_filter(block, sigma=sigma)
+    if gain is not None:
+        block *= gain[box]
+    np.clip(block, 0.0, 1.0, out=out[box])
+    return out
+
+
 def soften(binary: np.ndarray, softness: float) -> np.ndarray:
     """Blur a binary interior into a soft mask; softness 0 passes through."""
-    if softness <= 0:
-        return binary.astype(float)
-    soft = ndimage.gaussian_filter(binary.astype(float), sigma=softness)
-    return np.clip(soft, 0.0, 1.0)
+    return _blur_support(binary, softness)
 
 
 def render_frame(
@@ -623,16 +656,7 @@ def degrade_mask(
     """
     if blur_sigma < 0:
         raise ValueError(f"blur_sigma must be >= 0, got {blur_sigma}")
-    values = mask.values
-    if blur_sigma > 0:
-        values = ndimage.gaussian_filter(values, sigma=blur_sigma)
-    if gain is not None:
-        if gain.shape != values.shape:
-            raise ValueError(
-                f"gain field {gain.shape} does not match mask {values.shape}"
-            )
-        values = values * gain
-    return SoftMask(np.clip(values, 0.0, 1.0))
+    return SoftMask(_blur_support(mask.values, blur_sigma, gain))
 
 
 # -- marker runs ---------------------------------------------------------

@@ -81,9 +81,11 @@ class SoftMask:
             raise ValueError(f"mask must be 2-D, got shape {self.values.shape}")
         if self.values.size == 0:
             raise ValueError("mask must be non-empty")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("mask contains non-finite values")
+        # NaN propagates through min and max, so finite extremes mean a
+        # finite mask.
         lo, hi = float(self.values.min()), float(self.values.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("mask contains non-finite values")
         if lo < 0.0 or hi > 1.0:
             raise ValueError(f"mask values must lie in [0, 1], got [{lo}, {hi}]")
 

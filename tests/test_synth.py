@@ -244,6 +244,7 @@ class TestDegradation:
         assert out.values.max() == 1.0
 
     def test_degrade_validation(self):
+        # All zero: the gain shape is checked before the empty-support return.
         mask = SoftMask(np.zeros((8, 8)))
         with pytest.raises(ValueError):
             degrade_mask(mask, blur_sigma=-1.0)
@@ -255,6 +256,56 @@ class TestDegradation:
         values = rng.uniform(0, 1, (16, 16))
         out = degrade_mask(SoftMask(values))
         np.testing.assert_array_equal(out.values, values)
+
+
+def _full_frame(values, sigma, gain=None):
+    """Reference: full-frame Gaussian, then the gain, then the clip."""
+    out = values.astype(float)
+    if sigma > 0:
+        out = ndimage.gaussian_filter(out, sigma=sigma)
+    if gain is not None:
+        out = out * gain
+    return np.clip(out, 0.0, 1.0)
+
+
+def _support_masks(rng):
+    """Soft masks whose support sits inside, on each edge and in each corner,
+    plus a single pixel and an empty mask, on wide, narrow and tiny images."""
+    for h, w in ((40, 60), (6, 45), (45, 3), (2, 2)):
+        for vert in ("low", "mid", "high"):
+            for horiz in ("low", "mid", "high"):
+                sh = int(rng.integers(1, h // 2 + 2))
+                sw = int(rng.integers(1, w // 2 + 2))
+                r0 = {"low": 0, "high": h - sh}.get(vert, (h - sh) // 2)
+                c0 = {"low": 0, "high": w - sw}.get(horiz, (w - sw) // 2)
+                values = np.zeros((h, w))
+                values[r0 : r0 + sh, c0 : c0 + sw] = rng.uniform(0.05, 1.0, (sh, sw))
+                yield values
+        pixel = np.zeros((h, w))
+        pixel[rng.integers(h), rng.integers(w)] = rng.uniform(0.05, 1.0)
+        yield pixel
+        yield np.zeros((h, w))
+
+
+class TestWindowedBlur:
+    """soften and degrade_mask blur only the support, byte for byte as the
+    full-frame filter would."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0, 2.5, 8.0, 13.7])
+    @pytest.mark.parametrize("with_gain", [False, True])
+    def test_degrade_matches_full_frame(self, sigma, with_gain):
+        rng = np.random.default_rng(int(sigma * 10) + with_gain)
+        for values in _support_masks(rng):
+            gain = rng.uniform(0.2, 3.0, values.shape) if with_gain else None
+            out = degrade_mask(SoftMask(values), blur_sigma=sigma, gain=gain)
+            assert out.values.tobytes() == _full_frame(values, sigma, gain).tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0, 2.5, 8.0, 13.7])
+    def test_soften_matches_full_frame(self, sigma):
+        rng = np.random.default_rng(int(sigma * 10))
+        for values in _support_masks(rng):
+            binary = values > 0
+            assert soften(binary, sigma).tobytes() == _full_frame(binary, sigma).tobytes()
 
 
 class TestMarkerRuns:

@@ -41,6 +41,22 @@ def disc_mask(width, height, center, radius, soft=2.0):
     return SoftMask(values)
 
 
+class TestSoftMaskValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        values = np.full((4, 5), 0.5)
+        values[2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            SoftMask(values)
+
+    @pytest.mark.parametrize("bad", [-0.01, 1.01])
+    def test_rejects_values_outside_unit_range(self, bad):
+        values = np.full((4, 5), 0.5)
+        values[1, 1] = bad
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            SoftMask(values)
+
+
 class TestInitUniform:
     def test_mean_near_image_center(self):
         config = TrackerConfig(n_particles=1000, seed=4)
