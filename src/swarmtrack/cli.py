@@ -228,6 +228,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_fuse(args: argparse.Namespace) -> int:
     if args.fps <= 0:
         raise UsageError(f"--fps must be > 0, got {args.fps}")
+    if args.n_frames is not None and args.n_frames < 1:
+        raise UsageError(f"--n-frames must be >= 1, got {args.n_frames}")
     try:
         noise = NoiseConfig(
             gps_sigma=args.gps_sigma,

@@ -1,15 +1,33 @@
 """GPS/IMU fusion of the drone sensor log into per-frame camera poses.
 
 Each sensor record carries a GPS position fix, an IMU velocity and the
-gimbal attitude. Records are first linearly interpolated onto the frame
-timestamps, then a constant-velocity Kalman filter over the 6-state
-[position; velocity] smooths position and velocity. Attitude angles are
-not filtered (the gimbal already stabilizes them); an optional
-exponential moving average is available for noisy logs.
+gimbal attitude. The log is read once into arrays and linearly
+interpolated onto the frame timestamps, then a constant-velocity Kalman
+filter over the 6-state [position; velocity] smooths position and
+velocity. Attitude angles are not filtered (the gimbal already
+stabilizes them); an optional exponential moving average is available
+for noisy logs.
 
 A record observes the full state directly (H = I6), with measurement
 noise diag(gps_sigma^2 I3, imu_vel_sigma^2 I3) and discrete
 white-acceleration process noise of strength process_accel_sigma.
+
+Per-axis decomposition: with H = I6 and F, Q, R and the starting
+covariance all made of one 2x2 [position; velocity] block repeated on
+the x, y and z axes, the 6-state filter is three copies of one 2-state
+filter. Its covariance and gain sequence depends only on the noise
+model and dt, never on the data. ``fuse_log`` therefore runs a single
+2x2 covariance recursion (Joseph-form update, then symmetrization)
+shared by all three axes, and each axis's [position; velocity] mean is
+updated with that step's 2x2 gain. Every step checks that the
+innovation covariance S = P + R and the posterior covariance are
+positive definite (else ``FusionError``), and the mean of every step
+is checked finite.
+
+``kalman_predict``, ``kalman_update`` and ``initial_state`` on
+``FusionState`` are the full 6-state reference: one predict/update step
+at a time with Cholesky-validated covariances. The tests check
+``fuse_log`` against a step-by-step run of them.
 """
 
 from __future__ import annotations
@@ -33,6 +51,9 @@ class NoiseConfig:
     gps_sigma: m, per GPS position axis.
     imu_vel_sigma: m/s, per IMU velocity axis.
     process_accel_sigma: m/s^2, white-acceleration driving noise.
+
+    Each sigma must be positive and its square (the variance the filter
+    uses) finite and nonzero in float64.
     """
 
     gps_sigma: float = 0.5
@@ -44,6 +65,12 @@ class NoiseConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive, got {v!r}")
+            var = v * v
+            if not (math.isfinite(var) and var > 0):
+                raise ValueError(
+                    f"{name} squared must be finite and > 0 in float64, "
+                    f"got {v!r} (squared: {var!r})"
+                )
 
 
 @dataclass(frozen=True)
@@ -69,7 +96,10 @@ class FusionState:
     """Kalman state: mean (6,) = [x y z vx vy vz], covariance (6, 6).
 
     The covariance is validated symmetric positive definite on
-    construction, so every predict/update step re-checks the invariant.
+    construction, so each ``kalman_predict``/``kalman_update`` step of
+    the 6-state reference re-checks the invariant. ``fuse_log`` does not
+    build these; it runs the equivalent per-axis 2x2 recursion with its
+    own per-step checks (see the module docstring).
     """
 
     mean: np.ndarray
@@ -152,19 +182,53 @@ def initial_state(record: SensorRecord, noise: NoiseConfig) -> FusionState:
     return FusionState(mean, _measurement_cov(noise))
 
 
-def _check_log(log: list[SensorRecord]) -> None:
+def _unwrap_deg(values: np.ndarray) -> np.ndarray:
+    """Unwrap degree angles along axis 0."""
+    return np.degrees(np.unwrap(np.radians(values), axis=0))
+
+
+def _frame_arrays(
+    log: list[SensorRecord], fps: float, n_frames: int | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read the log once and interpolate it onto frame timestamps k/fps.
+
+    Returns ``(frame_t (n,), z (n, 6) = [gps; vel], angles (n, 3) =
+    [pitch, yaw, roll])``. Frames run from the first log timestamp up to
+    the last (or ``n_frames`` if given, which must be >= 1 and stay
+    within the log's time span). Attitude angles are unwrapped before
+    interpolation so a 359 -> 1 deg yaw step does not sweep through 180.
+    """
     if not log:
         raise FusionError("sensor log is empty")
-    for a, b in zip(log, log[1:]):
-        if b.t <= a.t:
-            raise FusionError(
-                f"sensor log timestamps must strictly increase "
-                f"(t={a.t} then t={b.t})"
-            )
-
-
-def _unwrap_deg(values: np.ndarray) -> np.ndarray:
-    return np.degrees(np.unwrap(np.radians(values)))
+    # Columns: t, gps (3), vel (3), pitch, yaw, roll.
+    cols = np.array(
+        [(r.t, *r.gps, *r.vel, r.pitch, r.yaw, r.roll) for r in log], dtype=float
+    )
+    t = cols[:, 0]
+    bad = np.flatnonzero(np.diff(t) <= 0)
+    if bad.size:
+        a, b = log[bad[0]], log[bad[0] + 1]
+        raise FusionError(
+            f"sensor log timestamps must strictly increase "
+            f"(t={a.t} then t={b.t})"
+        )
+    if not (math.isfinite(fps) and fps > 0):
+        raise FusionError(f"fps must be positive, got {fps!r}")
+    if n_frames is None:
+        n_frames = int(math.floor((t[-1] - t[0]) * fps + 1e-9)) + 1
+    elif n_frames < 1:
+        raise FusionError(f"frame count must be >= 1, got {n_frames}")
+    frame_t = t[0] + np.arange(n_frames) / fps
+    if frame_t[-1] > t[-1] + 1e-9:
+        raise FusionError(
+            f"{n_frames} frames at {fps} fps need {frame_t[-1]:.3f}s of log "
+            f"but it ends at {t[-1]:.3f}s"
+        )
+    cols[:, 7:] = _unwrap_deg(cols[:, 7:])
+    interp = np.stack(
+        [np.interp(frame_t, t, cols[:, j]) for j in range(1, cols.shape[1])], axis=1
+    )
+    return frame_t, interp[:, :6], interp[:, 6:]
 
 
 def resample_log_to_frames(
@@ -172,70 +236,88 @@ def resample_log_to_frames(
 ) -> list[SensorRecord]:
     """Linearly interpolate the log onto frame timestamps k/fps.
 
-    Frames run from t=0 up to the last log timestamp (or ``n_frames``
-    if given, which must stay within the log's time span). Attitude
-    angles are unwrapped before interpolation so a 359 -> 1 deg yaw
-    step does not sweep through 180.
+    Frames run from the first log timestamp up to the last (or
+    ``n_frames`` if given, which must be >= 1 and stay within the log's
+    time span). Attitude angles are unwrapped before interpolation so a
+    359 -> 1 deg yaw step does not sweep through 180.
     """
-    _check_log(log)
-    if not (math.isfinite(fps) and fps > 0):
-        raise FusionError(f"fps must be positive, got {fps!r}")
-    t = np.array([r.t for r in log])
-    if n_frames is None:
-        n_frames = int(math.floor((t[-1] - t[0]) * fps + 1e-9)) + 1
-    frame_t = t[0] + np.arange(n_frames) / fps
-    if frame_t[-1] > t[-1] + 1e-9:
-        raise FusionError(
-            f"{n_frames} frames at {fps} fps need {frame_t[-1]:.3f}s of log "
-            f"but it ends at {t[-1]:.3f}s"
+    frame_t, z, angles = _frame_arrays(log, fps, n_frames)
+    return [
+        SensorRecord(
+            frame=i, t=t, gps=tuple(row[:3]), vel=tuple(row[3:]),
+            pitch=pitch, yaw=yaw, roll=roll,
         )
-    cols = {
-        "gx": np.array([r.gps[0] for r in log]),
-        "gy": np.array([r.gps[1] for r in log]),
-        "gz": np.array([r.gps[2] for r in log]),
-        "vx": np.array([r.vel[0] for r in log]),
-        "vy": np.array([r.vel[1] for r in log]),
-        "vz": np.array([r.vel[2] for r in log]),
-        "pitch": _unwrap_deg(np.array([r.pitch for r in log])),
-        "yaw": _unwrap_deg(np.array([r.yaw for r in log])),
-        "roll": _unwrap_deg(np.array([r.roll for r in log])),
-    }
-    interp = {k: np.interp(frame_t, t, v) for k, v in cols.items()}
-    out = []
-    for i in range(n_frames):
-        out.append(
-            SensorRecord(
-                frame=i,
-                t=float(frame_t[i]),
-                gps=(float(interp["gx"][i]), float(interp["gy"][i]), float(interp["gz"][i])),
-                vel=(float(interp["vx"][i]), float(interp["vy"][i]), float(interp["vz"][i])),
-                pitch=float(interp["pitch"][i]),
-                yaw=float(interp["yaw"][i]),
-                roll=float(interp["roll"][i]),
-            )
+        for i, (t, row, (pitch, yaw, roll)) in enumerate(
+            zip(frame_t.tolist(), z.tolist(), angles.tolist())
         )
-    return out
+    ]
 
 
-def _smooth_angles(frames: list[SensorRecord], alpha: float) -> np.ndarray:
-    """EMA over unwrapped attitude angles; alpha=1 is pass-through."""
+def _smooth_angles(angles: np.ndarray, alpha: float) -> np.ndarray:
+    """EMA over unwrapped attitude angles (n, 3); alpha=1 is pass-through."""
     if not (0 < alpha <= 1):
         raise FusionError(f"orientation alpha must be in (0, 1], got {alpha!r}")
-    raw = np.stack(
-        [
-            _unwrap_deg(np.array([r.pitch for r in frames])),
-            _unwrap_deg(np.array([r.yaw for r in frames])),
-            _unwrap_deg(np.array([r.roll for r in frames])),
-        ],
-        axis=1,
-    )
+    raw = _unwrap_deg(angles)
     if alpha == 1.0:
         return raw
     out = np.empty_like(raw)
     out[0] = raw[0]
-    for i in range(1, len(frames)):
+    for i in range(1, len(raw)):
         out[i] = alpha * raw[i] + (1 - alpha) * out[i - 1]
     return out
+
+
+def _axis_gains(
+    n: int, dt: float, noise: NoiseConfig
+) -> list[tuple[float, float, float, float]]:
+    """Gains (k00, k01, k10, k11) of the 2-state [pos; vel] filter of one axis.
+
+    One gain per frame after the first (the filter starts at the first
+    frame with covariance R). Each step predicts with F = [[1, dt],
+    [0, 1]] and white-acceleration Q, then updates with H = I2 and
+    R = diag(gps_sigma^2, imu_vel_sigma^2) in Joseph form, as the
+    6-state reference does on each axis block.
+    """
+    rg = noise.gps_sigma**2
+    rv = noise.imu_vel_sigma**2
+    s2 = noise.process_accel_sigma**2
+    q00, q01, q11 = s2 * dt**4 / 4.0, s2 * dt**3 / 2.0, s2 * dt**2
+    # Symmetric covariance [[p00, p01], [p01, p11]], starting at R.
+    p00, p01, p11 = rg, 0.0, rv
+    gains = []
+    for _ in range(1, n):
+        # Predict: F P F' + Q.
+        p00, p01, p11 = (
+            p00 + dt * (p01 + p01) + dt * dt * p11 + q00,
+            p01 + dt * p11 + q01,
+            p11 + q11,
+        )
+        # Innovation covariance S = P + R = L D L' with L = [[1, 0],
+        # [l, 1]] and D = diag(s00, c): positive definite iff s00 > 0 and
+        # c > 0.
+        s00 = p00 + rg
+        l = p01 / s00
+        c = p11 + rv - l * p01
+        if not (s00 > 0 and c > 0 and math.isfinite(s00 + c)):
+            raise FusionError("singular innovation covariance")
+        # K = P S^-1 = (S^-1 P)' by substitution through L and D, which
+        # never multiplies two variances, so extreme sigmas stay in range.
+        k01, k11 = (p01 - l * p00) / c, (p11 - l * p01) / c
+        k00, k10 = p00 / s00 - l * k01, p01 / s00 - l * k11
+        # Joseph form (I - K) P (I - K)' + K R K', then symmetrized.
+        a00, a01, a10, a11 = 1.0 - k00, -k01, -k10, 1.0 - k11
+        b00, b01 = a00 * p00 + a01 * p01, a00 * p01 + a01 * p11
+        b10, b11 = a10 * p00 + a11 * p01, a10 * p01 + a11 * p11
+        c01 = b00 * a10 + b01 * a11 + k00 * k10 * rg + k01 * k11 * rv
+        c10 = b10 * a00 + b11 * a01 + k10 * k00 * rg + k11 * k01 * rv
+        p00 = b00 * a00 + b01 * a01 + k00 * k00 * rg + k01 * k01 * rv
+        p11 = b10 * a10 + b11 * a11 + k10 * k10 * rg + k11 * k11 * rv
+        p01 = 0.5 * (c01 + c10)
+        c = p11 - p01 * (p01 / p00)
+        if not (p00 > 0 and c > 0 and math.isfinite(p00 + c)):
+            raise FusionError("covariance is not positive definite")
+        gains.append((k00, k01, k10, k11))
+    return gains
 
 
 def fuse_log(
@@ -250,56 +332,60 @@ def fuse_log(
     The filter is initialized from the first frame-aligned record and
     run predict/update at frame cadence. Returns one CameraPose per
     frame; position from the filter, attitude from the (optionally
-    smoothed) log.
+    smoothed) log. The three axes share one 2x2 covariance and gain
+    sequence (see the module docstring).
     """
-    frames = resample_log_to_frames(log, fps, n_frames)
-    angles = _smooth_angles(frames, orientation_alpha)
+    _, z, angles = _frame_arrays(log, fps, n_frames)
+    angles = _smooth_angles(angles, orientation_alpha)
     dt = 1.0 / fps
-    state = initial_state(frames[0], noise)
-    poses = [_pose_from(state.mean, angles[0])]
-    for i in range(1, len(frames)):
-        state = kalman_predict(state, dt, noise)
-        state = kalman_update(state, frames[i], noise)
-        poses.append(_pose_from(state.mean, angles[i]))
-    return poses
+    gains = _axis_gains(len(z), dt, noise)
+    # Mean recursion of each axis with the shared gains: predict
+    # [x; v] -> [x + dt v; v], then add K times the innovation.
+    columns = z.T.tolist()
+    pos, vel = [], []
+    for axis in range(3):
+        zx, zv = columns[axis], columns[axis + 3]
+        x, v = zx[0], zv[0]
+        xs, vs = [x], [v]
+        for (k00, k01, k10, k11), mx, mv in zip(gains, zx[1:], zv[1:]):
+            x = x + dt * v
+            ix, iv = mx - x, mv - v
+            x, v = x + (k00 * ix + k01 * iv), v + (k10 * ix + k11 * iv)
+            xs.append(x)
+            vs.append(v)
+        pos.append(xs)
+        vel.append(vs)
+    pos = np.array(pos).T
+    if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
+        raise FusionError("fusion state has non-finite entries")
+    return _poses(pos, angles)
 
 
 def gps_only_poses(
     log: list[SensorRecord], fps: float, n_frames: int | None = None
 ) -> list[CameraPose]:
     """Raw GPS positions per frame, attitude passed through. Baseline."""
-    frames = resample_log_to_frames(log, fps, n_frames)
-    angles = _smooth_angles(frames, 1.0)
-    return [
-        _pose_from(np.array([*r.gps, 0, 0, 0]), angles[i])
-        for i, r in enumerate(frames)
-    ]
+    _, z, angles = _frame_arrays(log, fps, n_frames)
+    return _poses(z[:, :3], _smooth_angles(angles, 1.0))
 
 
 def dead_reckoning_poses(
     log: list[SensorRecord], fps: float, n_frames: int | None = None
 ) -> list[CameraPose]:
     """IMU-only baseline: first GPS fix plus integrated velocity."""
-    frames = resample_log_to_frames(log, fps, n_frames)
-    angles = _smooth_angles(frames, 1.0)
+    _, z, angles = _frame_arrays(log, fps, n_frames)
     dt = 1.0 / fps
-    pos = np.array(frames[0].gps, dtype=float)
-    poses = [_pose_from(np.array([*pos, 0, 0, 0]), angles[0])]
-    for i in range(1, len(frames)):
-        # Trapezoidal velocity integration between consecutive frames.
-        v0 = np.array(frames[i - 1].vel)
-        v1 = np.array(frames[i].vel)
-        pos = pos + 0.5 * (v0 + v1) * dt
-        poses.append(_pose_from(np.array([*pos, 0, 0, 0]), angles[i]))
-    return poses
+    vel = z[:, 3:]
+    # Trapezoidal velocity integration between consecutive frames,
+    # accumulated in frame order from the first fix.
+    steps = 0.5 * (vel[:-1] + vel[1:]) * dt
+    pos = np.cumsum(np.vstack([z[:1, :3], steps]), axis=0)
+    return _poses(pos, _smooth_angles(angles, 1.0))
 
 
-def _pose_from(mean: np.ndarray, angles: np.ndarray) -> CameraPose:
-    return CameraPose(
-        x=float(mean[0]),
-        y=float(mean[1]),
-        z=float(mean[2]),
-        pitch=float(angles[0]),
-        yaw=float(angles[1]),
-        roll=float(angles[2]),
-    )
+def _poses(positions: np.ndarray, angles: np.ndarray) -> list[CameraPose]:
+    """CameraPose per row of positions (n, 3) and [pitch, yaw, roll] (n, 3)."""
+    return [
+        CameraPose(x, y, z, pitch, yaw, roll)
+        for x, y, z, pitch, yaw, roll in np.hstack([positions, angles]).tolist()
+    ]

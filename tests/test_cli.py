@@ -120,6 +120,35 @@ class TestFuse:
         )
         assert code == 1 and "no such file" in err
 
+    @pytest.mark.parametrize("n_frames", [0, -3])
+    def test_non_positive_n_frames_exits_2(self, scenario_dir, tmp_path, run_cli, n_frames):
+        out = tmp_path / "o"
+        code, _, err = run_cli(
+            "fuse", "--sensors", scenario_dir / "sensors.csv",
+            "--fps", 15.0, "--out", out, "--n-frames", n_frames,
+        )
+        assert code == 2
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+            f"error: --n-frames must be >= 1, got {n_frames}"
+        ]
+        assert "Traceback" not in err
+        assert not (out / "fused_poses.csv").exists()
+
+    @pytest.mark.parametrize("sigma", ["1e200", "1e-200"])
+    def test_sigma_whose_square_leaves_float_range_exits_2(
+        self, scenario_dir, tmp_path, run_cli, sigma
+    ):
+        out = tmp_path / "o"
+        code, _, err = run_cli(
+            "fuse", "--sensors", scenario_dir / "sensors.csv",
+            "--fps", 15.0, "--out", out, "--gps-sigma", sigma,
+        )
+        assert code == 2
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "gps_sigma squared" in errors[0]
+        assert "Traceback" not in err
+        assert not (out / "fused_poses.csv").exists()
+
 
 class TestTrack:
     def test_outputs_trajectory_and_shapes(self, track_dir):
@@ -196,6 +225,22 @@ class TestTrack:
             "--config", cfg, "--out", tmp_path / "o",
         )
         assert code == 2 and "tracker." in err
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e-200])
+    def test_noise_sigma_whose_square_leaves_float_range_exits_2(
+        self, scenario_dir, tmp_path, run_cli, sigma
+    ):
+        cfg = write_json(
+            tmp_path / "run.json",
+            small_run_config(noise={"imu_vel_sigma": sigma}),
+        )
+        code, _, err = run_cli(
+            "track", "--masks", scenario_dir / "masks",
+            "--sensors", scenario_dir / "sensors.csv",
+            "--config", cfg, "--out", tmp_path / "o",
+        )
+        assert code == 2 and "noise.imu_vel_sigma squared" in err
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
 
     def test_missing_mask_directory_exits_1(self, scenario_dir, tmp_path, run_cli):
         cfg = write_json(tmp_path / "run.json", small_run_config())

@@ -17,6 +17,7 @@ from swarmtrack.fusion import (
     kalman_update,
     resample_log_to_frames,
 )
+from swarmtrack.synth import generate_marker_run
 
 NOISE = NoiseConfig()
 
@@ -217,6 +218,14 @@ class TestFuseLog:
         with pytest.raises(FusionError):
             fuse_log(log, NOISE, fps=10.0)
 
+    def test_overflowing_state_rejected(self):
+        log = [
+            record(0, 0.0, (1.7e308, 0, 50), (1.7e308, 0, 0)),
+            record(1, 0.1, (1.7e308, 0, 50), (1.7e308, 0, 0)),
+        ]
+        with pytest.raises(FusionError, match="non-finite"):
+            fuse_log(log, NOISE, fps=10.0)
+
     def test_fused_beats_raw_gps_on_noisy_logs(self):
         """Position RMSE: Kalman output below raw fixes in >= 95% of seeds."""
         fps, n = 10.0, 150
@@ -268,6 +277,15 @@ class TestResampling:
         mid = frames[1].yaw % 360.0
         assert min(mid, 360.0 - mid) < 1e-9  # 0 deg, not 180
 
+    @pytest.mark.parametrize("n_frames", [0, -1])
+    def test_frame_count_must_be_positive(self, n_frames):
+        log = [record(0, 0.0, (0, 0, 50), (0, 0, 0)),
+               record(1, 1.0, (0, 0, 50), (0, 0, 0))]
+        with pytest.raises(FusionError, match="frame count must be >= 1"):
+            resample_log_to_frames(log, fps=10.0, n_frames=n_frames)
+        with pytest.raises(FusionError, match="frame count must be >= 1"):
+            fuse_log(log, NOISE, fps=10.0, n_frames=n_frames)
+
     def test_frame_span_must_fit_log(self):
         log = [record(0, 0.0, (0, 0, 50), (0, 0, 0)),
                record(1, 1.0, (0, 0, 50), (0, 0, 0))]
@@ -298,3 +316,147 @@ class TestBaselines:
     def test_noise_config_requires_positive_sigmas(self):
         with pytest.raises(ValueError):
             NoiseConfig(gps_sigma=0.0)
+
+    @pytest.mark.parametrize("name", ["gps_sigma", "imu_vel_sigma", "process_accel_sigma"])
+    @pytest.mark.parametrize("sigma", [1e200, 1e-200])
+    def test_noise_config_requires_representable_variances(self, name, sigma):
+        with pytest.raises(ValueError, match=f"{name} squared must be finite and > 0"):
+            NoiseConfig(**{name: sigma})
+
+    def test_noise_config_accepts_wide_but_representable_sigmas(self):
+        NoiseConfig(gps_sigma=1e150, imu_vel_sigma=1e-150, process_accel_sigma=1e100)
+
+
+# -- fuse_log against the step-by-step 6-state reference -------------------
+
+
+def reference_angles(frames, alpha):
+    """Record-based attitude reference: unwrap each angle, then the EMA."""
+    def unwrap(values):
+        return np.degrees(np.unwrap(np.radians(np.array(values))))
+
+    raw = np.stack(
+        [unwrap([r.pitch for r in frames]), unwrap([r.yaw for r in frames]),
+         unwrap([r.roll for r in frames])],
+        axis=1,
+    )
+    if alpha == 1.0:
+        return raw
+    out = raw.copy()
+    for i in range(1, len(frames)):
+        out[i] = alpha * raw[i] + (1 - alpha) * out[i - 1]
+    return out
+
+
+def reference_fuse(log, noise, fps, n_frames=None, alpha=1.0):
+    """Positions (n, 3) and attitude (n, 3) from kalman_predict/update."""
+    frames = resample_log_to_frames(log, fps, n_frames)
+    state = initial_state(frames[0], noise)
+    means = [state.mean]
+    for rec in frames[1:]:
+        state = kalman_predict(state, 1.0 / fps, noise)
+        state = kalman_update(state, rec, noise)
+        means.append(state.mean)
+    return np.array(means)[:, :3], reference_angles(frames, alpha)
+
+
+def reference_gps_only(log, fps, n_frames=None):
+    frames = resample_log_to_frames(log, fps, n_frames)
+    return np.array([r.gps for r in frames]), reference_angles(frames, 1.0)
+
+
+def reference_dead_reckoning(log, fps, n_frames=None):
+    frames = resample_log_to_frames(log, fps, n_frames)
+    pos = np.array(frames[0].gps, dtype=float)
+    out = [pos]
+    for a, b in zip(frames, frames[1:]):
+        pos = pos + 0.5 * (np.array(a.vel) + np.array(b.vel)) * (1.0 / fps)
+        out.append(pos)
+    return np.array(out), reference_angles(frames, 1.0)
+
+
+def pose_arrays(poses):
+    return (
+        np.array([(p.x, p.y, p.z) for p in poses]),
+        np.array([(p.pitch, p.yaw, p.roll) for p in poses]),
+    )
+
+
+def random_log(rng, n, fps):
+    """Irregularly sampled noisy log with attitude crossing the yaw seam."""
+    t = np.cumsum(rng.uniform(0.3, 1.7, n)) / fps
+    vel = rng.normal(0, 3, 3)
+    return [
+        record(
+            i, float(t[i]),
+            rng.normal(vel * t[i] + (0, 0, 60), 2.0),
+            rng.normal(vel, 0.5),
+            pitch=float(rng.uniform(-5, 5)),
+            yaw=float((350.0 + 4.0 * i + rng.normal(0, 2)) % 360.0),
+            roll=float(rng.uniform(-3, 3)),
+        )
+        for i in range(n)
+    ]
+
+
+class TestFuseLogOracle:
+    """fuse_log runs the shared per-axis recursion; the 6-state reference
+    steps kalman_predict/update. Positions agree to 1e-9 m (only rounding
+    differs), attitude exactly; the baselines are exactly equal."""
+
+    POS_TOL = 1e-9
+
+    def check(self, log, noise, fps, n_frames=None, alpha=1.0):
+        pos, att = pose_arrays(fuse_log(log, noise, fps, n_frames, alpha))
+        ref_pos, ref_att = reference_fuse(log, noise, fps, n_frames, alpha)
+        assert pos.shape == ref_pos.shape
+        assert np.max(np.abs(pos - ref_pos)) <= self.POS_TOL
+        assert np.array_equal(att, ref_att)
+        for fn, ref in (
+            (gps_only_poses, reference_gps_only),
+            (dead_reckoning_poses, reference_dead_reckoning),
+        ):
+            got = pose_arrays(fn(log, fps, n_frames))
+            want = ref(log, fps, n_frames)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_marker_runs(self, seed):
+        run = generate_marker_run(seed)
+        cfg = run.config
+        self.check(run.sensor_log, cfg.noise, cfg.fps, cfg.duration)
+
+    def test_marker_run_with_orientation_smoothing(self):
+        run = generate_marker_run(3)
+        cfg = run.config
+        self.check(run.sensor_log, cfg.noise, cfg.fps, cfg.duration, alpha=0.3)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_logs_with_non_default_noise(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        noise = NoiseConfig(
+            gps_sigma=float(rng.uniform(0.05, 5.0)),
+            imu_vel_sigma=float(rng.uniform(0.01, 2.0)),
+            process_accel_sigma=float(rng.uniform(0.1, 10.0)),
+        )
+        fps = float(rng.uniform(5.0, 60.0))
+        log = random_log(rng, 120, fps)
+        self.check(log, noise, fps)
+        self.check(log, noise, fps, alpha=0.3)
+
+    @pytest.mark.parametrize(
+        "sigmas", [(1e100, 1e100, 1.0), (1e150, 1e-150, 1.0), (1e-100, 1e-100, 1e-100)]
+    )
+    def test_extreme_but_valid_sigmas(self, sigmas):
+        log = random_log(np.random.default_rng(11), 60, 10.0)
+        self.check(log, NoiseConfig(*sigmas), 10.0)
+
+    def test_explicit_frame_count(self):
+        rng = np.random.default_rng(5)
+        log = random_log(rng, 80, 10.0)
+        self.check(log, NoiseConfig(gps_sigma=2.0, imu_vel_sigma=0.05), 10.0, n_frames=17)
+
+    def test_one_record_log(self):
+        log = [record(0, 1.5, (5, 6, 70), (1, -2, 0.5), pitch=2.0, yaw=359.0, roll=-1.0)]
+        self.check(log, NOISE, 15.0)
+        self.check(log, NOISE, 15.0, n_frames=1, alpha=0.3)
