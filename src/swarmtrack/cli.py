@@ -299,10 +299,18 @@ def cmd_track(args: argparse.Namespace) -> int:
     )
     masks = (io_formats.read_mask(p) for p in mask_paths)
     result = track_sequence(masks, poses, intr, tracker_cfg)
+    # Project every centroid before writing anything, so a ray that misses
+    # the ground leaves no partial shapes/ behind.
+    world = np.zeros((n_frames, 2))
+    for t in range(n_frames):
+        u, v = result.centroids[t]
+        ground = backproject_image_to_ground(
+            PixelPoint(u - intr.cx, v - intr.cy), poses[t], intr
+        )
+        world[t] = (ground.x, ground.y)
     out = Path(args.out)
     shapes_dir = out / "shapes"
     shapes_dir.mkdir(parents=True, exist_ok=True)
-    world = np.zeros((n_frames, 2))
     for t in range(n_frames):
         if result.lost[t]:
             # No posterior support this frame: emit an empty outline.
@@ -320,11 +328,6 @@ def cmd_track(args: argparse.Namespace) -> int:
             except ShapeError:
                 mask_bits = np.zeros((height, width), dtype=bool)
         io_formats.write_mask(BinaryMask(mask_bits), shapes_dir / f"{t:06d}.pgm")
-        u, v = result.centroids[t]
-        ground = backproject_image_to_ground(
-            PixelPoint(u - intr.cx, v - intr.cy), poses[t], intr
-        )
-        world[t] = (ground.x, ground.y)
     io_formats.write_trajectory(
         frames=list(range(n_frames)),
         uv=result.centroids,

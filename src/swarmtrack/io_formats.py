@@ -297,7 +297,7 @@ def write_mask(mask: SoftMask | BinaryMask, path: Path | str) -> None:
     """Write a soft or binary mask as binary PGM, maxval 255."""
     path = Path(path)
     if isinstance(mask, BinaryMask):
-        payload = np.where(mask.bits, 255, 0).astype(np.uint8)
+        payload = mask.bits.view(np.uint8) * np.uint8(255)
     else:
         payload = quantize_mask(mask.values)
     h, w = payload.shape
@@ -357,7 +357,10 @@ def read_mask(path: Path | str) -> SoftMask:
 def read_binary_mask(path: Path | str, threshold: float = 0.5) -> BinaryMask:
     """Read a PGM as a binary mask: value >= threshold."""
     grid = _read_pgm_bytes(Path(path))
-    return BinaryMask(grid.astype(float) / 255.0 >= threshold)
+    # byte/255 grows with the byte, so the passing bytes are the top ones:
+    # find the first on the 256 values, then compare bytes to it.
+    first = 256 - int(np.count_nonzero(np.arange(256) / 255.0 >= threshold))
+    return BinaryMask(grid >= first)
 
 
 def mask_sequence_paths(directory: Path | str) -> list[Path]:

@@ -2,12 +2,15 @@
 
 The alpha shape keeps the Delaunay triangles whose circumradius is
 below alpha; its boundary is the set of edges belonging to exactly one
-kept triangle. With alpha large enough this degenerates to the convex
-hull, with alpha small the shape falls apart into nothing.
+kept triangle, read off the Delaunay neighbours: an edge is on the
+boundary when the triangle across it is missing or not kept. With alpha
+large enough this degenerates to the convex hull, with alpha small the
+shape falls apart into nothing.
 
 Rasterization marks pixels whose center is inside the boundary under
 the even-odd rule, so holes and disjoint components come out right
-without tracing rings explicitly.
+without tracing rings explicitly. Every row crossing is computed in one
+vectorised pass and each pixel's parity comes from a per-row count.
 """
 
 from __future__ import annotations
@@ -86,10 +89,13 @@ def _circumradius(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _dedup(points: np.ndarray) -> np.ndarray:
-    """Collapse points that coincide within 1e-6 in either coordinate."""
+    """Collapse points equal after rounding to 1e-6; keep each first one, in input order."""
     rounded = np.round(points / 1e-6) * 1e-6
-    _, idx = np.unique(rounded, axis=0, return_index=True)
-    return points[np.sort(idx)]
+    order = np.lexsort(rounded.T[::-1])
+    rows = rounded[order]
+    keep = np.ones(len(points), dtype=bool)
+    keep[order[1:]] = np.any(rows[1:] != rows[:-1], axis=1)
+    return points[keep]
 
 
 def alpha_shape(points: np.ndarray, alpha: float) -> AlphaShape:
@@ -121,15 +127,12 @@ def alpha_shape(points: np.ndarray, alpha: float) -> AlphaShape:
         tri = Delaunay(pts)
     except Exception as exc:
         raise ShapeError("points are collinear; no 2-D triangulation exists") from exc
-    simplices = tri.simplices
-    a = pts[simplices[:, 0]]
-    b = pts[simplices[:, 1]]
-    c = pts[simplices[:, 2]]
-    keep = _circumradius(a, b, c) < alpha
-    kept = simplices[keep]
+    corners = pts[tri.simplices]
+    keep = _circumradius(*corners.transpose(1, 0, 2)) < alpha
+    kept = tri.simplices[keep]
     if kept.shape[0] == 0:
         return empty
-    tri_coords = pts[kept]
+    tri_coords = corners[keep]
     cross = (
         (tri_coords[:, 1, 0] - tri_coords[:, 0, 0])
         * (tri_coords[:, 2, 1] - tri_coords[:, 0, 1])
@@ -137,14 +140,12 @@ def alpha_shape(points: np.ndarray, alpha: float) -> AlphaShape:
         * (tri_coords[:, 2, 0] - tri_coords[:, 0, 0])
     )
     area = float(np.abs(cross).sum() / 2.0)
-    # Boundary = edges used by exactly one kept triangle.
-    edges = np.concatenate([kept[:, [0, 1]], kept[:, [1, 2]], kept[:, [2, 0]]])
-    edges_sorted = np.sort(edges, axis=1)
-    _, first_idx, counts = np.unique(
-        edges_sorted, axis=0, return_index=True, return_counts=True
-    )
-    boundary_idx = edges_sorted[first_idx[counts == 1]]
-    boundary = pts[boundary_idx]
+    # Boundary: edges of kept triangles whose neighbour across them
+    # (tri.neighbors[t, k] is opposite vertex k) is missing or not kept.
+    nbr = tri.neighbors[keep]
+    t_idx, k = np.nonzero((nbr == -1) | ~keep[nbr])
+    ends = np.sort([kept[t_idx, (k + 1) % 3], kept[t_idx, (k + 2) % 3]], axis=0).T
+    boundary = pts[ends[np.argsort(ends[:, 0].astype(np.int64) * len(pts) + ends[:, 1])]]
     return AlphaShape(alpha=alpha, triangles=tri_coords, boundary=boundary, area=area)
 
 
@@ -198,34 +199,31 @@ def rasterize(shape: AlphaShape, width: int, height: int) -> BinaryMask:
     if width <= 0 or height <= 0:
         raise ShapeError(f"target size must be positive, got {width}x{height}")
     bits = np.zeros((height, width), dtype=bool)
-    if shape.boundary.shape[0] == 0:
+    # Half-open on y: a segment crosses rows ceil(y_lo) .. ceil(y_hi) - 1,
+    # so a horizontal one crosses none.
+    y_lo_hi = np.sort(shape.boundary[:, :, 1], axis=1).T
+    first, stop = np.clip(np.ceil(y_lo_hi), 0, height).astype(np.intp)
+    span = stop - first
+    seg = np.repeat(np.arange(len(span)), span)
+    if seg.size == 0:
         return BinaryMask(bits)
-    crossings = _row_crossings(shape.boundary, height)
-    xs = np.arange(width)
-    for row, cx in crossings.items():
-        if not cx:
-            continue
-        cx_arr = np.sort(np.array(cx))
-        # Parity of crossings strictly right of each pixel center.
-        n_right = len(cx_arr) - np.searchsorted(cx_arr, xs, side="right")
-        bits[row] = (n_right % 2) == 1
+    # Crossing k (counted over all segments) of segment s is on row
+    # first[s] + k - (the number of crossings of the segments before s).
+    row = np.arange(seg.size) - np.repeat(np.cumsum(span) - span - first, span)
+    (x1, y1), (x2, y2) = shape.boundary[seg].transpose(1, 2, 0)
+    x = x1 + (row - y1) * (x2 - x1) / (y2 - y1)
+    # A crossing at x is strictly right of the pixel centers 0 .. n_left - 1.
+    # Clamping x to [0, width] keeps the integer conversion in range; fmin
+    # sends NaN right of every pixel, as a sorted search would.
+    n_left = np.ceil(np.fmax(np.fmin(x, width), 0)).astype(np.intp)
+    r0, c0 = row.min(), n_left.min()
+    rows, cols = row.max() + 1 - r0, n_left.max() + 1 - c0
+    counts = np.bincount((row - r0) * cols + n_left - c0, minlength=rows * cols)
+    counts = counts.reshape(rows, cols)
+    # Crossings right of pixel col are those with n_left > col: all of the
+    # row's left of c0, fewer by the running count from there on.
+    total = counts.sum(axis=1, keepdims=True)
+    bits[r0 : r0 + rows, :c0] = total % 2 == 1
+    right = total - np.cumsum(counts[:, :-1], axis=1)
+    bits[r0 : r0 + rows, c0 : c0 + cols - 1] = right % 2 == 1
     return BinaryMask(bits)
-
-
-def _row_crossings(boundary: np.ndarray, height: int) -> dict[int, list[float]]:
-    """x-coordinates where boundary segments cross each pixel-row line."""
-    out: dict[int, list[float]] = {}
-    for seg in boundary:
-        (x1, y1), (x2, y2) = seg
-        if y1 == y2:
-            continue  # horizontal segments never cross a row line transversally
-        y_lo, y_hi = (y1, y2) if y1 < y2 else (y2, y1)
-        row_start = max(0, int(math.ceil(y_lo)))
-        row_end = min(height - 1, int(math.floor(y_hi)))
-        for row in range(row_start, row_end + 1):
-            # Half-open on y: the upper endpoint does not count.
-            if not (y_lo <= row < y_hi):
-                continue
-            x_cross = x1 + (row - y1) * (x2 - x1) / (y2 - y1)
-            out.setdefault(row, []).append(x_cross)
-    return out

@@ -242,6 +242,29 @@ class TestTrack:
         assert code == 2 and "noise.imu_vel_sigma squared" in err
         assert not (tmp_path / "o" / "trajectory.csv").exists()
 
+    def test_centroid_ray_missing_the_ground_leaves_no_output(
+        self, scenario_dir, tmp_path, run_cli
+    ):
+        # Tip the camera to 179 deg pitch, almost straight up, on the last
+        # frame only: every earlier frame tracks and projects normally.
+        header, *rows = (scenario_dir / "sensors.csv").read_text().splitlines()
+        pitch = header.split(",").index("pitch_deg")
+        last = rows[-1].split(",")
+        last[pitch] = "179.0"
+        sensors = tmp_path / "tilted.csv"
+        sensors.write_text("\n".join([header, *rows[:-1], ",".join(last)]) + "\n")
+        cfg = write_json(tmp_path / "run.json", small_run_config())
+        out = tmp_path / "o"
+        code, _, err = run_cli(
+            "track", "--masks", scenario_dir / "masks",
+            "--sensors", sensors, "--config", cfg, "--out", out,
+        )
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert code == 1 and len(errors) == 1 and "viewing ray" in errors[0]
+        assert "Traceback" not in err
+        assert not (out / "shapes").exists()
+        assert not (out / "trajectory.csv").exists()
+
     def test_missing_mask_directory_exits_1(self, scenario_dir, tmp_path, run_cli):
         cfg = write_json(tmp_path / "run.json", small_run_config())
         code, _, err = run_cli(

@@ -222,6 +222,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             CameraPose(float("nan"), 0.0, 10.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["x", "y", "z", "pitch", "yaw", "roll"])
+    def test_pose_rejects_non_finite_in_every_field(self, field, value):
+        fields = {"x": 1.0, "y": -2.0, "z": 30.0, "pitch": 1.0, "yaw": 2.0, "roll": 3.0}
+        fields[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            CameraPose(**fields)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", range(6))
+    def test_motion_rejects_non_finite_in_every_component(self, index, value):
+        comps = [0.5, -1.0, 2.0, 0.01, -0.02, 0.03]
+        comps[index] = value
+        with pytest.raises(ValueError, match="finite"):
+            CameraMotion(tuple(comps[:3]), tuple(comps[3:]))
+
     def test_motion_rejects_wrong_arity(self):
         with pytest.raises(ValueError):
             CameraMotion((1.0, 2.0), (0.0, 0.0, 0.0))

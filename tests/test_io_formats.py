@@ -184,6 +184,23 @@ class TestMasks:
         assert raw.startswith(b"P5\n4 4\n255\n")
         np.testing.assert_array_equal(read_binary_mask(path).bits, bits)
 
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 128 / 255, 1.0, float("nan")])
+    def test_binary_read_matches_float_threshold_for_every_byte(self, tmp_path, threshold):
+        grid = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        path = tmp_path / "all.pgm"
+        path.write_bytes(b"P5\n16 16\n255\n" + grid.tobytes())
+        bits = read_binary_mask(path, threshold).bits
+        np.testing.assert_array_equal(bits, grid.astype(float) / 255.0 >= threshold)
+
+    def test_binary_write_payload_is_0_or_255(self, tmp_path):
+        bits = np.random.default_rng(4).random((9, 7)) < 0.5
+        for mask_bits in (bits, bits.T):
+            path = tmp_path / "b.pgm"
+            write_mask(BinaryMask(mask_bits), path)
+            h, w = mask_bits.shape
+            expected = np.where(mask_bits, 255, 0).astype(np.uint8).tobytes()
+            assert path.read_bytes() == f"P5\n{w} {h}\n255\n".encode() + expected
+
     def test_all_zero_mask_round_trip(self, tmp_path):
         path = tmp_path / "z.pgm"
         write_mask(SoftMask(np.zeros((4, 4))), path)
