@@ -13,6 +13,7 @@ data), 2 configuration or usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import sys
@@ -297,7 +298,7 @@ def cmd_track(args: argparse.Namespace) -> int:
         "tracking %d frames (%dx%d, %d particles)",
         n_frames, width, height, tracker_cfg.n_particles,
     )
-    masks = (io_formats.read_mask(p) for p in mask_paths)
+    masks = itertools.chain([first], map(io_formats.read_mask, mask_paths[1:]))
     result = track_sequence(masks, poses, intr, tracker_cfg)
     # Project every centroid before writing anything, so a ray that misses
     # the ground leaves no partial shapes/ behind.

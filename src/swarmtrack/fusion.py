@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraPose
+from .geometry import CameraPose, _finite
 
 
 class FusionError(ValueError):
@@ -86,8 +86,7 @@ class SensorRecord:
     roll: float
 
     def __post_init__(self) -> None:
-        vals = (self.t, *self.gps, *self.vel, self.pitch, self.yaw, self.roll)
-        if not all(math.isfinite(v) for v in vals):
+        if not _finite(self.t, *self.gps, *self.vel, self.pitch, self.yaw, self.roll):
             raise ValueError(f"sensor record has non-finite fields: {self!r}")
 
 

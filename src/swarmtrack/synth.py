@@ -32,7 +32,8 @@ import numpy as np
 from scipy import ndimage
 
 from .fusion import NoiseConfig, SensorRecord
-from .geometry import CameraPose, Intrinsics, backproject_pixels, project_points
+from .geometry import CameraPose, GeometryError, Intrinsics, backproject_pixels
+from .geometry import project_points, rotation_world_to_camera
 from .shapes import BinaryMask
 from .tracker import SoftMask
 
@@ -230,76 +231,63 @@ class _Polyline:
         self.cum = np.concatenate([[0.0], np.cumsum(self.seg_len)])
         self.length = float(self.cum[-1])
 
-    def point_at(self, s: float) -> np.ndarray:
-        s = min(max(s, 0.0), self.length)
-        if self.length == 0.0:
-            return self.pts[0].copy()
+    def point_at(self, s: float | np.ndarray) -> np.ndarray:
+        """Point(s) at arc length s, a float or an array; clamped to the ends."""
         x = np.interp(s, self.cum, self.pts[:, 0])
         y = np.interp(s, self.cum, self.pts[:, 1])
-        return np.array([x, y])
+        return np.stack([x, y], axis=-1)
 
-    def direction_at(self, s: float) -> np.ndarray:
+    def direction_at(self, s: float | np.ndarray) -> np.ndarray:
+        """Unit heading(s) at arc length s; (1, 0) on a zero-length path."""
         if self.length == 0.0:
-            return np.array([1.0, 0.0])
-        s = min(max(s, 0.0), self.length)
-        i = int(np.searchsorted(self.cum, s, side="right")) - 1
-        i = min(max(i, 0), len(self.seg_len) - 1)
-        d = self.pts[i + 1] - self.pts[i]
-        return d / self.seg_len[i]
+            return np.tile([1.0, 0.0], np.shape(s) + (1,))
+        i = np.searchsorted(self.cum, s, side="right") - 1
+        i = np.clip(i, 0, len(self.seg_len) - 1)
+        return (self.pts[i + 1] - self.pts[i]) / np.expand_dims(self.seg_len[i], -1)
 
 
-def _trapezoid_state(t: float, length: float, speed: float, accel: float) -> tuple[float, float]:
-    """(distance, speed) at time t for a trapezoidal profile over length.
+def _drone_states(
+    cfg: DronePathConfig, path: _Polyline, t: np.ndarray
+) -> tuple[list[CameraPose], np.ndarray, np.ndarray]:
+    """Camera poses, world positions (n, 3) and velocities (n, 3) at times t.
 
-    Accelerates from rest, cruises, decelerates to rest at the path
-    end, then holds (hover). Falls back to a triangular profile when
-    the path is too short to reach cruise speed.
+    Trapezoidal speed profile over the path: accelerate from rest,
+    cruise, decelerate to rest at the path end, then hold (hover). A
+    path too short to reach cruise speed gets a triangular profile, i.e.
+    no cruise phase. Every phase keeps its closed form; np.select gives
+    each time the first phase whose bound it is below, as an if-chain
+    would.
     """
-    if length == 0.0 or t <= 0.0:
-        return 0.0, 0.0
+    length, accel, speed = path.length, cfg.accel, cfg.speed
     d_ramp = speed**2 / (2.0 * accel)
     if 2.0 * d_ramp >= length:
-        peak = math.sqrt(accel * length)
-        t_ramp = peak / accel
-        if t < t_ramp:
-            return 0.5 * accel * t * t, accel * t
-        if t < 2.0 * t_ramp:
-            dt = 2.0 * t_ramp - t
-            return length - 0.5 * accel * dt * dt, accel * dt
-        return length, 0.0
-    t_ramp = speed / accel
-    t_cruise = (length - 2.0 * d_ramp) / speed
-    if t < t_ramp:
-        return 0.5 * accel * t * t, accel * t
-    if t < t_ramp + t_cruise:
-        return d_ramp + speed * (t - t_ramp), speed
-    if t < 2.0 * t_ramp + t_cruise:
-        dt = 2.0 * t_ramp + t_cruise - t
-        return length - 0.5 * accel * dt * dt, accel * dt
-    return length, 0.0
-
-
-def _drone_state(
-    cfg: DronePathConfig, path: _Polyline, t: float
-) -> tuple[CameraPose, np.ndarray]:
-    """Camera pose and world velocity (3,) of the drone at time t."""
-    s, v = _trapezoid_state(t, path.length, cfg.speed, cfg.accel)
-    pos = path.point_at(s)
-    direction = path.direction_at(s)
-    vel = np.array([v * direction[0], v * direction[1], 0.0])
-    if cfg.yaw_mode == "path":
-        yaw = math.degrees(math.atan2(direction[0], direction[1]))
+        t_ramp, t_cruise = math.sqrt(accel * length) / accel, 0.0
     else:
-        yaw = cfg.yaw_deg
-    pose = CameraPose(
-        x=float(pos[0]),
-        y=float(pos[1]),
-        z=cfg.altitude,
-        pitch=cfg.camera_pitch_deg,
-        yaw=yaw,
-        roll=cfg.camera_roll_deg,
+        t_ramp, t_cruise = speed / accel, (length - 2.0 * d_ramp) / speed
+    t_stop = 2.0 * t_ramp + t_cruise
+    dt = t_stop - t
+    phases = [t <= 0.0, t < t_ramp, t < t_ramp + t_cruise, t < t_stop]
+    s = np.select(
+        phases,
+        [0.0, 0.5 * accel * t * t, d_ramp + speed * (t - t_ramp),
+         length - 0.5 * accel * dt * dt],
+        length,
     )
-    return pose, vel
+    v = np.select(phases, [0.0, accel * t, speed, accel * dt], 0.0)
+    pos = path.point_at(s)
+    d = path.direction_at(s)
+    vels = np.column_stack([v * d[:, 0], v * d[:, 1], np.zeros(len(t))])
+    if cfg.yaw_mode == "path":
+        # math.atan2 per frame: np.arctan2 need not round the same way.
+        yaws = [math.degrees(math.atan2(dx, dy)) for dx, dy in d.tolist()]
+    else:
+        yaws = [cfg.yaw_deg] * len(t)
+    poses = [
+        CameraPose(px, py, cfg.altitude, cfg.camera_pitch_deg, yaw, cfg.camera_roll_deg)
+        for (px, py), yaw in zip(pos.tolist(), yaws)
+    ]
+    positions = np.column_stack([pos, np.full(len(t), float(cfg.altitude))])
+    return poses, positions, vels
 
 
 # -- swarm shape ---------------------------------------------------------
@@ -479,25 +467,24 @@ def render_frame(
 
 
 def _kinematics(config: ScenarioConfig):
-    """Exact per-frame poses, velocities, components, and world centroids."""
+    """Exact poses, positions, velocities, components and world centroids."""
     drone_path = _Polyline(config.drone.waypoints)
     swarm_path = _Polyline(config.swarm.waypoints)
-    poses, vels, comps, centroids = [], [], [], []
-    for frame in range(config.duration):
-        t = frame / config.fps
-        pose, vel = _drone_state(config.drone, drone_path, t)
-        components = _swarm_components(config, frame, swarm_path)
-        poses.append(pose)
-        vels.append(vel)
-        comps.append(components)
-        centroids.append(_component_centroid(components))
-    return poses, vels, comps, np.array(centroids)
+    t = np.arange(config.duration) / config.fps
+    poses, positions, vels = _drone_states(config.drone, drone_path, t)
+    comps = [
+        _swarm_components(config, frame, swarm_path)
+        for frame in range(config.duration)
+    ]
+    centroids = np.array([_component_centroid(c) for c in comps])
+    return poses, positions, vels, comps, centroids
 
 
 def _sensor_log(
     config: ScenarioConfig,
     poses: list[CameraPose],
-    vels: list[np.ndarray],
+    positions: np.ndarray,
+    vels: np.ndarray,
     rng: np.random.Generator,
 ) -> list[SensorRecord]:
     scale = config.noise_scale
@@ -510,24 +497,23 @@ def _sensor_log(
     direction = np.array([math.cos(theta), math.sin(theta), 0.0])
     magnitude = config.imu_vel_bias_sigma * rng.uniform(0.75, 1.25)
     bias = scale * magnitude * direction
-    log = []
-    for frame, (pose, vel) in enumerate(zip(poses, vels)):
-        gps_noise = scale * config.noise.gps_sigma * rng.standard_normal(3)
-        vel_noise = scale * config.noise.imu_vel_sigma * rng.standard_normal(3)
-        gps = pose.position + gps_noise
-        v = vel + bias + vel_noise
-        log.append(
-            SensorRecord(
-                frame=frame,
-                t=frame / config.fps,
-                gps=(float(gps[0]), float(gps[1]), float(gps[2])),
-                vel=(float(v[0]), float(v[1]), float(v[2])),
-                pitch=pose.pitch,
-                yaw=pose.yaw,
-                roll=pose.roll,
-            )
+    # (frame, gps/velocity, axis): the same stream, in the same order, as
+    # a GPS and then a velocity standard_normal(3) per frame.
+    noise = rng.standard_normal((len(poses), 2, 3))
+    gps = positions + scale * config.noise.gps_sigma * noise[:, 0]
+    vel = vels + bias + scale * config.noise.imu_vel_sigma * noise[:, 1]
+    return [
+        SensorRecord(
+            frame=frame,
+            t=frame / config.fps,
+            gps=tuple(g),
+            vel=tuple(w),
+            pitch=pose.pitch,
+            yaw=pose.yaw,
+            roll=pose.roll,
         )
-    return log
+        for frame, (pose, g, w) in enumerate(zip(poses, gps.tolist(), vel.tolist()))
+    ]
 
 
 def generate(config: ScenarioConfig) -> Scenario:
@@ -536,9 +522,9 @@ def generate(config: ScenarioConfig) -> Scenario:
     Suitable for short configs; cmd_simulate streams frames to disk
     instead (see write_scenario) to keep memory flat on long runs.
     """
-    poses, vels, comps, world = _kinematics(config)
+    poses, positions, vels, comps, world = _kinematics(config)
     rng = np.random.default_rng(config.seed)
-    log = _sensor_log(config, poses, vels, rng)
+    log = _sensor_log(config, poses, positions, vels, rng)
     intr = config.intrinsics
     masks, gt_masks, track2d = [], [], []
     margin = 3.0 * config.mask_softness + 2.0
@@ -578,9 +564,9 @@ def write_scenario(config: ScenarioConfig, out_dir) -> None:
     out = Path(out_dir)
     (out / "masks").mkdir(parents=True, exist_ok=True)
     (out / "gt_masks").mkdir(parents=True, exist_ok=True)
-    poses, vels, comps, world = _kinematics(config)
+    poses, positions, vels, comps, world = _kinematics(config)
     rng = np.random.default_rng(config.seed)
-    log = _sensor_log(config, poses, vels, rng)
+    log = _sensor_log(config, poses, positions, vels, rng)
     intr = config.intrinsics
     margin = 3.0 * config.mask_softness + 2.0
     track2d = []
@@ -697,9 +683,17 @@ def generate_marker_run(
     assumed perfect; the run isolates pose error). The 90 degree turn
     makes marker pair directions span the plane, so no horizontal
     drift direction can hide from pairwise-distance comparison.
+
+    The whole flight is built as arrays once per run: poses and the
+    sensor log, then every marker projected on every frame with the one
+    world-to-camera rotation the pass holds (fixed yaw, gimbal attitude).
+    speed, fps and path_length must be finite and > 0.
     """
     if n_markers < 2:
         raise ScenarioError(f"need at least 2 markers, got {n_markers}")
+    for name, value in (("speed", speed), ("fps", fps), ("path_length", path_length)):
+        if not (math.isfinite(value) and value > 0):
+            raise ScenarioError(f"{name}: must be finite and > 0, got {value!r}")
     rng = np.random.default_rng(seed)
     duration = int(math.ceil((path_length / speed + 4.0) * fps))
     half_leg = path_length / 2.0
@@ -735,28 +729,32 @@ def generate_marker_run(
         offset = side[k] * float(rng.uniform(0.6, 1.0)) * half_swath
         rows.append([base[0] + offset * normal[0], base[1] + offset * normal[1], 0.0])
     markers = np.asarray(rows)
-    poses, vels = [], []
-    for frame in range(duration):
-        pose, vel = _drone_state(config.drone, drone_path, frame / fps)
-        poses.append(pose)
-        vels.append(vel)
-    log = _sensor_log(config, poses, vels, rng)
+    poses, positions, vels = _drone_states(
+        config.drone, drone_path, np.arange(duration) / fps
+    )
+    log = _sensor_log(config, poses, positions, vels, rng)
     intr = config.intrinsics
-    best: list[tuple[float, int, float, float] | None] = [None] * n_markers
-    for frame, pose in enumerate(poses):
-        uv = project_points(markers, pose, intr)
-        for m in range(n_markers):
-            u, v = uv[m, 0] + intr.cx, uv[m, 1] + intr.cy
-            if not (0 <= u <= width - 1 and 0 <= v <= height - 1):
-                continue
-            r = math.hypot(uv[m, 0], uv[m, 1])
-            if best[m] is None or r < best[m][0]:
-                best[m] = (r, frame, u, v)
+    # Fixed yaw and a gimbal-held attitude: one rotation serves every frame.
+    cam = (markers[None] - positions[:, None]) @ rotation_world_to_camera(poses[0]).T
+    depth = cam[..., 2]
+    if np.any(depth == 0.0):
+        raise GeometryError("point at zero depth has no projection")
+    if np.any(depth < 0.0):
+        raise GeometryError("point behind the camera")
+    x = intr.f * cam[..., 0] / depth
+    y = intr.f * cam[..., 1] / depth
+    u, v = x + intr.cx, y + intr.cy
+    inside = (0 <= u) & (u <= width - 1) & (0 <= v) & (v <= height - 1)
+    radius = np.where(inside, np.hypot(x, y), np.inf)
     sightings = []
     for m in range(n_markers):
-        if best[m] is None:
+        if not inside[:, m].any():
             raise ScenarioError(f"marker {m} never enters the frame")
-        sightings.append((m, best[m][1], best[m][2], best[m][3]))
+        # np.hypot may differ from math.hypot in the last bit, so near-ties
+        # are settled with math.hypot; min() keeps the earliest frame.
+        near = np.flatnonzero(radius[:, m] <= radius[:, m].min() * (1.0 + 1e-9))
+        frame = min(near.tolist(), key=lambda k: math.hypot(x[k, m], y[k, m]))
+        sightings.append((m, frame, u[frame, m], v[frame, m]))
     return MarkerRun(
         config=config,
         markers=markers,

@@ -1,10 +1,12 @@
 """Command-line interface: file outputs, exit codes, error channels."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import swarmtrack
+from swarmtrack import io_formats
 from swarmtrack.io_formats import read_mask, read_poses, read_trajectory
 from tests.conftest import invoke_cli, small_run_config, small_scenario, write_json
 
@@ -192,6 +194,24 @@ class TestTrack:
         assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
         for p in sorted((a / "shapes").glob("*.pgm")):
             assert p.read_bytes() == (b / "shapes" / p.name).read_bytes()
+
+    def test_reads_each_mask_once(self, scenario_dir, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_read_mask(path):
+            calls.append(Path(path).name)
+            return read_mask(path)
+
+        monkeypatch.setattr(io_formats, "read_mask", counting_read_mask)
+        cfg = write_json(tmp_path / "run.json", small_run_config())
+        assert invoke_cli(
+            "track", "--masks", scenario_dir / "masks",
+            "--sensors", scenario_dir / "sensors.csv",
+            "--config", cfg, "--out", tmp_path / "t",
+        ) == 0
+        frames = sorted(p.name for p in (scenario_dir / "masks").glob("*.pgm"))
+        assert len(frames) == 45
+        assert calls == frames
 
     def test_no_resample_flag_recorded_and_applied(self, scenario_dir, tmp_path):
         cfg = write_json(tmp_path / "run.json", small_run_config())

@@ -178,6 +178,19 @@ class TestUpdate:
             assert np.max(np.abs(state.cov - state.cov.T)) < 1e-9
 
 
+class TestSensorRecordValidation:
+    FIELDS = ["t", "gps0", "gps1", "gps2", "vel0", "vel1", "vel2", "pitch", "yaw", "roll"]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", range(10), ids=FIELDS)
+    def test_rejects_non_finite_in_every_field(self, index, value):
+        values = [0.4, 1.0, -2.0, 40.0, 0.5, 0.0, -0.1, 1.0, 2.0, 3.0]
+        values[index] = value
+        t, gps, vel, (pitch, yaw, roll) = values[0], values[1:4], values[4:7], values[7:]
+        with pytest.raises(ValueError, match="non-finite"):
+            record(6, t, gps, vel, pitch=pitch, yaw=yaw, roll=roll)
+
+
 class TestFuseLog:
     @staticmethod
     def straight_log(n=40, fps=10.0, v=(2.0, -1.0, 0.0), yaw=33.0):

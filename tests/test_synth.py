@@ -1,11 +1,22 @@
 """Scenario generator: rendering accuracy, ground truth, noise, degradation."""
+import dataclasses
+import functools
+import hashlib
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from swarmtrack.geometry import PixelPoint, backproject_image_to_ground
+from swarmtrack import io_formats, synth
+from swarmtrack.fusion import NoiseConfig, SensorRecord
+from swarmtrack.geometry import (
+    CameraPose,
+    PixelPoint,
+    backproject_image_to_ground,
+    project_points,
+)
 from swarmtrack.synth import (
     DronePathConfig,
     ScenarioConfig,
@@ -332,6 +343,23 @@ class TestMarkerRuns:
         with pytest.raises(ScenarioError, match="at least 2"):
             generate_marker_run(seed=0, n_markers=1)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("speed", 0.0),
+            ("speed", math.nan),
+            ("speed", -3.2),
+            ("fps", 0.0),
+            ("fps", math.inf),
+            ("path_length", math.inf),
+            ("path_length", -5.0),
+            ("path_length", 0.0),
+        ],
+    )
+    def test_rejects_non_positive_or_non_finite_arguments(self, name, value):
+        with pytest.raises(ScenarioError, match=rf"^{name}: must be finite and > 0"):
+            generate_marker_run(seed=0, **{name: value})
+
 
 class TestConfigValidation:
     def test_semi_minor_cannot_exceed_semi_major(self):
@@ -357,3 +385,301 @@ class TestConfigValidation:
             make_config(width=4)
         with pytest.raises(ScenarioError, match="noise_scale"):
             make_config(noise_scale=-0.5)
+
+
+# -- scalar references for the array kinematics ---------------------------
+# The frame-by-frame forms the generator had before it built each flight
+# as arrays; every output of the array code must match them bit for bit.
+
+
+def _ref_point_at(path, s):
+    s = min(max(s, 0.0), path.length)
+    if path.length == 0.0:
+        return path.pts[0].copy()
+    x = np.interp(s, path.cum, path.pts[:, 0])
+    y = np.interp(s, path.cum, path.pts[:, 1])
+    return np.array([x, y])
+
+
+def _ref_direction_at(path, s):
+    if path.length == 0.0:
+        return np.array([1.0, 0.0])
+    s = min(max(s, 0.0), path.length)
+    i = int(np.searchsorted(path.cum, s, side="right")) - 1
+    i = min(max(i, 0), len(path.seg_len) - 1)
+    d = path.pts[i + 1] - path.pts[i]
+    return d / path.seg_len[i]
+
+
+def _ref_trapezoid_state(t, length, speed, accel):
+    if length == 0.0 or t <= 0.0:
+        return 0.0, 0.0
+    d_ramp = speed**2 / (2.0 * accel)
+    if 2.0 * d_ramp >= length:
+        peak = math.sqrt(accel * length)
+        t_ramp = peak / accel
+        if t < t_ramp:
+            return 0.5 * accel * t * t, accel * t
+        if t < 2.0 * t_ramp:
+            dt = 2.0 * t_ramp - t
+            return length - 0.5 * accel * dt * dt, accel * dt
+        return length, 0.0
+    t_ramp = speed / accel
+    t_cruise = (length - 2.0 * d_ramp) / speed
+    if t < t_ramp:
+        return 0.5 * accel * t * t, accel * t
+    if t < t_ramp + t_cruise:
+        return d_ramp + speed * (t - t_ramp), speed
+    if t < 2.0 * t_ramp + t_cruise:
+        dt = 2.0 * t_ramp + t_cruise - t
+        return length - 0.5 * accel * dt * dt, accel * dt
+    return length, 0.0
+
+
+def _ref_drone_state(cfg, path, t):
+    s, v = _ref_trapezoid_state(t, path.length, cfg.speed, cfg.accel)
+    pos = _ref_point_at(path, s)
+    direction = _ref_direction_at(path, s)
+    vel = np.array([v * direction[0], v * direction[1], 0.0])
+    if cfg.yaw_mode == "path":
+        yaw = math.degrees(math.atan2(direction[0], direction[1]))
+    else:
+        yaw = cfg.yaw_deg
+    pose = CameraPose(
+        x=float(pos[0]), y=float(pos[1]), z=cfg.altitude,
+        pitch=cfg.camera_pitch_deg, yaw=yaw, roll=cfg.camera_roll_deg,
+    )
+    return pose, vel
+
+
+def _ref_flight(config):
+    return _ref_flight_of(config.drone, config.duration, config.fps)
+
+
+@functools.lru_cache(maxsize=8)
+def _ref_flight_of(drone, duration, fps):
+    # The flight depends on neither the seed nor the noise: marker runs
+    # over many seeds share one.
+    path = synth._Polyline(drone.waypoints)
+    states = [_ref_drone_state(drone, path, frame / fps) for frame in range(duration)]
+    return [p for p, _ in states], [v for _, v in states]
+
+
+def _ref_sensor_log(config, poses, vels, rng):
+    scale = config.noise_scale
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    direction = np.array([math.cos(theta), math.sin(theta), 0.0])
+    magnitude = config.imu_vel_bias_sigma * rng.uniform(0.75, 1.25)
+    bias = scale * magnitude * direction
+    log = []
+    for frame, (pose, vel) in enumerate(zip(poses, vels)):
+        gps_noise = scale * config.noise.gps_sigma * rng.standard_normal(3)
+        vel_noise = scale * config.noise.imu_vel_sigma * rng.standard_normal(3)
+        gps = pose.position + gps_noise
+        v = vel + bias + vel_noise
+        log.append(SensorRecord(
+            frame=frame, t=frame / config.fps,
+            gps=(float(gps[0]), float(gps[1]), float(gps[2])),
+            vel=(float(v[0]), float(v[1]), float(v[2])),
+            pitch=pose.pitch, yaw=pose.yaw, roll=pose.roll,
+        ))
+    return log
+
+
+def _ref_marker_run(config, n_markers, path_length):
+    """Markers, sightings, log and poses of a marker run, frame by frame.
+
+    config is the ScenarioConfig of the run under test; the markers, the
+    flight, the sensor noise and the sightings are all recomputed here.
+    """
+    rng = np.random.default_rng(config.seed)
+    altitude, focal_px = config.drone.altitude, config.focal_px
+    width, height = config.width, config.height
+    path = synth._Polyline(config.drone.waypoints)
+    half_swath = 0.75 * (height / 2.0) / focal_px * altitude
+    arcs = np.linspace(0.1 * path_length, 0.9 * path_length, n_markers)
+    side = np.tile([-1.0, 1.0], (n_markers + 1) // 2)[:n_markers]
+    rows = []
+    for k in range(n_markers):
+        s = float(arcs[k]) + float(rng.uniform(-2.0, 2.0))
+        base = _ref_point_at(path, s)
+        d = _ref_direction_at(path, s)
+        normal = np.array([-d[1], d[0]])
+        offset = side[k] * float(rng.uniform(0.6, 1.0)) * half_swath
+        rows.append([base[0] + offset * normal[0], base[1] + offset * normal[1], 0.0])
+    markers = np.asarray(rows)
+    poses, vels = _ref_flight(config)
+    log = _ref_sensor_log(config, poses, vels, rng)
+    intr = config.intrinsics
+    best = [None] * n_markers
+    for frame, pose in enumerate(poses):
+        uv = project_points(markers, pose, intr)
+        for m in range(n_markers):
+            u, v = uv[m, 0] + intr.cx, uv[m, 1] + intr.cy
+            if not (0 <= u <= width - 1 and 0 <= v <= height - 1):
+                continue
+            r = math.hypot(uv[m, 0], uv[m, 1])
+            if best[m] is None or r < best[m][0]:
+                best[m] = (r, frame, u, v)
+    sightings = [(m, b[1], b[2], b[3]) for m, b in enumerate(best)]
+    return markers, sightings, log, poses
+
+
+def _pose_hex(pose):
+    # float.hex tells -0.0 from 0.0 (== does not) and rejects a non-float.
+    return tuple(map(float.hex, (pose.x, pose.y, pose.z, pose.pitch, pose.yaw, pose.roll)))
+
+
+def _record_hex(rec):
+    values = (rec.t, *rec.gps, *rec.vel, rec.pitch, rec.yaw, rec.roll)
+    return (rec.frame, *map(float.hex, values))
+
+
+def _sighting_hex(sightings):
+    return [(m, f, u.hex(), v.hex()) for m, f, u, v in sightings]
+
+
+def _assert_marker_run_matches(seed, n_markers=10, path_length=160.0, **kwargs):
+    run = generate_marker_run(
+        seed, n_markers=n_markers, path_length=path_length, **kwargs
+    )
+    markers, sightings, log, poses = _ref_marker_run(run.config, n_markers, path_length)
+    assert run.markers.tobytes() == markers.tobytes()
+    assert [_record_hex(r) for r in run.sensor_log] == [_record_hex(r) for r in log]
+    assert [_pose_hex(p) for p in run.gt_poses] == [_pose_hex(p) for p in poses]
+    assert all(type(f) is int for _, f, _, _ in run.sightings)
+    assert _sighting_hex(run.sightings) == _sighting_hex(sightings)
+
+
+def _flight(waypoints, **drone):
+    drone = {"altitude": 50.0, "speed": 4.0, "accel": 2.0, **drone}
+    return DronePathConfig(waypoints=waypoints, **drone)
+
+
+L_PATH = ((0.0, 0.0), (30.0, 0.0), (30.0, 20.0))
+FLIGHTS = {
+    "fixed-yaw": _flight(L_PATH, yaw_deg=25.0),
+    "path-yaw": _flight(L_PATH, yaw_mode="path"),
+    "odd-numbers": _flight(
+        ((1.3, -0.7), (17.9, 4.1), (9.2, 23.3)), speed=2.9, accel=1.7,
+        yaw_mode="path",
+    ),
+    "triangle": _flight(((0.0, 0.0), (3.0, 4.0)), speed=5.0, yaw_mode="path"),
+    "single-waypoint": _flight(((5.0, -3.0),), yaw_mode="path"),
+    "coincident-waypoints": _flight(((2.0, 2.0), (2.0, 2.0)), yaw_mode="path"),
+    "duplicate-waypoints": _flight(
+        ((0.0, 0.0), (0.0, 0.0), (10.0, 0.0), (10.0, 0.0), (10.0, 10.0)),
+        yaw_mode="path",
+    ),
+    "tilted-gimbal": _flight(
+        L_PATH, yaw_deg=-40.0, camera_pitch_deg=15.0, camera_roll_deg=-5.0
+    ),
+    # s = 0.5 * 2 * 1 * 1 lands exactly on the corner at t = 1 s (frame 2):
+    # the heading there is the second leg's.
+    "exact-corner": _flight(((0.0, 0.0), (1.0, 0.0), (1.0, 5.0)), yaw_mode="path"),
+}
+
+
+def _phase_bounds(cfg, length):
+    d_ramp = cfg.speed**2 / (2.0 * cfg.accel)
+    if 2.0 * d_ramp >= length:
+        t_ramp = math.sqrt(cfg.accel * length) / cfg.accel
+        return [t_ramp, 2.0 * t_ramp]
+    t_ramp = cfg.speed / cfg.accel
+    t_cruise = (length - 2.0 * d_ramp) / cfg.speed
+    return [t_ramp, t_ramp + t_cruise, 2.0 * t_ramp + t_cruise]
+
+
+class TestArrayKinematicsOracle:
+    """The flight built as arrays matches the frame-by-frame references."""
+
+    @pytest.mark.parametrize("name", FLIGHTS)
+    @pytest.mark.parametrize("fps", [2.0, 15.0])
+    def test_kinematics_match_scalar_reference(self, name, fps):
+        config = make_config(drone=FLIGHTS[name], duration=int(20 * fps), fps=fps)
+        poses, positions, vels, _, _ = synth._kinematics(config)
+        ref_poses, ref_vels = _ref_flight(config)
+        assert [_pose_hex(p) for p in poses] == [_pose_hex(p) for p in ref_poses]
+        assert vels.tobytes() == np.array(ref_vels).tobytes()
+        assert positions.tobytes() == np.array([p.position for p in ref_poses]).tobytes()
+
+    @pytest.mark.parametrize("name", FLIGHTS)
+    def test_phase_boundaries_match_scalar_reference(self, name):
+        cfg = FLIGHTS[name]
+        path = synth._Polyline(cfg.waypoints)
+        t = [-1.0, 0.0, 5e-324, 1e9]
+        for b in _phase_bounds(cfg, path.length):
+            t += [np.nextafter(b, -np.inf), b, np.nextafter(b, np.inf)]
+        poses, positions, vels = synth._drone_states(cfg, path, np.array(t))
+        ref = [_ref_drone_state(cfg, path, float(ti)) for ti in t]
+        assert [_pose_hex(p) for p in poses] == [_pose_hex(p) for p, _ in ref]
+        assert vels.tobytes() == np.array([v for _, v in ref]).tobytes()
+
+    @pytest.mark.parametrize("noise_scale", [0.0, 1.0, 2.5])
+    def test_sensor_log_matches_per_frame_draws(self, noise_scale):
+        config = make_config(
+            drone=FLIGHTS["tilted-gimbal"], duration=200, fps=15.0,
+            noise=NoiseConfig(0.7, 0.3, 1.0), noise_scale=noise_scale,
+            imu_vel_bias_sigma=0.2, seed=11,
+        )
+        poses, positions, vels, _, _ = synth._kinematics(config)
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        log = synth._sensor_log(config, poses, positions, vels, rng)
+        ref_poses, ref_vels = _ref_flight(config)
+        ref = _ref_sensor_log(config, ref_poses, ref_vels, ref_rng)
+        assert [_record_hex(r) for r in log] == [_record_hex(r) for r in ref]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_marker_runs_match_reference_over_100_seeds(self):
+        for seed in range(100):
+            _assert_marker_run_matches(seed)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"speed": 5.5},
+            {"speed": 1.1, "path_length": 30.0},
+            {"fps": 7.0},
+            {"fps": 29.97},
+            {"n_markers": 2},
+            {"n_markers": 17},
+            {"noise": NoiseConfig(1.3, 0.05, 2.0)},
+            {"path_length": 12.0, "speed": 9.0},
+            {"altitude": 25.0, "focal_px": 800.0, "width": 640, "height": 360},
+        ],
+        ids=lambda kw: ",".join(kw),
+    )
+    def test_marker_runs_match_reference_off_defaults(self, kwargs):
+        for seed in (0, 1, 2):
+            _assert_marker_run_matches(seed, **kwargs)
+
+    @pytest.mark.parametrize("name", ["default_scenario.json", "degradation_scenario.json"])
+    def test_write_scenario_matches_scalar_reference(self, name, tmp_path):
+        text = resources.files("swarmtrack.data").joinpath(name).read_text("utf-8")
+        config = dataclasses.replace(
+            io_formats.scenario_config_from_json(text), duration=60
+        )
+        synth.write_scenario(config, tmp_path / "sim")
+        n = config.duration
+        poses, vels = _ref_flight(config)
+        log = _ref_sensor_log(config, poses, vels, np.random.default_rng(config.seed))
+        swarm_path = synth._Polyline(config.swarm.waypoints)
+        world = np.array([
+            synth._component_centroid(synth._swarm_components(config, f, swarm_path))
+            for f in range(n)
+        ])
+        uv = np.array([
+            synth._project_centroid(world[f], poses[f], config.intrinsics)
+            for f in range(n)
+        ])
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        io_formats.write_sensor_log(log, ref / "sensors.csv")
+        io_formats.write_poses(poses, config.fps, ref / "gt_poses.csv")
+        io_formats.write_trajectory(
+            frames=list(range(n)), uv=uv, world=world,
+            lost=np.zeros(n, dtype=bool), path=ref / "gt_track.csv",
+        )
+        for f in ("sensors.csv", "gt_poses.csv", "gt_track.csv"):
+            digest = hashlib.sha256((tmp_path / "sim" / f).read_bytes()).hexdigest()
+            assert digest == hashlib.sha256((ref / f).read_bytes()).hexdigest(), f
