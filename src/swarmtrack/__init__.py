@@ -18,7 +18,7 @@ from .geometry import (
     motion_between_poses,
     project_world_to_image,
 )
-from .fusion import FusionState, NoiseConfig, SensorRecord, fuse_log
+from .fusion import NoiseConfig, SensorRecord, fuse_log
 from .tracker import ParticleSet, SoftMask, TrackerConfig, TrackLostError, track_sequence
 from .shapes import AlphaShape, BinaryMask, alpha_shape, default_alpha, rasterize
 from .metrics import MaskScores, Trajectory2D, mask_scores, relative_distance_error, sdr
@@ -30,7 +30,6 @@ __all__ = [
     "BinaryMask",
     "CameraMotion",
     "CameraPose",
-    "FusionState",
     "GeometryError",
     "Intrinsics",
     "MaskScores",

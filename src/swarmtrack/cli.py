@@ -18,6 +18,7 @@ import json
 import logging
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from . import __version__, io_formats, synth
 from .fusion import FusionError, NoiseConfig, fuse_log
 from .geometry import GeometryError, Intrinsics, PixelPoint, backproject_image_to_ground
-from .io_formats import FormatError
+from .io_formats import FormatError, RunConfig
 from .metrics import (
     MaskScoreAccumulator,
     MetricError,
@@ -42,7 +43,7 @@ from .shapes import (
     support_points,
 )
 from .synth import ScenarioError
-from .tracker import TrackerConfig, track_sequence
+from .tracker import track_sequence
 
 logger = logging.getLogger("swarmtrack")
 
@@ -51,138 +52,16 @@ class UsageError(ValueError):
     """Bad configuration or flags; maps to exit code 2."""
 
 
-DEFAULT_RADII = (10.0, 20.0, 30.0)
-
-
-# -- run config (track) ----------------------------------------------------
-
-
-def _reject_unknown(doc: dict, allowed: set[str], path: str) -> None:
-    for k in doc:
-        if k not in allowed:
-            raise UsageError(f"{path}{k}: unknown key")
-
-
-def _num(doc: dict, key: str, default, path: str, required: bool = False):
-    if key not in doc:
-        if required:
-            raise UsageError(f"{path}{key}: missing required key")
-        return default
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise UsageError(f"{path}{key}: must be a number, got {v!r}")
-    return v
-
-
-def _int(doc: dict, key: str, default, path: str):
-    if key not in doc:
-        return default
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise UsageError(f"{path}{key}: must be an integer, got {v!r}")
-    return v
-
-
-def parse_run_config(text: str) -> dict:
-    """Parse and resolve the track run config; unknown keys rejected.
-
-    Returns a plain dict with every default filled in; this dict is
-    what gets echoed to effective_config.json.
-    """
+def _read_config(cls, path):
+    """Load a JSON config file as cls; every fault is a usage error."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise UsageError(f"run config is not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise UsageError("run config must be a JSON object")
-    _reject_unknown(
-        doc,
-        {"fps", "focal_px", "cx", "cy", "tracker", "noise", "orientation_alpha", "alpha_px"},
-        "",
-    )
-    tracker_doc = doc.get("tracker", {})
-    if not isinstance(tracker_doc, dict):
-        raise UsageError("tracker: must be a JSON object")
-    _reject_unknown(
-        tracker_doc,
-        {
-            "n_particles", "motion_noise_sigma", "resample_every", "seed",
-            "likelihood_exponent", "lost_reinit_after",
-        },
-        "tracker.",
-    )
-    noise_doc = doc.get("noise", {})
-    if not isinstance(noise_doc, dict):
-        raise UsageError("noise: must be a JSON object")
-    _reject_unknown(
-        noise_doc, {"gps_sigma", "imu_vel_sigma", "process_accel_sigma"}, "noise."
-    )
-    for key in ("cx", "cy", "alpha_px"):
-        if key in doc and doc[key] is not None:
-            v = doc[key]
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise UsageError(f"{key}: must be a number or null, got {v!r}")
-    cfg = {
-        "fps": float(_num(doc, "fps", None, "", required=True)),
-        "focal_px": float(_num(doc, "focal_px", None, "", required=True)),
-        "cx": None if doc.get("cx") is None else float(doc["cx"]),
-        "cy": None if doc.get("cy") is None else float(doc["cy"]),
-        "orientation_alpha": float(_num(doc, "orientation_alpha", 1.0, "")),
-        "alpha_px": None if doc.get("alpha_px") is None else float(doc["alpha_px"]),
-        "tracker": {
-            "n_particles": _int(tracker_doc, "n_particles", 1000, "tracker."),
-            "motion_noise_sigma": float(
-                _num(tracker_doc, "motion_noise_sigma", 3.0, "tracker.")
-            ),
-            "resample_every": _int(tracker_doc, "resample_every", 1, "tracker."),
-            "seed": _int(tracker_doc, "seed", 0, "tracker."),
-            "likelihood_exponent": float(
-                _num(tracker_doc, "likelihood_exponent", 1.0, "tracker.")
-            ),
-            "lost_reinit_after": _int(tracker_doc, "lost_reinit_after", 30, "tracker."),
-        },
-        "noise": {
-            "gps_sigma": float(_num(noise_doc, "gps_sigma", 0.5, "noise.")),
-            "imu_vel_sigma": float(_num(noise_doc, "imu_vel_sigma", 0.2, "noise.")),
-            "process_accel_sigma": float(
-                _num(noise_doc, "process_accel_sigma", 1.0, "noise.")
-            ),
-        },
-    }
-    if cfg["fps"] <= 0:
-        raise UsageError(f"fps: must be > 0, got {cfg['fps']}")
-    if cfg["focal_px"] <= 0:
-        raise UsageError(f"focal_px: must be > 0, got {cfg['focal_px']}")
-    if cfg["alpha_px"] is not None and cfg["alpha_px"] <= 0:
-        raise UsageError(f"alpha_px: must be > 0 or null, got {cfg['alpha_px']}")
-    return cfg
-
-
-def _tracker_config(cfg: dict) -> TrackerConfig:
-    t = cfg["tracker"]
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise UsageError(f"cannot read config: {e}") from None
     try:
-        return TrackerConfig(
-            n_particles=t["n_particles"],
-            motion_noise_sigma=t["motion_noise_sigma"],
-            resample_every=t["resample_every"],
-            seed=t["seed"],
-            likelihood_exponent=t["likelihood_exponent"],
-            lost_reinit_after=t["lost_reinit_after"],
-        )
-    except ValueError as e:
-        raise UsageError(f"tracker.{e}") from None
-
-
-def _noise_config(cfg: dict) -> NoiseConfig:
-    n = cfg["noise"]
-    try:
-        return NoiseConfig(
-            gps_sigma=n["gps_sigma"],
-            imu_vel_sigma=n["imu_vel_sigma"],
-            process_accel_sigma=n["process_accel_sigma"],
-        )
-    except ValueError as e:
-        raise UsageError(f"noise.{e}") from None
+        return io_formats.config_from_json(cls, text)
+    except FormatError as e:
+        raise UsageError(str(e)) from None
 
 
 # -- provenance ------------------------------------------------------------
@@ -200,14 +79,7 @@ def _write_provenance(out_dir: Path, effective: dict) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as e:
-        raise UsageError(f"cannot read config: {e}") from None
-    try:
-        config = io_formats.scenario_config_from_json(text)
-    except FormatError as e:
-        raise UsageError(str(e)) from None
+    config = _read_config(synth.ScenarioConfig, args.config)
     out = Path(args.out)
     logger.info("generating %d frames to %s", config.duration, out)
     try:
@@ -219,7 +91,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         {
             "command": "simulate",
             "config_path": str(args.config),
-            "scenario": json.loads(io_formats.scenario_config_to_json(config)),
+            "scenario": io_formats.dump(config),
         },
     )
     logger.info("scenario written: %s", out)
@@ -258,11 +130,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
             "fps": args.fps,
             "n_frames": args.n_frames,
             "orientation_alpha": args.orientation_alpha,
-            "noise": {
-                "gps_sigma": noise.gps_sigma,
-                "imu_vel_sigma": noise.imu_vel_sigma,
-                "process_accel_sigma": noise.process_accel_sigma,
-            },
+            "noise": io_formats.dump(noise),
         },
     )
     logger.info("fused %d poses -> %s", len(poses), out / "fused_poses.csv")
@@ -270,36 +138,30 @@ def cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as e:
-        raise UsageError(f"cannot read config: {e}") from None
-    cfg = parse_run_config(text)
+    cfg = _read_config(RunConfig, args.config)
     if args.no_resample:
-        cfg["tracker"]["resample_every"] = 0
-    tracker_cfg = _tracker_config(cfg)
-    noise = _noise_config(cfg)
+        cfg = replace(cfg, tracker=replace(cfg.tracker, resample_every=0))
     mask_paths = io_formats.mask_sequence_paths(args.masks)
     n_frames = len(mask_paths)
     first = io_formats.read_mask(mask_paths[0])
     width, height = first.width, first.height
-    cx = cfg["cx"] if cfg["cx"] is not None else width / 2.0
-    cy = cfg["cy"] if cfg["cy"] is not None else height / 2.0
+    cx = cfg.cx if cfg.cx is not None else width / 2.0
+    cy = cfg.cy if cfg.cy is not None else height / 2.0
     try:
-        intr = Intrinsics(cfg["focal_px"], cx, cy, width, height)
+        intr = Intrinsics(cfg.focal_px, cx, cy, width, height)
     except ValueError as e:
         raise UsageError(str(e)) from None
     log = io_formats.read_sensor_log(args.sensors)
     poses = fuse_log(
-        log, noise, cfg["fps"], n_frames=n_frames,
-        orientation_alpha=cfg["orientation_alpha"],
+        log, cfg.noise, cfg.fps, n_frames=n_frames,
+        orientation_alpha=cfg.orientation_alpha,
     )
     logger.info(
         "tracking %d frames (%dx%d, %d particles)",
-        n_frames, width, height, tracker_cfg.n_particles,
+        n_frames, width, height, cfg.tracker.n_particles,
     )
     masks = itertools.chain([first], map(io_formats.read_mask, mask_paths[1:]))
-    result = track_sequence(masks, poses, intr, tracker_cfg)
+    result = track_sequence(masks, poses, intr, cfg.tracker)
     # Project every centroid before writing anything, so a ray that misses
     # the ground leaves no partial shapes/ behind.
     world = np.zeros((n_frames, 2))
@@ -319,11 +181,7 @@ def cmd_track(args: argparse.Namespace) -> int:
         else:
             pts = support_points(result.particles[t], result.weights[t])
             try:
-                alpha = (
-                    cfg["alpha_px"]
-                    if cfg["alpha_px"] is not None
-                    else default_alpha(pts)
-                )
+                alpha = cfg.alpha_px if cfg.alpha_px is not None else default_alpha(pts)
                 shape = alpha_shape(pts, alpha)
                 mask_bits = rasterize(shape, width, height).bits
             except ShapeError:
@@ -336,18 +194,18 @@ def cmd_track(args: argparse.Namespace) -> int:
         lost=result.lost,
         path=out / "trajectory.csv",
     )
-    effective = dict(cfg)
-    effective.update(
+    _write_provenance(
+        out,
         {
+            **io_formats.dump(cfg),
             "command": "track",
             "masks": str(args.masks),
             "sensors": str(args.sensors),
             "no_resample": bool(args.no_resample),
             "width": width,
             "height": height,
-        }
+        },
     )
-    _write_provenance(out, effective)
     logger.info(
         "trajectory written: %s (%d lost frames)",
         out / "trajectory.csv", int(result.lost.sum()),
@@ -647,10 +505,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fps", type=float, required=True, help="frame rate")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n-frames", type=int, default=None, help="frame count (default: full span)")
-    p.add_argument("--gps-sigma", type=float, default=0.5, help="GPS noise std, m")
-    p.add_argument("--imu-vel-sigma", type=float, default=0.2, help="IMU velocity noise std, m/s")
-    p.add_argument("--process-accel-sigma", type=float, default=1.0, help="process accel std, m/s^2")
-    p.add_argument("--orientation-alpha", type=float, default=1.0, help="attitude EMA factor (1 = pass-through)")
+    p.add_argument("--gps-sigma", type=float, default=NoiseConfig.gps_sigma, help="GPS noise std, m")
+    p.add_argument("--imu-vel-sigma", type=float, default=NoiseConfig.imu_vel_sigma, help="IMU velocity noise std, m/s")
+    p.add_argument("--process-accel-sigma", type=float, default=NoiseConfig.process_accel_sigma, help="process accel std, m/s^2")
+    p.add_argument("--orientation-alpha", type=float, default=RunConfig.orientation_alpha, help="attitude EMA factor (1 = pass-through)")
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("track", help="run the particle filter over a mask directory")

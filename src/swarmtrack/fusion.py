@@ -22,12 +22,8 @@ shared by all three axes, and each axis's [position; velocity] mean is
 updated with that step's 2x2 gain. Every step checks that the
 innovation covariance S = P + R and the posterior covariance are
 positive definite (else ``FusionError``), and the mean of every step
-is checked finite.
-
-``kalman_predict``, ``kalman_update`` and ``initial_state`` on
-``FusionState`` are the full 6-state reference: one predict/update step
-at a time with Cholesky-validated covariances. The tests check
-``fuse_log`` against a step-by-step run of them.
+is checked finite. The tests check ``fuse_log`` against a step-by-step
+run of the full 6-state filter kept there as the reference.
 """
 
 from __future__ import annotations
@@ -90,97 +86,6 @@ class SensorRecord:
             raise ValueError(f"sensor record has non-finite fields: {self!r}")
 
 
-@dataclass
-class FusionState:
-    """Kalman state: mean (6,) = [x y z vx vy vz], covariance (6, 6).
-
-    The covariance is validated symmetric positive definite on
-    construction, so each ``kalman_predict``/``kalman_update`` step of
-    the 6-state reference re-checks the invariant. ``fuse_log`` does not
-    build these; it runs the equivalent per-axis 2x2 recursion with its
-    own per-step checks (see the module docstring).
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.mean = np.asarray(self.mean, dtype=float).reshape(6)
-        self.cov = np.asarray(self.cov, dtype=float).reshape(6, 6)
-        if not np.all(np.isfinite(self.mean)) or not np.all(np.isfinite(self.cov)):
-            raise FusionError("fusion state has non-finite entries")
-        asym = np.max(np.abs(self.cov - self.cov.T))
-        if asym > 1e-9:
-            raise FusionError(f"covariance asymmetry {asym:.3e} exceeds 1e-9")
-        try:
-            np.linalg.cholesky(self.cov)
-        except np.linalg.LinAlgError:
-            raise FusionError("covariance is not positive definite") from None
-
-
-def _process_noise(dt: float, accel_sigma: float) -> np.ndarray:
-    """Discrete white-acceleration covariance for one [pos; vel] axis pair."""
-    q = np.zeros((6, 6))
-    s2 = accel_sigma**2
-    q_pp = s2 * dt**4 / 4.0
-    q_pv = s2 * dt**3 / 2.0
-    q_vv = s2 * dt**2
-    for axis in range(3):
-        q[axis, axis] = q_pp
-        q[axis, axis + 3] = q_pv
-        q[axis + 3, axis] = q_pv
-        q[axis + 3, axis + 3] = q_vv
-    return q
-
-
-def kalman_predict(state: FusionState, dt: float, noise: NoiseConfig) -> FusionState:
-    """Advance the constant-velocity model by dt seconds."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    f = np.eye(6)
-    f[0, 3] = f[1, 4] = f[2, 5] = dt
-    mean = f @ state.mean
-    cov = f @ state.cov @ f.T + _process_noise(dt, noise.process_accel_sigma)
-    cov = 0.5 * (cov + cov.T)
-    return FusionState(mean, cov)
-
-
-def _measurement_cov(noise: NoiseConfig) -> np.ndarray:
-    r = np.zeros((6, 6))
-    r[:3, :3] = noise.gps_sigma**2 * np.eye(3)
-    r[3:, 3:] = noise.imu_vel_sigma**2 * np.eye(3)
-    return r
-
-
-def kalman_update(
-    state: FusionState, record: SensorRecord, noise: NoiseConfig
-) -> FusionState:
-    """Condition the state on one sensor record (position + velocity)."""
-    z = np.array([*record.gps, *record.vel], dtype=float)
-    r = _measurement_cov(noise)
-    # H = I6, so the innovation covariance is just P + R.
-    s = state.cov + r
-    try:
-        s_chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        raise FusionError("singular innovation covariance") from None
-    # Gain K = P S^-1 via the Cholesky factor.
-    k = np.linalg.solve(s_chol.T, np.linalg.solve(s_chol, state.cov.T)).T
-    mean = state.mean + k @ (z - state.mean)
-    ident = np.eye(6)
-    # Joseph form keeps the covariance PSD under roundoff.
-    a = ident - k
-    cov = a @ state.cov @ a.T + k @ r @ k.T
-    cov = 0.5 * (cov + cov.T)
-    return FusionState(mean, cov)
-
-
-def initial_state(record: SensorRecord, noise: NoiseConfig) -> FusionState:
-    """State anchored at the first record, with measurement-level spread."""
-    mean = np.array([*record.gps, *record.vel], dtype=float)
-    return FusionState(mean, _measurement_cov(noise))
-
-
 def _unwrap_deg(values: np.ndarray) -> np.ndarray:
     """Unwrap degree angles along axis 0."""
     return np.degrees(np.unwrap(np.radians(values), axis=0))
@@ -228,28 +133,6 @@ def _frame_arrays(
         [np.interp(frame_t, t, cols[:, j]) for j in range(1, cols.shape[1])], axis=1
     )
     return frame_t, interp[:, :6], interp[:, 6:]
-
-
-def resample_log_to_frames(
-    log: list[SensorRecord], fps: float, n_frames: int | None = None
-) -> list[SensorRecord]:
-    """Linearly interpolate the log onto frame timestamps k/fps.
-
-    Frames run from the first log timestamp up to the last (or
-    ``n_frames`` if given, which must be >= 1 and stay within the log's
-    time span). Attitude angles are unwrapped before interpolation so a
-    359 -> 1 deg yaw step does not sweep through 180.
-    """
-    frame_t, z, angles = _frame_arrays(log, fps, n_frames)
-    return [
-        SensorRecord(
-            frame=i, t=t, gps=tuple(row[:3]), vel=tuple(row[3:]),
-            pitch=pitch, yaw=yaw, roll=roll,
-        )
-        for i, (t, row, (pitch, yaw, roll)) in enumerate(
-            zip(frame_t.tolist(), z.tolist(), angles.tolist())
-        )
-    ]
 
 
 def _smooth_angles(angles: np.ndarray, alpha: float) -> np.ndarray:

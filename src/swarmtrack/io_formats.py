@@ -10,6 +10,8 @@ binary PGM, byte-exact and reproducible:
 * camera poses: CSV with header
   frame,t_s,x_m,y_m,z_m,pitch_deg,yaw_deg,roll_deg;
 * trajectories: CSV with header frame,u_px,v_px,world_x_m,world_y_m,lost_flag.
+* configs: strict JSON objects, read by ``load`` into the config
+  dataclasses, which hold every default and range check.
 
 Floats are written with repr(), which round-trips exactly, so
 read(write(x)) == x for everything except mask bytes, where the error
@@ -21,17 +23,20 @@ position; nothing is silently coerced.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .fusion import SensorRecord
-from .geometry import CameraPose, WorldPoint
+from .fusion import NoiseConfig, SensorRecord
+from .geometry import CameraPose
 from .shapes import BinaryMask
-from .tracker import SoftMask
+from .tracker import SoftMask, TrackerConfig
 
 
 class FormatError(ValueError):
@@ -44,9 +49,6 @@ SENSOR_HEADER = (
 )
 POSE_HEADER = "frame,t_s,x_m,y_m,z_m,pitch_deg,yaw_deg,roll_deg"
 TRAJECTORY_HEADER = "frame,u_px,v_px,world_x_m,world_y_m,lost_flag"
-
-# Meridian arc length per degree of latitude, small-area ENU approximation.
-METERS_PER_DEG_LAT = 111320.0
 
 
 def _fmt(value: float) -> str:
@@ -385,250 +387,137 @@ def read_mask_sequence(directory: Path | str):
         yield read_mask(p)
 
 
-# -- geodetic ------------------------------------------------------------
+# -- config JSON -----------------------------------------------------------
 
 
-def geodetic_to_local(
-    lat: float, lon: float, alt: float, origin_lat: float, origin_lon: float
-) -> WorldPoint:
-    """Geodetic coordinates to local ENU meters about an origin.
+@dataclass(frozen=True)
+class RunConfig:
+    """The run config of ``track`` (run.json): camera, fusion, filter, outline.
 
-    Small-area equirectangular approximation: one degree of latitude is
-    111,320 m, longitude scaled by cos(origin latitude). Fine for
-    flights spanning a couple of kilometers; not a geodesy library.
+    fps is the frame rate of the mask sequence. cx/cy default to the
+    image center and alpha_px to ``shapes.default_alpha`` of each frame's
+    particle cloud; orientation_alpha is the attitude EMA factor of
+    ``fusion.fuse_log`` (1 = pass-through).
     """
-    for name, v, bound in (
-        ("lat", lat, 90.0),
-        ("origin_lat", origin_lat, 90.0),
-        ("lon", lon, 180.0),
-        ("origin_lon", origin_lon, 180.0),
-    ):
-        if not (math.isfinite(v) and abs(v) <= bound):
-            raise ValueError(f"{name} out of range: {v!r}")
-    north = (lat - origin_lat) * METERS_PER_DEG_LAT
-    east = (lon - origin_lon) * METERS_PER_DEG_LAT * math.cos(math.radians(origin_lat))
-    return WorldPoint(east, north, alt)
+
+    fps: float
+    focal_px: float
+    cx: float | None = None
+    cy: float | None = None
+    orientation_alpha: float = 1.0
+    alpha_px: float | None = None
+    tracker: TrackerConfig = field(default_factory=TrackerConfig)
+    noise: NoiseConfig = field(default_factory=NoiseConfig)
+
+    def __post_init__(self) -> None:
+        for name in ("fps", "focal_px"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name}: must be > 0, got {v!r}")
+        if not (0 < self.orientation_alpha <= 1):
+            raise ValueError(
+                f"orientation_alpha: must be in (0, 1], got {self.orientation_alpha!r}"
+            )
+        if self.alpha_px is not None and not (
+            math.isfinite(self.alpha_px) and self.alpha_px > 0
+        ):
+            raise ValueError(f"alpha_px: must be > 0 or null, got {self.alpha_px!r}")
 
 
-# -- scenario config JSON --------------------------------------------------
+# JSON types a scalar field accepts (never a bool) and how errors name them.
+_SCALARS = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    str: (str, "a string"),
+}
 
 
-def _require_keys(d: dict, allowed: set[str], required: set[str], path: str) -> None:
-    for k in d:
-        if k not in allowed:
-            raise FormatError(f"{path}{k}: unknown key")
-    for k in required:
-        if k not in d:
-            raise FormatError(f"{path}{k}: missing required key")
+def load(cls, doc, path: str = ""):
+    """Build the config dataclass cls from a parsed JSON object.
+
+    Unknown keys and missing required fields are errors. Each value is
+    coerced to its field's annotation: float, int, str, X | None, tuples
+    and nested config dataclasses. Defaults come from the dataclass and
+    range checks from its __post_init__, whose messages start with the
+    bare field name. Every error is a FormatError led by the dotted key
+    path, e.g. "drone.altitude: must be > 0".
+    """
+
+    def where(key) -> str:
+        return f"{path}.{key}" if path else str(key)
+
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path or 'config'}: must be a JSON object, got {doc!r}")
+    names = {f.name: f for f in dataclasses.fields(cls)}
+    for key in doc:
+        if key not in names:
+            raise FormatError(f"{where(key)}: unknown key")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for name, f in names.items():
+        if name in doc:
+            kwargs[name] = _coerce(hints[name], doc[name], where(name))
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise FormatError(f"{where(name)}: missing required key")
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise FormatError(where(e)) from None
 
 
-def _take(d: dict, key: str, default):
-    return d[key] if key in d else default
+def _coerce(tp, value, key: str):
+    """value as the annotated type tp; key names it in errors (see load)."""
+    if dataclasses.is_dataclass(tp):
+        return load(tp, value, key)
+    args = get_args(tp)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise FormatError(f"{key}: must be a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise FormatError(f"{key}: must be a list of {len(args)}, got {value!r}")
+        return tuple(
+            _coerce(a, v, f"{key}[{i}]") for i, (a, v) in enumerate(zip(args, value))
+        )
+    if args:  # X | None
+        if value is None:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+    accepted, kind = _SCALARS[tp]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise FormatError(f"{key}: must be {kind}, got {value!r}")
+    try:
+        return tp(value)
+    except OverflowError:  # an integer too large for a float
+        raise FormatError(f"{key}: must be {kind} within float range") from None
+
+
+def dump(config) -> dict:
+    """The JSON object of a config dataclass: load(type(c), dump(c)) == c."""
+    # The JSON round trip turns tuples into lists; floats survive exactly.
+    return json.loads(json.dumps(dataclasses.asdict(config)))
+
+
+def config_from_json(cls, text: str):
+    """Parse a config document and load it as cls (see load)."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"config is not valid JSON: {e}") from None
+    return load(cls, doc)
+
+
+def scenario_config_from_json(text: str):
+    """Parse and validate scenario.json into a ScenarioConfig."""
+    from .synth import ScenarioConfig  # synth imports this module
+
+    return config_from_json(ScenarioConfig, text)
 
 
 def scenario_config_to_json(config) -> str:
     """Serialize a ScenarioConfig as the scenario.json document."""
-    doc = {
-        "duration": config.duration,
-        "fps": config.fps,
-        "width": config.width,
-        "height": config.height,
-        "focal_px": config.focal_px,
-        "mask_softness": config.mask_softness,
-        "noise_scale": config.noise_scale,
-        "imu_vel_bias_sigma": config.imu_vel_bias_sigma,
-        "seed": config.seed,
-        "noise": {
-            "gps_sigma": config.noise.gps_sigma,
-            "imu_vel_sigma": config.noise.imu_vel_sigma,
-            "process_accel_sigma": config.noise.process_accel_sigma,
-        },
-        "drone": {
-            "waypoints": [list(w) for w in config.drone.waypoints],
-            "altitude": config.drone.altitude,
-            "speed": config.drone.speed,
-            "accel": config.drone.accel,
-            "yaw_mode": config.drone.yaw_mode,
-            "yaw_deg": config.drone.yaw_deg,
-            "camera_pitch_deg": config.drone.camera_pitch_deg,
-            "camera_roll_deg": config.drone.camera_roll_deg,
-        },
-        "swarm": {
-            "waypoints": [list(w) for w in config.swarm.waypoints],
-            "speed": config.swarm.speed,
-        },
-        "shape": {
-            "semi_major": config.shape.semi_major,
-            "semi_minor": config.shape.semi_minor,
-            "deform_amplitude": config.shape.deform_amplitude,
-            "deform_freq_hz": config.shape.deform_freq_hz,
-            "orientation_deg": config.shape.orientation_deg,
-            "spin_deg_per_s": config.shape.spin_deg_per_s,
-            "split_frame": config.shape.split_frame,
-            "split_speed": config.shape.split_speed,
-        },
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _waypoints(raw, path: str) -> tuple[tuple[float, float], ...]:
-    if not isinstance(raw, list) or not raw:
-        raise FormatError(f"{path}: must be a non-empty list of [x, y] pairs")
-    out = []
-    for i, wp in enumerate(raw):
-        if (
-            not isinstance(wp, list)
-            or len(wp) != 2
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in wp)
-        ):
-            raise FormatError(f"{path}[{i}]: must be an [x, y] number pair")
-        out.append((float(wp[0]), float(wp[1])))
-    return tuple(out)
-
-
-def _number(d: dict, key: str, default, path: str):
-    v = _take(d, key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise FormatError(f"{path}{key}: must be a number, got {v!r}")
-    return v
-
-
-def scenario_config_from_json(text: str):
-    """Parse and validate scenario.json; unknown keys are rejected.
-
-    Errors name the offending field with its dotted path, e.g.
-    "drone.altitude: must be > 0".
-    """
-    from .fusion import NoiseConfig
-    from .synth import (
-        DronePathConfig,
-        ScenarioConfig,
-        ScenarioError,
-        SwarmPathConfig,
-        SwarmShapeConfig,
-    )
-
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"scenario config is not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise FormatError("scenario config must be a JSON object")
-    top_allowed = {
-        "duration", "fps", "width", "height", "focal_px", "mask_softness",
-        "noise_scale", "imu_vel_bias_sigma", "seed", "noise", "drone",
-        "swarm", "shape",
-    }
-    top_required = {"duration", "fps", "width", "height", "focal_px", "drone", "swarm", "shape"}
-    _require_keys(doc, top_allowed, top_required, "")
-    for section in ("drone", "swarm", "shape"):
-        if not isinstance(doc[section], dict):
-            raise FormatError(f"{section}: must be a JSON object")
-    noise_doc = _take(doc, "noise", {})
-    if not isinstance(noise_doc, dict):
-        raise FormatError("noise: must be a JSON object")
-    _require_keys(
-        noise_doc,
-        {"gps_sigma", "imu_vel_sigma", "process_accel_sigma"},
-        set(),
-        "noise.",
-    )
-    drone_doc = doc["drone"]
-    _require_keys(
-        drone_doc,
-        {
-            "waypoints", "altitude", "speed", "accel", "yaw_mode", "yaw_deg",
-            "camera_pitch_deg", "camera_roll_deg",
-        },
-        {"waypoints", "altitude"},
-        "drone.",
-    )
-    swarm_doc = doc["swarm"]
-    _require_keys(swarm_doc, {"waypoints", "speed"}, {"waypoints"}, "swarm.")
-    shape_doc = doc["shape"]
-    _require_keys(
-        shape_doc,
-        {
-            "semi_major", "semi_minor", "deform_amplitude", "deform_freq_hz",
-            "orientation_deg", "spin_deg_per_s", "split_frame", "split_speed",
-        },
-        {"semi_major", "semi_minor"},
-        "shape.",
-    )
-    yaw_mode = _take(drone_doc, "yaw_mode", "fixed")
-    if not isinstance(yaw_mode, str):
-        raise FormatError(f"drone.yaw_mode: must be a string, got {yaw_mode!r}")
-    split_frame = _take(shape_doc, "split_frame", None)
-    if split_frame is not None and (isinstance(split_frame, bool) or not isinstance(split_frame, int)):
-        raise FormatError(f"shape.split_frame: must be an integer or null, got {split_frame!r}")
-    duration = _take(doc, "duration", None)
-    if isinstance(duration, bool) or not isinstance(duration, int):
-        raise FormatError(f"duration: must be an integer, got {duration!r}")
-    seed = _take(doc, "seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise FormatError(f"seed: must be an integer, got {seed!r}")
-    for dim in ("width", "height"):
-        v = doc[dim]
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise FormatError(f"{dim}: must be an integer, got {v!r}")
-    try:
-        noise = NoiseConfig(
-            gps_sigma=float(_number(noise_doc, "gps_sigma", 0.5, "noise.")),
-            imu_vel_sigma=float(_number(noise_doc, "imu_vel_sigma", 0.2, "noise.")),
-            process_accel_sigma=float(
-                _number(noise_doc, "process_accel_sigma", 1.0, "noise.")
-            ),
-        )
-    except ValueError as e:
-        raise FormatError(f"noise.{e}") from None
-    try:
-        drone = DronePathConfig(
-            waypoints=_waypoints(drone_doc["waypoints"], "drone.waypoints"),
-            altitude=float(_number(drone_doc, "altitude", None, "drone.")),
-            speed=float(_number(drone_doc, "speed", 5.0, "drone.")),
-            accel=float(_number(drone_doc, "accel", 2.0, "drone.")),
-            yaw_mode=yaw_mode,
-            yaw_deg=float(_number(drone_doc, "yaw_deg", 0.0, "drone.")),
-            camera_pitch_deg=float(
-                _number(drone_doc, "camera_pitch_deg", 0.0, "drone.")
-            ),
-            camera_roll_deg=float(_number(drone_doc, "camera_roll_deg", 0.0, "drone.")),
-        )
-        swarm = SwarmPathConfig(
-            waypoints=_waypoints(swarm_doc["waypoints"], "swarm.waypoints"),
-            speed=float(_number(swarm_doc, "speed", 1.0, "swarm.")),
-        )
-        shape = SwarmShapeConfig(
-            semi_major=float(_number(shape_doc, "semi_major", None, "shape.")),
-            semi_minor=float(_number(shape_doc, "semi_minor", None, "shape.")),
-            deform_amplitude=float(
-                _number(shape_doc, "deform_amplitude", 0.0, "shape.")
-            ),
-            deform_freq_hz=float(_number(shape_doc, "deform_freq_hz", 0.0, "shape.")),
-            orientation_deg=float(_number(shape_doc, "orientation_deg", 0.0, "shape.")),
-            spin_deg_per_s=float(_number(shape_doc, "spin_deg_per_s", 0.0, "shape.")),
-            split_frame=split_frame,
-            split_speed=float(_number(shape_doc, "split_speed", 0.5, "shape.")),
-        )
-        return ScenarioConfig(
-            duration=duration,
-            fps=float(_number(doc, "fps", None, "")),
-            width=doc["width"],
-            height=doc["height"],
-            focal_px=float(_number(doc, "focal_px", None, "")),
-            drone=drone,
-            swarm=swarm,
-            shape=shape,
-            mask_softness=float(_number(doc, "mask_softness", 1.5, "")),
-            noise=noise,
-            noise_scale=float(_number(doc, "noise_scale", 1.0, "")),
-            imu_vel_bias_sigma=float(
-                _number(doc, "imu_vel_bias_sigma", 0.03, "")
-            ),
-            seed=seed,
-        )
-    except ScenarioError as e:
-        raise FormatError(str(e)) from None
+    return json.dumps(dump(config), indent=2) + "\n"
 
 
 # -- score reports ---------------------------------------------------------

@@ -86,15 +86,19 @@ class MaskScores:
     degenerate: bool = False
 
 
-def mask_scores(pred: BinaryMask | np.ndarray, ref: BinaryMask | np.ndarray) -> MaskScores:
-    """IoU / precision / recall / F1 of two binary masks."""
+def _confusion(
+    pred: BinaryMask | np.ndarray, ref: BinaryMask | np.ndarray
+) -> tuple[int, int, int]:
+    """True positive, false positive and false negative pixel counts."""
     p = pred.bits if isinstance(pred, BinaryMask) else np.asarray(pred, dtype=bool)
     r = ref.bits if isinstance(ref, BinaryMask) else np.asarray(ref, dtype=bool)
     if p.shape != r.shape:
         raise MetricError(f"mask shapes differ: {p.shape} vs {r.shape}")
     tp = int(np.count_nonzero(p & r))
-    fp = int(np.count_nonzero(p & ~r))
-    fn = int(np.count_nonzero(~p & r))
+    return tp, int(np.count_nonzero(p)) - tp, int(np.count_nonzero(r)) - tp
+
+
+def _scores(tp: int, fp: int, fn: int) -> MaskScores:
     if tp + fp + fn == 0:
         return MaskScores(1.0, 1.0, 1.0, 1.0, degenerate=True)
     iou = tp / (tp + fp + fn)
@@ -102,6 +106,11 @@ def mask_scores(pred: BinaryMask | np.ndarray, ref: BinaryMask | np.ndarray) -> 
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * tp / (2 * tp + fp + fn)
     return MaskScores(iou, precision, recall, f1)
+
+
+def mask_scores(pred: BinaryMask | np.ndarray, ref: BinaryMask | np.ndarray) -> MaskScores:
+    """IoU / precision / recall / F1 of two binary masks."""
+    return _scores(*_confusion(pred, ref))
 
 
 @dataclass
@@ -122,25 +131,18 @@ class MaskScoreAccumulator:
             self.per_frame = []
 
     def add(self, pred: BinaryMask | np.ndarray, ref: BinaryMask | np.ndarray) -> MaskScores:
-        p = pred.bits if isinstance(pred, BinaryMask) else np.asarray(pred, dtype=bool)
-        r = ref.bits if isinstance(ref, BinaryMask) else np.asarray(ref, dtype=bool)
-        scores = mask_scores(p, r)
-        self.tp += int(np.count_nonzero(p & r))
-        self.fp += int(np.count_nonzero(p & ~r))
-        self.fn += int(np.count_nonzero(~p & r))
+        tp, fp, fn = _confusion(pred, ref)
+        self.tp += tp
+        self.fp += fp
+        self.fn += fn
+        scores = _scores(tp, fp, fn)
         self.per_frame.append(scores)
         return scores
 
     def micro(self) -> MaskScores:
         if not self.per_frame:
             raise MetricError("no frames accumulated")
-        if self.tp + self.fp + self.fn == 0:
-            return MaskScores(1.0, 1.0, 1.0, 1.0, degenerate=True)
-        iou = self.tp / (self.tp + self.fp + self.fn)
-        precision = self.tp / (self.tp + self.fp) if self.tp + self.fp else 0.0
-        recall = self.tp / (self.tp + self.fn) if self.tp + self.fn else 0.0
-        f1 = 2 * self.tp / (2 * self.tp + self.fp + self.fn)
-        return MaskScores(iou, precision, recall, f1)
+        return _scores(self.tp, self.fp, self.fn)
 
     def macro(self) -> MaskScores:
         if not self.per_frame:

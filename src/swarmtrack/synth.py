@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
+from . import io_formats
 from .fusion import NoiseConfig, SensorRecord
 from .geometry import CameraPose, GeometryError, Intrinsics, backproject_pixels
 from .geometry import project_points, rotation_world_to_camera
@@ -65,25 +66,25 @@ class DronePathConfig:
 
     def __post_init__(self) -> None:
         if len(self.waypoints) < 1:
-            raise ScenarioError("drone.waypoints: need at least one waypoint")
+            raise ScenarioError("waypoints: need at least one waypoint")
         for wp in self.waypoints:
             if len(wp) != 2 or not all(math.isfinite(c) for c in wp):
-                raise ScenarioError(f"drone.waypoints: bad waypoint {wp!r}")
+                raise ScenarioError(f"waypoints: bad waypoint {wp!r}")
         if not (math.isfinite(self.altitude) and self.altitude > 0):
-            raise ScenarioError(f"drone.altitude: must be > 0, got {self.altitude!r}")
+            raise ScenarioError(f"altitude: must be > 0, got {self.altitude!r}")
         if not (math.isfinite(self.speed) and 0 < self.speed <= MAX_DRONE_SPEED):
             raise ScenarioError(
-                f"drone.speed: must be in (0, {MAX_DRONE_SPEED}] m/s, got {self.speed!r}"
+                f"speed: must be in (0, {MAX_DRONE_SPEED}] m/s, got {self.speed!r}"
             )
         if not (math.isfinite(self.accel) and self.accel > 0):
-            raise ScenarioError(f"drone.accel: must be > 0, got {self.accel!r}")
+            raise ScenarioError(f"accel: must be > 0, got {self.accel!r}")
         if self.yaw_mode not in ("fixed", "path"):
             raise ScenarioError(
-                f"drone.yaw_mode: must be 'fixed' or 'path', got {self.yaw_mode!r}"
+                f"yaw_mode: must be 'fixed' or 'path', got {self.yaw_mode!r}"
             )
         for name in ("yaw_deg", "camera_pitch_deg", "camera_roll_deg"):
             if not math.isfinite(getattr(self, name)):
-                raise ScenarioError(f"drone.{name}: must be finite")
+                raise ScenarioError(f"{name}: must be finite")
 
 
 @dataclass(frozen=True)
@@ -95,12 +96,12 @@ class SwarmPathConfig:
 
     def __post_init__(self) -> None:
         if len(self.waypoints) < 1:
-            raise ScenarioError("swarm.waypoints: need at least one waypoint")
+            raise ScenarioError("waypoints: need at least one waypoint")
         for wp in self.waypoints:
             if len(wp) != 2 or not all(math.isfinite(c) for c in wp):
-                raise ScenarioError(f"swarm.waypoints: bad waypoint {wp!r}")
+                raise ScenarioError(f"waypoints: bad waypoint {wp!r}")
         if not (math.isfinite(self.speed) and self.speed >= 0):
-            raise ScenarioError(f"swarm.speed: must be >= 0, got {self.speed!r}")
+            raise ScenarioError(f"speed: must be >= 0, got {self.speed!r}")
 
 
 @dataclass(frozen=True)
@@ -124,31 +125,31 @@ class SwarmShapeConfig:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.semi_major) and self.semi_major > 0):
-            raise ScenarioError(f"shape.semi_major: must be > 0, got {self.semi_major!r}")
+            raise ScenarioError(f"semi_major: must be > 0, got {self.semi_major!r}")
         if not (math.isfinite(self.semi_minor) and self.semi_minor > 0):
-            raise ScenarioError(f"shape.semi_minor: must be > 0, got {self.semi_minor!r}")
+            raise ScenarioError(f"semi_minor: must be > 0, got {self.semi_minor!r}")
         if self.semi_minor > self.semi_major:
             raise ScenarioError(
-                f"shape.semi_minor: {self.semi_minor} exceeds semi_major {self.semi_major}"
+                f"semi_minor: {self.semi_minor} exceeds semi_major {self.semi_major}"
             )
         if not (0 <= self.deform_amplitude <= 0.9):
             raise ScenarioError(
-                f"shape.deform_amplitude: must be in [0, 0.9], got {self.deform_amplitude!r}"
+                f"deform_amplitude: must be in [0, 0.9], got {self.deform_amplitude!r}"
             )
         if not (math.isfinite(self.deform_freq_hz) and self.deform_freq_hz >= 0):
             raise ScenarioError(
-                f"shape.deform_freq_hz: must be >= 0, got {self.deform_freq_hz!r}"
+                f"deform_freq_hz: must be >= 0, got {self.deform_freq_hz!r}"
             )
         for name in ("orientation_deg", "spin_deg_per_s"):
             if not math.isfinite(getattr(self, name)):
-                raise ScenarioError(f"shape.{name}: must be finite")
+                raise ScenarioError(f"{name}: must be finite")
         if self.split_frame is not None and self.split_frame < 0:
             raise ScenarioError(
-                f"shape.split_frame: must be >= 0, got {self.split_frame!r}"
+                f"split_frame: must be >= 0, got {self.split_frame!r}"
             )
         if not (math.isfinite(self.split_speed) and self.split_speed >= 0):
             raise ScenarioError(
-                f"shape.split_speed: must be >= 0, got {self.split_speed!r}"
+                f"split_speed: must be >= 0, got {self.split_speed!r}"
             )
 
 
@@ -191,6 +192,8 @@ class ScenarioConfig:
             raise ScenarioError(
                 f"imu_vel_bias_sigma: must be >= 0, got {self.imu_vel_bias_sigma!r}"
             )
+        if self.seed < 0:
+            raise ScenarioError(f"seed: must be >= 0, got {self.seed!r}")
 
     @property
     def intrinsics(self) -> Intrinsics:
@@ -516,23 +519,35 @@ def _sensor_log(
     ]
 
 
+def _simulate(config: ScenarioConfig):
+    """Sensor log, true poses, world centroids (n, 2), and a generator
+    rendering each frame's (soft mask, binary mask, centroid px) in order.
+    """
+    poses, positions, vels, comps, world = _kinematics(config)
+    log = _sensor_log(config, poses, positions, vels, np.random.default_rng(config.seed))
+    intr = config.intrinsics
+    margin = 3.0 * config.mask_softness + 2.0
+
+    def frames():
+        for frame in range(config.duration):
+            binary = _render_binary(comps[frame], poses[frame], intr, margin, frame)
+            yield (
+                SoftMask(soften(binary, config.mask_softness)),
+                BinaryMask(binary),
+                _project_centroid(world[frame], poses[frame], intr),
+            )
+
+    return log, poses, world, frames()
+
+
 def generate(config: ScenarioConfig) -> Scenario:
     """Generate a full scenario in memory.
 
     Suitable for short configs; cmd_simulate streams frames to disk
     instead (see write_scenario) to keep memory flat on long runs.
     """
-    poses, positions, vels, comps, world = _kinematics(config)
-    rng = np.random.default_rng(config.seed)
-    log = _sensor_log(config, poses, positions, vels, rng)
-    intr = config.intrinsics
-    masks, gt_masks, track2d = [], [], []
-    margin = 3.0 * config.mask_softness + 2.0
-    for frame in range(config.duration):
-        binary = _render_binary(comps[frame], poses[frame], intr, margin, frame)
-        masks.append(SoftMask(soften(binary, config.mask_softness)))
-        gt_masks.append(BinaryMask(binary))
-        track2d.append(_project_centroid(world[frame], poses[frame], intr))
+    log, poses, world, frames = _simulate(config)
+    masks, gt_masks, track2d = (list(c) for c in zip(*frames))
     return Scenario(
         config=config,
         masks=masks,
@@ -558,32 +573,20 @@ def write_scenario(config: ScenarioConfig, out_dir) -> None:
     gt_poses.csv, gt_track.csv, scenario.json. Byte-identical for a
     given config (noise is drawn in frame order before rendering).
     """
-    # Imported lazily; io_formats also needs synth's config types.
-    from . import io_formats
-
     out = Path(out_dir)
+    log, poses, world, frames = _simulate(config)
     (out / "masks").mkdir(parents=True, exist_ok=True)
     (out / "gt_masks").mkdir(parents=True, exist_ok=True)
-    poses, positions, vels, comps, world = _kinematics(config)
-    rng = np.random.default_rng(config.seed)
-    log = _sensor_log(config, poses, positions, vels, rng)
-    intr = config.intrinsics
-    margin = 3.0 * config.mask_softness + 2.0
     track2d = []
-    for frame in range(config.duration):
-        binary = _render_binary(comps[frame], poses[frame], intr, margin, frame)
-        io_formats.write_mask(
-            SoftMask(soften(binary, config.mask_softness)),
-            out / "masks" / f"{frame:06d}.pgm",
-        )
-        io_formats.write_mask(BinaryMask(binary), out / "gt_masks" / f"{frame:06d}.pgm")
-        track2d.append(_project_centroid(world[frame], poses[frame], intr))
+    for frame, (soft, binary, uv) in enumerate(frames):
+        io_formats.write_mask(soft, out / "masks" / f"{frame:06d}.pgm")
+        io_formats.write_mask(binary, out / "gt_masks" / f"{frame:06d}.pgm")
+        track2d.append(uv)
     io_formats.write_sensor_log(log, out / "sensors.csv")
     io_formats.write_poses(poses, config.fps, out / "gt_poses.csv")
-    track2d = np.array(track2d)
     io_formats.write_trajectory(
         frames=list(range(config.duration)),
-        uv=track2d,
+        uv=np.array(track2d),
         world=world,
         lost=np.zeros(config.duration, dtype=bool),
         path=out / "gt_track.csv",

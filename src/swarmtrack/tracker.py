@@ -52,20 +52,22 @@ class TrackerConfig:
 
     def __post_init__(self) -> None:
         if self.n_particles < 2:
-            raise ValueError(f"need at least 2 particles, got {self.n_particles}")
+            raise ValueError(f"n_particles: must be >= 2, got {self.n_particles}")
         if not (math.isfinite(self.motion_noise_sigma) and self.motion_noise_sigma >= 0):
             raise ValueError(
-                f"motion_noise_sigma must be >= 0, got {self.motion_noise_sigma!r}"
+                f"motion_noise_sigma: must be >= 0, got {self.motion_noise_sigma!r}"
             )
         if self.resample_every < 0:
-            raise ValueError(f"resample_every must be >= 0, got {self.resample_every}")
+            raise ValueError(f"resample_every: must be >= 0, got {self.resample_every}")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
         if not (math.isfinite(self.likelihood_exponent) and self.likelihood_exponent > 0):
             raise ValueError(
-                f"likelihood_exponent must be positive, got {self.likelihood_exponent!r}"
+                f"likelihood_exponent: must be > 0, got {self.likelihood_exponent!r}"
             )
         if self.lost_reinit_after < 1:
             raise ValueError(
-                f"lost_reinit_after must be >= 1, got {self.lost_reinit_after}"
+                f"lost_reinit_after: must be >= 1, got {self.lost_reinit_after}"
             )
 
 

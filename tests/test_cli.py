@@ -1,5 +1,6 @@
 """Command-line interface: file outputs, exit codes, error channels."""
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,14 @@ class TestSimulate:
         cfg.write_text("{not json")
         code, _, err = run_cli("simulate", "--config", cfg, "--out", tmp_path / "o")
         assert code == 2 and "not valid JSON" in err
+
+    def test_negative_seed_exits_2_before_writing(self, tmp_path, run_cli):
+        cfg = write_json(tmp_path / "bad.json", small_scenario(seed=-1))
+        out = tmp_path / "o"
+        code, _, err = run_cli("simulate", "--config", cfg, "--out", out)
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert code == 2 and errors == ["error: seed: must be >= 0, got -1"]
+        assert not out.exists()
 
     def test_missing_config_file_exits_2(self, tmp_path, run_cli):
         code, _, err = run_cli(
@@ -245,6 +254,59 @@ class TestTrack:
             "--config", cfg, "--out", tmp_path / "o",
         )
         assert code == 2 and "tracker." in err
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            ({"alpha_px": math.nan}, "alpha_px"),
+            ({"fps": math.nan}, "fps"),
+            ({"fps": math.inf}, "fps"),
+            ({"orientation_alpha": 2.0}, "orientation_alpha"),
+            ({"tracker": {"n_particles": 500, "seed": -1}}, "tracker.seed"),
+        ],
+        ids=["alpha_px-nan", "fps-nan", "fps-inf", "orientation_alpha-2", "tracker.seed-neg"],
+    )
+    def test_out_of_range_value_exits_2_naming_key(
+        self, scenario_dir, tmp_path, run_cli, edit, key
+    ):
+        cfg = write_json(tmp_path / "run.json", small_run_config(**edit))
+        out = tmp_path / "o"
+        code, _, err = run_cli(
+            "track", "--masks", scenario_dir / "masks",
+            "--sensors", scenario_dir / "sensors.csv",
+            "--config", cfg, "--out", out,
+        )
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert code == 2 and len(errors) == 1 and errors[0].startswith(f"error: {key}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_effective_config_holds_every_resolved_setting(self, track_dir, scenario_dir):
+        expected = {
+            "alpha_px": 8.0,
+            "command": "track",
+            "cx": None,
+            "cy": None,
+            "focal_px": 350.0,
+            "fps": 15.0,
+            "height": 180,
+            "masks": str(scenario_dir / "masks"),
+            "no_resample": False,
+            "noise": {"gps_sigma": 0.5, "imu_vel_sigma": 0.2, "process_accel_sigma": 1.0},
+            "orientation_alpha": 1.0,
+            "sensors": str(scenario_dir / "sensors.csv"),
+            "tracker": {
+                "likelihood_exponent": 1.0,
+                "lost_reinit_after": 30,
+                "motion_noise_sigma": 5.0,
+                "n_particles": 500,
+                "resample_every": 1,
+                "seed": 0,
+            },
+            "width": 320,
+        }
+        text = (track_dir / "effective_config.json").read_text()
+        assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("sigma", [1e200, 1e-200])
     def test_noise_sigma_whose_square_leaves_float_range_exits_2(

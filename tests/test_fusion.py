@@ -1,25 +1,133 @@
 """Kalman predict/update algebra, log fusion, and the pose baselines."""
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from swarmtrack.fusion import (
     FusionError,
-    FusionState,
     NoiseConfig,
     SensorRecord,
+    _frame_arrays,
     dead_reckoning_poses,
     fuse_log,
     gps_only_poses,
-    initial_state,
-    kalman_predict,
-    kalman_update,
-    resample_log_to_frames,
 )
 from swarmtrack.synth import generate_marker_run
 
 NOISE = NoiseConfig()
+
+
+# -- the full 6-state Kalman filter, one step at a time ----------------------
+#
+# The reference fuse_log is held to (TestFuseLogOracle): every record
+# observes the whole [position; velocity] state (H = I6), and each step
+# predicts and updates with 6x6 matrices and Cholesky-validated
+# covariances.
+
+
+@dataclass
+class FusionState:
+    """Kalman state: mean (6,) = [x y z vx vy vz], covariance (6, 6).
+
+    The covariance is validated symmetric positive definite on
+    construction, so each ``kalman_predict``/``kalman_update`` step
+    re-checks the invariant.
+    """
+
+    mean: np.ndarray
+    cov: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.mean = np.asarray(self.mean, dtype=float).reshape(6)
+        self.cov = np.asarray(self.cov, dtype=float).reshape(6, 6)
+        if not np.all(np.isfinite(self.mean)) or not np.all(np.isfinite(self.cov)):
+            raise FusionError("fusion state has non-finite entries")
+        asym = np.max(np.abs(self.cov - self.cov.T))
+        if asym > 1e-9:
+            raise FusionError(f"covariance asymmetry {asym:.3e} exceeds 1e-9")
+        try:
+            np.linalg.cholesky(self.cov)
+        except np.linalg.LinAlgError:
+            raise FusionError("covariance is not positive definite") from None
+
+
+def _process_noise(dt: float, accel_sigma: float) -> np.ndarray:
+    """Discrete white-acceleration covariance for one [pos; vel] axis pair."""
+    q = np.zeros((6, 6))
+    s2 = accel_sigma**2
+    q_pp = s2 * dt**4 / 4.0
+    q_pv = s2 * dt**3 / 2.0
+    q_vv = s2 * dt**2
+    for axis in range(3):
+        q[axis, axis] = q_pp
+        q[axis, axis + 3] = q_pv
+        q[axis + 3, axis] = q_pv
+        q[axis + 3, axis + 3] = q_vv
+    return q
+
+
+def kalman_predict(state: FusionState, dt: float, noise: NoiseConfig) -> FusionState:
+    """Advance the constant-velocity model by dt seconds."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    f = np.eye(6)
+    f[0, 3] = f[1, 4] = f[2, 5] = dt
+    mean = f @ state.mean
+    cov = f @ state.cov @ f.T + _process_noise(dt, noise.process_accel_sigma)
+    cov = 0.5 * (cov + cov.T)
+    return FusionState(mean, cov)
+
+
+def _measurement_cov(noise: NoiseConfig) -> np.ndarray:
+    r = np.zeros((6, 6))
+    r[:3, :3] = noise.gps_sigma**2 * np.eye(3)
+    r[3:, 3:] = noise.imu_vel_sigma**2 * np.eye(3)
+    return r
+
+
+def kalman_update(
+    state: FusionState, record: SensorRecord, noise: NoiseConfig
+) -> FusionState:
+    """Condition the state on one sensor record (position + velocity)."""
+    z = np.array([*record.gps, *record.vel], dtype=float)
+    r = _measurement_cov(noise)
+    # H = I6, so the innovation covariance is just P + R.
+    s = state.cov + r
+    try:
+        s_chol = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        raise FusionError("singular innovation covariance") from None
+    # Gain K = P S^-1 via the Cholesky factor.
+    k = np.linalg.solve(s_chol.T, np.linalg.solve(s_chol, state.cov.T)).T
+    mean = state.mean + k @ (z - state.mean)
+    ident = np.eye(6)
+    # Joseph form keeps the covariance PSD under roundoff.
+    a = ident - k
+    cov = a @ state.cov @ a.T + k @ r @ k.T
+    cov = 0.5 * (cov + cov.T)
+    return FusionState(mean, cov)
+
+
+def initial_state(record: SensorRecord, noise: NoiseConfig) -> FusionState:
+    """State anchored at the first record, with measurement-level spread."""
+    mean = np.array([*record.gps, *record.vel], dtype=float)
+    return FusionState(mean, _measurement_cov(noise))
+
+
+def resample_log_to_frames(log, fps, n_frames=None):
+    """The log interpolated onto frame timestamps k/fps, one record each."""
+    frame_t, z, angles = _frame_arrays(log, fps, n_frames)
+    return [
+        SensorRecord(
+            frame=i, t=t, gps=tuple(row[:3]), vel=tuple(row[3:]),
+            pitch=pitch, yaw=yaw, roll=roll,
+        )
+        for i, (t, row, (pitch, yaw, roll)) in enumerate(
+            zip(frame_t.tolist(), z.tolist(), angles.tolist())
+        )
+    ]
 
 
 def record(frame, t, gps, vel, pitch=0.0, yaw=0.0, roll=0.0):
@@ -276,18 +384,17 @@ class TestResampling:
             record(1, 1.0, (2, 0, 50), (2, 0, 0)),
             record(2, 2.0, (4, 0, 50), (2, 0, 0)),
         ]
-        frames = resample_log_to_frames(log, fps=2.0)
-        assert len(frames) == 5
-        assert [f.t for f in frames] == [0.0, 0.5, 1.0, 1.5, 2.0]
-        np.testing.assert_allclose([f.gps[0] for f in frames], [0, 1, 2, 3, 4])
+        poses = gps_only_poses(log, fps=2.0)
+        assert len(poses) == 5
+        np.testing.assert_allclose([p.x for p in poses], [0, 1, 2, 3, 4])
 
     def test_yaw_unwraps_across_the_seam(self):
         log = [
             record(0, 0.0, (0, 0, 50), (0, 0, 0), yaw=359.0),
             record(1, 1.0, (0, 0, 50), (0, 0, 0), yaw=1.0),
         ]
-        frames = resample_log_to_frames(log, fps=2.0)
-        mid = frames[1].yaw % 360.0
+        poses = gps_only_poses(log, fps=2.0)
+        mid = poses[1].yaw % 360.0
         assert min(mid, 360.0 - mid) < 1e-9  # 0 deg, not 180
 
     @pytest.mark.parametrize("n_frames", [0, -1])
@@ -295,7 +402,7 @@ class TestResampling:
         log = [record(0, 0.0, (0, 0, 50), (0, 0, 0)),
                record(1, 1.0, (0, 0, 50), (0, 0, 0))]
         with pytest.raises(FusionError, match="frame count must be >= 1"):
-            resample_log_to_frames(log, fps=10.0, n_frames=n_frames)
+            gps_only_poses(log, fps=10.0, n_frames=n_frames)
         with pytest.raises(FusionError, match="frame count must be >= 1"):
             fuse_log(log, NOISE, fps=10.0, n_frames=n_frames)
 
@@ -303,7 +410,7 @@ class TestResampling:
         log = [record(0, 0.0, (0, 0, 50), (0, 0, 0)),
                record(1, 1.0, (0, 0, 50), (0, 0, 0))]
         with pytest.raises(FusionError, match="frames"):
-            resample_log_to_frames(log, fps=10.0, n_frames=50)
+            gps_only_poses(log, fps=10.0, n_frames=50)
 
 
 class TestBaselines:

@@ -1,16 +1,17 @@
-"""File formats: CSV logs, PGM masks, geodetic helper, config JSON, reports."""
+"""File formats: CSV logs, PGM masks, config JSON, reports."""
 import json
-import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from swarmtrack.fusion import SensorRecord
+from swarmtrack.fusion import NoiseConfig, SensorRecord
 from swarmtrack.geometry import CameraPose
 from swarmtrack.io_formats import (
     FormatError,
-    METERS_PER_DEG_LAT,
-    geodetic_to_local,
+    RunConfig,
+    dump,
+    load,
     mask_sequence_paths,
     quantize_mask,
     read_binary_mask,
@@ -28,9 +29,9 @@ from swarmtrack.io_formats import (
     write_trajectory,
 )
 from swarmtrack.shapes import BinaryMask
-from swarmtrack.synth import write_scenario
-from swarmtrack.tracker import SoftMask
-from tests.conftest import small_scenario
+from swarmtrack.synth import ScenarioConfig, write_scenario
+from swarmtrack.tracker import SoftMask, TrackerConfig
+from tests.conftest import small_run_config, small_scenario
 
 
 def sample_log():
@@ -251,30 +252,6 @@ class TestMasks:
             mask_sequence_paths(tmp_path / "missing")
 
 
-class TestGeodetic:
-    def test_origin_maps_to_zero(self):
-        p = geodetic_to_local(47.5, 8.25, 430.0, 47.5, 8.25)
-        assert (p.x, p.y, p.z) == (0.0, 0.0, 430.0)
-
-    def test_latitude_degree_scale(self):
-        p = geodetic_to_local(47.5 + 1e-5, 8.25, 0.0, 47.5, 8.25)
-        assert p.y == pytest.approx(1e-5 * METERS_PER_DEG_LAT)
-        assert p.x == 0.0
-
-    def test_longitude_shrinks_with_latitude(self):
-        near_equator = geodetic_to_local(0.0, 1e-5, 0.0, 0.0, 0.0)
-        at_60 = geodetic_to_local(60.0, 1e-5, 0.0, 60.0, 0.0)
-        assert at_60.x == pytest.approx(
-            near_equator.x * math.cos(math.radians(60.0))
-        )
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="lat"):
-            geodetic_to_local(91.0, 0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError, match="lon"):
-            geodetic_to_local(0.0, 181.0, 0.0, 0.0, 0.0)
-
-
 class TestScenarioJson:
     def test_round_trip_preserves_config(self):
         config = scenario_config_from_json(json.dumps(small_scenario()))
@@ -312,6 +289,67 @@ class TestScenarioJson:
         doc["drone"]["altitude"] = 0.0
         with pytest.raises(FormatError, match="drone.altitude"):
             scenario_config_from_json(json.dumps(doc))
+
+
+def _bundled(name):
+    return json.loads(resources.files("swarmtrack.data").joinpath(name).read_text())
+
+
+class TestConfigLoader:
+    @pytest.mark.parametrize(
+        "cls, doc",
+        [
+            (ScenarioConfig, _bundled("default_scenario.json")),
+            (ScenarioConfig, _bundled("degradation_scenario.json")),
+            (ScenarioConfig, small_scenario()),
+            (RunConfig, _bundled("default_run.json")),
+            (RunConfig, small_run_config()),
+        ],
+        ids=["default_scenario", "degradation_scenario", "small_scenario",
+             "default_run", "small_run_config"],
+    )
+    def test_dump_inverts_load(self, cls, doc):
+        config = load(cls, doc)
+        assert load(cls, dump(config)) == config
+        assert json.loads(json.dumps(dump(config))) == dump(config)
+
+    def test_defaults_come_from_the_dataclasses(self):
+        config = load(RunConfig, {"fps": 10, "focal_px": 500})
+        assert config == RunConfig(fps=10.0, focal_px=500.0)
+        assert type(config.fps) is float
+        assert config.tracker == TrackerConfig() and config.noise == NoiseConfig()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"duration": True}, "duration: must be an integer, got True"),
+            ({"fps": False}, "fps: must be a number, got False"),
+            ({"fps": "15"}, "fps: must be a number, got '15'"),
+            ({"fps": 10**400}, "fps: must be a number within float range"),
+            ({"drone": [1]}, "drone: must be a JSON object"),
+            ({"drone": {"waypoints": [[0, 0]], "altitude": 60, "yaw_mode": 1}},
+             "drone.yaw_mode: must be a string, got 1"),
+            ({"swarm": {"waypoints": [[0, 0, 0]]}},
+             r"swarm.waypoints\[0\]: must be a list of 2"),
+            ({"swarm": {"waypoints": [[0, True]]}},
+             r"swarm.waypoints\[0\]\[1\]: must be a number, got True"),
+            ({"swarm": {"waypoints": "none"}}, "swarm.waypoints: must be a list"),
+            ({"swarm": {"waypoints": []}}, "swarm.waypoints: need at least one"),
+            ({"shape": {"semi_major": 6, "semi_minor": 4, "split_frame": 1.5}},
+             "shape.split_frame: must be an integer, got 1.5"),
+            ({"seed": -1}, "seed: must be >= 0, got -1"),
+        ],
+    )
+    def test_scenario_faults_name_their_key(self, edit, message):
+        with pytest.raises(FormatError, match=f"^{message}"):
+            load(ScenarioConfig, small_scenario(**edit))
+
+    def test_null_optional_fields_load_as_none(self):
+        doc = small_scenario(shape={"semi_major": 6, "semi_minor": 4, "split_frame": None})
+        assert load(ScenarioConfig, doc).shape.split_frame is None
+        doc = small_run_config(cx=None, alpha_px=None)
+        config = load(RunConfig, doc)
+        assert config.cx is None and config.alpha_px is None
 
 
 class TestReports:
