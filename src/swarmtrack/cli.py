@@ -16,6 +16,7 @@ import argparse
 import itertools
 import json
 import logging
+import math
 import sys
 import tempfile
 from dataclasses import replace
@@ -99,8 +100,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:
-    if args.fps <= 0:
-        raise UsageError(f"--fps must be > 0, got {args.fps}")
+    if not (math.isfinite(args.fps) and args.fps > 0):
+        raise UsageError(f"--fps must be finite and > 0, got {args.fps}")
     if args.n_frames is not None and args.n_frames < 1:
         raise UsageError(f"--n-frames must be >= 1, got {args.n_frames}")
     try:
@@ -288,8 +289,9 @@ def _parse_radii(text: str) -> list[float]:
         radii = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"--radii must be comma-separated numbers, got {text!r}") from None
-    if not radii or any(r <= 0 for r in radii) or sorted(radii) != radii:
-        raise UsageError(f"--radii must be positive and ascending, got {text!r}")
+    if (not radii or not all(math.isfinite(r) and r > 0 for r in radii)
+            or sorted(radii) != radii):
+        raise UsageError(f"--radii must be finite, positive and ascending, got {text!r}")
     return radii
 
 
@@ -297,8 +299,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     pred_dir = Path(args.pred)
     gt_dir = Path(args.gt)
     radii = _parse_radii(args.radii)
-    if args.radius_scale <= 0:
-        raise UsageError(f"--radius-scale must be > 0, got {args.radius_scale}")
+    if not (math.isfinite(args.radius_scale) and args.radius_scale > 0):
+        raise UsageError(f"--radius-scale must be finite and > 0, got {args.radius_scale}")
     pred_csv = _find_trajectory(pred_dir, ("trajectory.csv", "gt_track.csv"))
     gt_csv = _find_trajectory(gt_dir, ("gt_track.csv", "trajectory.csv"))
     pred_track = io_formats.read_trajectory(pred_csv)

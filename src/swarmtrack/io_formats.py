@@ -4,7 +4,9 @@ All formats are plain text (CSV, LF line endings, '.' decimal) or
 binary PGM, byte-exact and reproducible:
 
 * soft masks: binary PGM (magic P5), maxval 255, one byte per pixel,
-  value = byte / 255, quantization round-half-up;
+  value = byte / 255, quantization round-half-up; a mask read back
+  carries the box of its nonzero bytes (``SoftMask.box``), and writing
+  a boxed mask quantizes only the box;
 * sensor log: CSV with header
   frame,t_s,gps_x_m,gps_y_m,gps_z_m,vx_mps,vy_mps,vz_mps,pitch_deg,yaw_deg,roll_deg;
 * camera poses: CSV with header
@@ -36,7 +38,7 @@ import numpy as np
 from .fusion import NoiseConfig, SensorRecord
 from .geometry import CameraPose
 from .shapes import BinaryMask
-from .tracker import SoftMask, TrackerConfig
+from .tracker import SoftMask, TrackerConfig, nonzero_box
 
 
 class FormatError(ValueError):
@@ -301,7 +303,9 @@ def write_mask(mask: SoftMask | BinaryMask, path: Path | str) -> None:
     if isinstance(mask, BinaryMask):
         payload = mask.bits.view(np.uint8) * np.uint8(255)
     else:
-        payload = quantize_mask(mask.values)
+        # quantize_mask(0.0) is byte 0, so only the box needs the float pass.
+        payload = np.zeros(mask.values.shape, dtype=np.uint8)
+        payload[mask.box] = quantize_mask(mask.values[mask.box])
     h, w = payload.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
     path.write_bytes(header + payload.tobytes())
@@ -351,9 +355,16 @@ def _read_pgm_bytes(path: Path) -> np.ndarray:
 
 
 def read_mask(path: Path | str) -> SoftMask:
-    """Read a PGM into a SoftMask with values byte/255."""
+    """Read a PGM into a SoftMask with values byte/255, boxed to its nonzero bytes.
+
+    Only the box is divided; every other value is the 0.0 that byte 0
+    gives, so the values equal grid / 255.0 bit for bit.
+    """
     grid = _read_pgm_bytes(Path(path))
-    return SoftMask(grid / 255.0)
+    box = nonzero_box(grid)
+    values = np.zeros(grid.shape)
+    values[box] = grid[box] / 255.0
+    return SoftMask(values, box)
 
 
 def read_binary_mask(path: Path | str, threshold: float = 0.5) -> BinaryMask:

@@ -188,6 +188,9 @@ def framewise_centroid_baseline(
     The reference baseline the filter is compared against. Frames with
     no pixel above threshold carry the previous centroid forward (image
     center before the first detection) so every frame stays annotated.
+    Above a threshold of 0 only the mask's box is thresholded; the
+    passing pixels come in the same row-major order as on the full
+    frame, so the sums are the same.
     """
     if not (0 <= threshold <= 1):
         raise MetricError(f"threshold must be in [0, 1], got {threshold!r}")
@@ -196,9 +199,13 @@ def framewise_centroid_baseline(
     n = 0
     for i, mask in enumerate(masks):
         values = mask.values
-        ys, xs = np.nonzero(values >= threshold)
+        # The zeros outside a box pass only a threshold of 0.
+        rows, cols = mask.box if threshold > 0 else np.s_[0:, 0:]
+        sub = values[rows, cols]
+        ys, xs = np.nonzero(sub >= threshold)
+        w = sub[ys, xs]
+        ys, xs = ys + rows.start, xs + cols.start
         if xs.size:
-            w = values[ys, xs]
             last = (float(np.dot(w, xs) / w.sum()), float(np.dot(w, ys) / w.sum()))
         elif last is None:
             last = ((values.shape[1] - 1) / 2.0, (values.shape[0] - 1) / 2.0)

@@ -19,7 +19,12 @@ seeded generator, so a seed pins every byte of the output.
 
 In-frame validation requires the blurred boundary band (3 softness
 + 2 px) of every component to stay inside the image on every frame;
-violation is a generation error naming the first bad frame.
+violation is a generation error naming the first bad frame, raised
+before any frame is rendered or written.
+
+Each soft mask carries its box (``SoftMask.box``): the render window
+grown by the blur kernel's radius. ``degrade_mask`` blurs only inside
+the box it is given and returns the grown one.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .fusion import NoiseConfig, SensorRecord
 from .geometry import CameraPose, GeometryError, Intrinsics, backproject_pixels
 from .geometry import project_points, rotation_world_to_camera
 from .shapes import BinaryMask
-from .tracker import SoftMask
+from .tracker import Box, SoftMask, nonzero_box
 
 
 class ScenarioError(ValueError):
@@ -356,14 +361,14 @@ def _boundary_points(c: _EllipseState, n: int = 64) -> np.ndarray:
 # -- rendering -----------------------------------------------------------
 
 
-def _render_binary(
+def _render_window(
     components: list[_EllipseState],
     pose: CameraPose,
     intr: Intrinsics,
     margin_px: float,
     frame: int,
-) -> np.ndarray:
-    """Exact binary interior mask (full image), via per-pixel ground test.
+) -> Box:
+    """Pixel box holding every component's interior, checked in frame.
 
     Raises ScenarioError when any component's boundary (plus margin)
     leaves the image.
@@ -393,8 +398,18 @@ def _render_binary(
     u1 = min(intr.width - 1, int(math.ceil(all_u.max())) + 2)
     v0 = max(0, int(math.floor(all_v.min())) - 2)
     v1 = min(intr.height - 1, int(math.ceil(all_v.max())) + 2)
+    return slice(v0, v1 + 1), slice(u0, u1 + 1)
+
+
+def _render_binary(
+    components: list[_EllipseState], pose: CameraPose, intr: Intrinsics, window: Box
+) -> np.ndarray:
+    """Exact binary interior mask (full image), via per-pixel ground test
+    of the pixels in window."""
+    rows, cols = window
     uu, vv = np.meshgrid(
-        np.arange(u0, u1 + 1, dtype=float), np.arange(v0, v1 + 1, dtype=float)
+        np.arange(cols.start, cols.stop, dtype=float),
+        np.arange(rows.start, rows.stop, dtype=float),
     )
     gx, gy = backproject_pixels(uu - intr.cx, vv - intr.cy, pose, intr)
     inside = np.zeros(gx.shape, dtype=bool)
@@ -406,49 +421,80 @@ def _render_binary(
         lv = -dx * sin_t + dy * cos_t
         inside |= (lu / comp.a) ** 2 + (lv / comp.b) ** 2 <= 1.0
     full = np.zeros((intr.height, intr.width), dtype=bool)
-    full[v0 : v1 + 1, u0 : u1 + 1] = inside
+    full[window] = inside
     return full
 
 
+def _blur_box(support: Box, sigma: float, shape: tuple[int, int]) -> Box:
+    """support grown by the kernel radius int(4 sigma + 0.5), clamped to shape."""
+    radius = int(4.0 * sigma + 0.5) if sigma > 0 else 0
+    return tuple(
+        slice(max(s.start - radius, 0), min(s.stop + radius, n))
+        for s, n in zip(support, shape)
+    )
+
+
 def _blur_support(
-    values: np.ndarray, sigma: float, gain: np.ndarray | None = None
-) -> np.ndarray:
+    values: np.ndarray,
+    sigma: float,
+    gain: np.ndarray | None = None,
+    support: Box | None = None,
+) -> tuple[np.ndarray, Box]:
     """clip(gaussian_filter(values, sigma) [* gain], 0, 1) on the support only.
 
-    values is non-negative. Only the bounding box of its nonzero pixels,
-    grown by the kernel radius int(4 sigma + 0.5) and clamped to the
-    image, is filtered; every pixel outside it is exactly 0. Inside the
-    box each pixel sums the same taps in the same order as the
-    full-frame filter: where the box stops short of the image edge its
-    reflect boundary reads only the zero margin, so the result is
-    byte-identical to the full-frame one for any finite gain >= 0.
+    values is non-negative and zero outside ``support`` (its nonzero box
+    when not given). Only the support grown by the kernel radius
+    int(4 sigma + 0.5) and clamped to the image is filtered, and that
+    box is returned with the result; every pixel outside it is exactly
+    0. Inside the box each pixel sums the same taps in the same order as
+    the full-frame filter: where the box stops short of the image edge
+    its reflect boundary reads only the zero margin, so the result is
+    byte-identical to the full-frame one for any finite gain >= 0 and
+    any support that holds the nonzeros. The first (row-wise) pass runs
+    on the support's columns only, since every other column is zero in
+    and zero out.
     """
     if gain is not None and gain.shape != values.shape:
         raise ValueError(
             f"gain field {gain.shape} does not match mask {values.shape}"
         )
     out = np.zeros(values.shape, dtype=float)
-    rows = np.flatnonzero(values.any(axis=1))
-    if rows.size == 0:
-        return out
-    cols = np.flatnonzero(values.any(axis=0))
-    radius = int(4.0 * sigma + 0.5) if sigma > 0 else 0
-    box = (
-        slice(max(rows[0] - radius, 0), rows[-1] + radius + 1),
-        slice(max(cols[0] - radius, 0), cols[-1] + radius + 1),
-    )
+    if support is None:
+        support = nonzero_box(values)
+    if any(s.start >= s.stop for s in support):
+        return out, (slice(0, 0), slice(0, 0))
+    box = _blur_box(support, sigma, values.shape)
     block = values[box].astype(float)
     if sigma > 0:
-        block = ndimage.gaussian_filter(block, sigma=sigma)
+        cols = slice(support[1].start - box[1].start, support[1].stop - box[1].start)
+        rowwise = np.zeros(block.shape)
+        rowwise[:, cols] = ndimage.gaussian_filter1d(block[:, cols], sigma, axis=0)
+        block = ndimage.gaussian_filter1d(rowwise, sigma, axis=1)
     if gain is not None:
         block *= gain[box]
     np.clip(block, 0.0, 1.0, out=out[box])
-    return out
+    return out, box
 
 
-def soften(binary: np.ndarray, softness: float) -> np.ndarray:
-    """Blur a binary interior into a soft mask; softness 0 passes through."""
-    return _blur_support(binary, softness)
+def soften(binary: np.ndarray, softness: float, support: Box | None = None) -> np.ndarray:
+    """Blur a binary interior into a soft mask; softness 0 passes through.
+
+    support, when given, is a box holding every True pixel.
+    """
+    return _blur_support(binary, softness, support=support)[0]
+
+
+def _render(
+    components: list[_EllipseState],
+    pose: CameraPose,
+    intr: Intrinsics,
+    softness: float,
+    window: Box,
+) -> tuple[SoftMask, np.ndarray]:
+    """Soft observation mask, boxed, and the exact binary interior."""
+    binary = _render_binary(components, pose, intr, window)
+    box = _blur_box(window, softness, binary.shape)
+    return SoftMask(soften(binary, softness, window), box), binary
 
 
 def render_frame(
@@ -461,9 +507,8 @@ def render_frame(
     """Render the soft observation mask for one frame."""
     if pose.z <= 0:
         raise ScenarioError(f"camera altitude must be > 0, got {pose.z}")
-    margin = 3.0 * softness + 2.0
-    binary = _render_binary(components, pose, intr, margin, frame)
-    return SoftMask(soften(binary, softness))
+    window = _render_window(components, pose, intr, 3.0 * softness + 2.0, frame)
+    return _render(components, pose, intr, softness, window)[0]
 
 
 # -- generation ----------------------------------------------------------
@@ -527,12 +572,20 @@ def _simulate(config: ScenarioConfig):
     log = _sensor_log(config, poses, positions, vels, np.random.default_rng(config.seed))
     intr = config.intrinsics
     margin = 3.0 * config.mask_softness + 2.0
+    # Every frame is checked in frame before the first one is rendered, so
+    # a swarm that leaves the image fails before any output is written.
+    windows = [
+        _render_window(comps[frame], poses[frame], intr, margin, frame)
+        for frame in range(config.duration)
+    ]
 
     def frames():
-        for frame in range(config.duration):
-            binary = _render_binary(comps[frame], poses[frame], intr, margin, frame)
+        for frame, window in enumerate(windows):
+            soft, binary = _render(
+                comps[frame], poses[frame], intr, config.mask_softness, window
+            )
             yield (
-                SoftMask(soften(binary, config.mask_softness)),
+                soft,
                 BinaryMask(binary),
                 _project_centroid(world[frame], poses[frame], intr),
             )
@@ -645,7 +698,7 @@ def degrade_mask(
     """
     if blur_sigma < 0:
         raise ValueError(f"blur_sigma must be >= 0, got {blur_sigma}")
-    return SoftMask(_blur_support(mask.values, blur_sigma, gain))
+    return SoftMask(*_blur_support(mask.values, blur_sigma, gain, mask.box))
 
 
 # -- marker runs ---------------------------------------------------------

@@ -71,11 +71,38 @@ class TrackerConfig:
             )
 
 
+Box = tuple[slice, slice]
+
+
+def nonzero_box(values: np.ndarray) -> Box:
+    """Smallest (rows, cols) slice pair holding every nonzero of a 2-D array.
+
+    An all-zero array gives the empty box (slice(0, 0), slice(0, 0)).
+    The column pass reads only the band of nonzero rows.
+    """
+    rows = np.flatnonzero(values.any(axis=1))
+    if rows.size == 0:
+        return slice(0, 0), slice(0, 0)
+    r0, r1 = int(rows[0]), int(rows[-1]) + 1
+    cols = np.flatnonzero(values[r0:r1].any(axis=0))
+    return slice(r0, r1), slice(int(cols[0]), int(cols[-1]) + 1)
+
+
 @dataclass
 class SoftMask:
-    """Per-pixel swarm presence in [0, 1], shape (height, width)."""
+    """Per-pixel swarm presence in [0, 1], shape (height, width).
+
+    ``box`` is a (rows, cols) pair of step-1 slices outside which every
+    value is exactly 0.0, so ``values[box]`` holds the whole support.
+    Producers that know it pass it in (``io_formats.read_mask``, the
+    scenario renderer, ``synth.degrade_mask``); left out, it is worked
+    out as ``nonzero_box(values)``. Consumers then read, threshold, blur
+    and quantize only the box, and only the box is range-checked: a
+    derived box holds every NaN and out-of-range value too.
+    """
 
     values: np.ndarray
+    box: Box | None = None  # set to nonzero_box(values) when left out
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -83,11 +110,17 @@ class SoftMask:
             raise ValueError(f"mask must be 2-D, got shape {self.values.shape}")
         if self.values.size == 0:
             raise ValueError("mask must be non-empty")
+        if self.box is None:
+            self.box = nonzero_box(self.values)
+        inner = self.values[self.box]
         # NaN propagates through min and max, so finite extremes mean a
         # finite mask.
-        lo, hi = float(self.values.min()), float(self.values.max())
+        lo, hi = (float(inner.min()), float(inner.max())) if inner.size else (0.0, 0.0)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("mask contains non-finite values")
+        if inner.size < self.values.size:
+            # The zeros outside the box, so the message is the full frame's.
+            lo, hi = min(lo, 0.0), max(hi, 0.0)
         if lo < 0.0 or hi > 1.0:
             raise ValueError(f"mask values must lie in [0, 1], got [{lo}, {hi}]")
 

@@ -95,6 +95,17 @@ class TestSimulate:
         )
         assert code == 2 and "cannot read config" in err
 
+    def test_swarm_leaving_frame_exits_2_before_writing(self, tmp_path, run_cli):
+        # Drifting at 8 m/s the swarm leaves the image at frame 38 of 45.
+        doc = small_scenario(swarm={"waypoints": [[0.0, 0.0], [500.0, 0.0]], "speed": 8.0})
+        cfg = write_json(tmp_path / "drift.json", doc)
+        out = tmp_path / "o"
+        code, _, err = run_cli("simulate", "--config", cfg, "--out", out)
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert code == 2 and len(errors) == 1
+        assert "swarm leaves frame at frame 38" in errors[0]
+        assert not out.exists()
+
 
 class TestFuse:
     def test_writes_one_pose_per_frame(self, scenario_dir, tmp_path):
@@ -465,6 +476,35 @@ class TestEval:
             "eval", "--pred", empty, "--gt", scenario_dir, "--out", tmp_path / "o"
         )
         assert code == 1 and "none of" in err
+
+
+class TestNonFiniteFlags:
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("fuse", ["--fps", "nan"], "--fps must be finite and > 0"),
+            ("fuse", ["--fps", "inf"], "--fps must be finite and > 0"),
+            ("eval", ["--radius-scale", "nan"], "--radius-scale must be finite and > 0"),
+            ("eval", ["--radii", "10,nan"], "--radii must be finite, positive and ascending"),
+            ("eval", ["--radii", "nan"], "--radii must be finite, positive and ascending"),
+            ("eval", ["--radii", "10,inf"], "--radii must be finite, positive and ascending"),
+        ],
+        ids=["fps-nan", "fps-inf", "radius-scale-nan",
+             "radii-10-nan", "radii-nan", "radii-10-inf"],
+    )
+    def test_exits_2_with_one_error_line(
+        self, scenario_dir, track_dir, tmp_path, run_cli, command, flags, message
+    ):
+        out = tmp_path / "o"
+        if command == "fuse":
+            inputs = ["--sensors", scenario_dir / "sensors.csv"]
+        else:
+            inputs = ["--pred", track_dir, "--gt", scenario_dir]
+        code, _, err = run_cli(command, *inputs, "--out", out, *flags)
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert code == 2 and len(errors) == 1 and message in errors[0]
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestEntryPoint:

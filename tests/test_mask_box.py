@@ -1,0 +1,236 @@
+"""SoftMask.box: every producer's box holds the support, every consumer
+that reads only the box gives the full-frame result byte for byte."""
+import math
+
+import numpy as np
+import pytest
+
+from swarmtrack import io_formats, synth
+from swarmtrack.io_formats import quantize_mask, read_mask, write_mask
+from swarmtrack.metrics import framewise_centroid_baseline
+from swarmtrack.synth import (
+    DronePathConfig,
+    SwarmPathConfig,
+    SwarmShapeConfig,
+    degrade_mask,
+    generate,
+)
+from swarmtrack.tracker import SoftMask, nonzero_box
+from tests.test_synth import _full_frame, _support_masks, make_config
+
+SIGMAS = [0.0, 1.0, 8.0, 13.7]
+
+
+def _outside(values, box):
+    """Copy of values with the box zeroed: what must be exactly 0.0."""
+    rest = values.copy()
+    rest[box] = 0.0
+    return rest
+
+
+def _assert_box_holds(mask):
+    assert mask.box is not None
+    assert not np.any(_outside(mask.values, mask.box))
+
+
+def _pgm(values):
+    h, w = values.shape
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + quantize_mask(values).tobytes()
+
+
+def _reference_baseline(masks, threshold):
+    """The full-frame frame-wise centroid: every pixel thresholded."""
+    points, last = {}, None
+    for i, mask in enumerate(masks):
+        values = mask.values
+        ys, xs = np.nonzero(values >= threshold)
+        if xs.size:
+            w = values[ys, xs]
+            last = (float(np.dot(w, xs) / w.sum()), float(np.dot(w, ys) / w.sum()))
+        elif last is None:
+            last = ((values.shape[1] - 1) / 2.0, (values.shape[0] - 1) / 2.0)
+        points[i] = last
+    return points
+
+
+def _read_back(tmp_path, values_list):
+    """Masks as read_mask returns them, after a full-frame quantize."""
+    masks = []
+    for i, values in enumerate(values_list):
+        path = tmp_path / f"{i:06d}.pgm"
+        path.write_bytes(_pgm(values))
+        masks.append(read_mask(path))
+    return masks
+
+
+class TestNonzeroBox:
+    def test_is_the_tight_box(self):
+        rng = np.random.default_rng(0)
+        for values in _support_masks(rng):
+            rows, cols = nonzero_box(values)
+            ys, xs = np.nonzero(values)
+            if ys.size == 0:
+                assert (rows, cols) == (slice(0, 0), slice(0, 0))
+                continue
+            assert (rows.start, rows.stop) == (ys.min(), ys.max() + 1)
+            assert (cols.start, cols.stop) == (xs.min(), xs.max() + 1)
+
+
+class TestReadMask:
+    def test_box_holds_support_and_values_equal_full_divide(self, tmp_path):
+        rng = np.random.default_rng(1)
+        values_list = list(_support_masks(rng))
+        for values, mask in zip(values_list, _read_back(tmp_path, values_list)):
+            grid = quantize_mask(values)
+            _assert_box_holds(mask)
+            assert mask.box == nonzero_box(grid)
+            assert mask.values.tobytes() == (grid / 255.0).tobytes()
+
+    def test_all_zero_mask_has_empty_box(self, tmp_path):
+        (mask,) = _read_back(tmp_path, [np.zeros((7, 9))])
+        assert mask.box == (slice(0, 0), slice(0, 0))
+        assert not mask.values.any()
+
+
+class TestSimulatePath:
+    @pytest.mark.parametrize("softness", [0.0, 1.0, 8.0, 13.7])
+    def test_render_box_holds_the_full_frame_blur(self, softness):
+        # The swarm drifts and splits near the left edge, where the kernel
+        # radius reaches past the image and the box is clamped.
+        margin_m = (3.0 * softness + 2.0 + 40.0) * 100.0 / 1000.0
+        start = -12.8 + margin_m
+        config = make_config(
+            duration=12,
+            mask_softness=softness,
+            swarm=SwarmPathConfig(waypoints=((start, 0.0), (start + 4.0, 0.0)), speed=3.0),
+            shape=SwarmShapeConfig(semi_major=3.0, semi_minor=2.0, split_frame=6,
+                                   split_speed=1.0),
+        )
+        scen = generate(config)
+        for soft, gt in zip(scen.masks, scen.gt_masks):
+            _assert_box_holds(soft)
+            assert soft.values.tobytes() == _full_frame(gt.bits, softness).tobytes()
+
+    def test_swarm_in_each_corner_clamps_box_to_image(self):
+        # A drone offset from the swarm puts it in each image corner, close
+        # enough that the blur kernel's radius reaches past both edges.
+        for dx, dy in ((-8.0, -8.0), (-8.0, 8.0), (8.0, -8.0), (8.0, 8.0)):
+            config = make_config(
+                duration=2,
+                mask_softness=8.0,
+                drone=DronePathConfig(waypoints=((dx, dy),), altitude=100.0, speed=1.0),
+                shape=SwarmShapeConfig(semi_major=2.0, semi_minor=2.0),
+            )
+            scen = generate(config)
+            for soft, gt in zip(scen.masks, scen.gt_masks):
+                _assert_box_holds(soft)
+                starts_or_ends = [s.start == 0 or s.stop == n
+                                  for s, n in zip(soft.box, soft.values.shape)]
+                assert all(starts_or_ends)
+                assert soft.values.tobytes() == _full_frame(gt.bits, 8.0).tobytes()
+
+
+class TestDegradeMask:
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    @pytest.mark.parametrize("with_gain", [False, True])
+    def test_chained_twice_matches_full_frame(self, sigma, with_gain):
+        rng = np.random.default_rng(int(sigma * 10) + 100 * with_gain)
+        for values in _support_masks(rng):
+            gain = rng.uniform(0.2, 3.0, values.shape) if with_gain else None
+            expected = _full_frame(_full_frame(values, sigma, gain), sigma, gain)
+            h, w = values.shape
+            for box in (None, nonzero_box(values), (slice(0, h), slice(0, w))):
+                once = degrade_mask(SoftMask(values, box), blur_sigma=sigma, gain=gain)
+                twice = degrade_mask(once, blur_sigma=sigma, gain=gain)
+                _assert_box_holds(once)
+                _assert_box_holds(twice)
+                assert twice.values.tobytes() == expected.tobytes()
+
+    def test_all_zero_mask_stays_zero_with_empty_box(self):
+        out = degrade_mask(SoftMask(np.zeros((6, 8))), blur_sigma=3.0, gain=np.ones((6, 8)))
+        assert out.box == (slice(0, 0), slice(0, 0)) and not out.values.any()
+
+
+class TestWriteMask:
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_bytes_equal_full_frame_quantize(self, tmp_path, sigma):
+        rng = np.random.default_rng(int(sigma * 10) + 7)
+        for i, values in enumerate(_support_masks(rng)):
+            gain = rng.uniform(0.2, 3.0, values.shape)
+            for j, mask in enumerate((
+                SoftMask(values, nonzero_box(values)),
+                degrade_mask(SoftMask(values), blur_sigma=sigma, gain=gain),
+            )):
+                path = tmp_path / f"{i}-{j}.pgm"
+                write_mask(mask, path)
+                assert path.read_bytes() == _pgm(mask.values)
+
+
+class TestFramewiseBaseline:
+    @pytest.mark.parametrize("threshold", [0.0, 1 / 255, 0.5, 1.0])
+    def test_matches_full_frame_reference(self, tmp_path, threshold):
+        rng = np.random.default_rng(3)
+        # Empty frames first: the image center, then carried centroids.
+        values_list = [np.zeros((40, 60))] + list(_support_masks(rng))[:11]
+        values_list += [np.zeros((40, 60))]
+        values_list[5][3, 4] = 1.0
+        if threshold == 0.0:
+            # Every pixel of an all-zero frame passes with weight 0, and the
+            # 0/0 centroid is rejected as non-finite, by either path.
+            values_list = [v for v in values_list if v.any()]
+        masks = _read_back(tmp_path, values_list)
+        got = framewise_centroid_baseline(masks, threshold=threshold)
+        assert got.points == _reference_baseline(masks, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1 / 255, 0.5, 1.0])
+    def test_matches_reference_on_degraded_scenario_masks(self, threshold):
+        scen = generate(make_config(duration=6, mask_softness=1.5))
+        gain = synth.make_gain_field(256, 256, 1.0, 60.0, np.random.default_rng(4))
+        masks = [degrade_mask(m, blur_sigma=4.0, gain=gain) for m in scen.masks]
+        got = framewise_centroid_baseline(masks, threshold=threshold)
+        assert got.points == _reference_baseline(masks, threshold)
+
+
+def _full_frame_message(values):
+    """The message a check of every pixel gives."""
+    lo, hi = float(values.min()), float(values.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return "mask contains non-finite values"
+    return f"mask values must lie in [0, 1], got [{lo}, {hi}]"
+
+
+class TestValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.01, 1.01])
+    @pytest.mark.parametrize("where", [(3, 5), (0, 0), (5, 8)], ids=["inside", "corner", "far"])
+    def test_derived_box_rejects_with_full_frame_message(self, bad, where):
+        values = np.zeros((6, 9))
+        values[2:4, 3:7] = 0.5
+        values[where] = bad
+        with pytest.raises(ValueError) as err:
+            SoftMask(values)
+        assert str(err.value) == _full_frame_message(values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.01, 1.01])
+    def test_given_box_rejects_bad_value_inside_it(self, bad):
+        values = np.zeros((6, 9))
+        values[2:4, 3:7] = 0.5
+        values[3, 5] = bad
+        with pytest.raises(ValueError) as err:
+            SoftMask(values, (slice(2, 4), slice(3, 7)))
+        assert str(err.value) == _full_frame_message(values)
+
+    def test_left_out_box_is_the_nonzero_box(self):
+        values = np.zeros((6, 9))
+        values[1, 2] = values[4, 6] = 0.25
+        assert SoftMask(values).box == (slice(1, 5), slice(2, 7))
+        assert SoftMask(np.zeros((3, 3))).box == (slice(0, 0), slice(0, 0))
+
+
+def test_scenario_masks_round_trip_through_disk_with_tight_box(tmp_path):
+    scen = generate(make_config(duration=3, mask_softness=1.5))
+    for i, mask in enumerate(scen.masks):
+        path = tmp_path / f"{i:06d}.pgm"
+        io_formats.write_mask(mask, path)
+        back = read_mask(path)
+        assert back.box == nonzero_box(quantize_mask(mask.values))
+        assert path.read_bytes() == _pgm(mask.values)
