@@ -12,13 +12,14 @@ from .geometry import (
     GeometryError,
     Intrinsics,
     PixelPoint,
+    Poses,
     WorldPoint,
     backproject_image_to_ground,
     induced_flow,
     motion_between_poses,
     project_world_to_image,
 )
-from .fusion import NoiseConfig, SensorRecord, fuse_log
+from .fusion import NoiseConfig, SensorLog, SensorRecord, fuse_log
 from .tracker import ParticleSet, SoftMask, TrackerConfig, TrackLostError, track_sequence
 from .shapes import AlphaShape, BinaryMask, alpha_shape, default_alpha, rasterize
 from .metrics import MaskScores, Trajectory2D, mask_scores, relative_distance_error, sdr
@@ -36,6 +37,8 @@ __all__ = [
     "NoiseConfig",
     "ParticleSet",
     "PixelPoint",
+    "Poses",
+    "SensorLog",
     "SensorRecord",
     "SoftMask",
     "TrackLostError",

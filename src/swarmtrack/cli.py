@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io_formats, synth
-from .fusion import FusionError, NoiseConfig, fuse_log
+from .fusion import FusionError, NoiseConfig, check_orientation_alpha, fuse_log
 from .geometry import GeometryError, Intrinsics, PixelPoint, backproject_image_to_ground
 from .io_formats import FormatError, RunConfig
 from .metrics import (
@@ -105,6 +105,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     if args.n_frames is not None and args.n_frames < 1:
         raise UsageError(f"--n-frames must be >= 1, got {args.n_frames}")
     try:
+        check_orientation_alpha(args.orientation_alpha, "--orientation-alpha")
         noise = NoiseConfig(
             gps_sigma=args.gps_sigma,
             imu_vel_sigma=args.imu_vel_sigma,

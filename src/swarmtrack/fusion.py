@@ -1,12 +1,13 @@
 """GPS/IMU fusion of the drone sensor log into per-frame camera poses.
 
 Each sensor record carries a GPS position fix, an IMU velocity and the
-gimbal attitude. The log is read once into arrays and linearly
-interpolated onto the frame timestamps, then a constant-velocity Kalman
-filter over the 6-state [position; velocity] smooths position and
-velocity. Attitude angles are not filtered (the gimbal already
-stabilizes them); an optional exponential moving average is available
-for noisy logs.
+gimbal attitude. A log is a ``SensorLog``, one array per column
+(``SensorRecord`` is the scalar form of one row); its columns are
+linearly interpolated onto the frame timestamps, then a
+constant-velocity Kalman filter over the 6-state [position; velocity]
+smooths position and velocity. Attitude angles are not filtered (the
+gimbal already stabilizes them); an optional exponential moving
+average is available for noisy logs.
 
 A record observes the full state directly (H = I6), with measurement
 noise diag(gps_sigma^2 I3, imu_vel_sigma^2 I3) and discrete
@@ -23,17 +24,19 @@ updated with that step's 2x2 gain. Every step checks that the
 innovation covariance S = P + R and the posterior covariance are
 positive definite (else ``FusionError``), and the mean of every step
 is checked finite. The tests check ``fuse_log`` against a step-by-step
-run of the full 6-state filter kept there as the reference.
+run of the full 6-state filter kept there as the reference. The fused
+poses and both baselines come back as one ``geometry.Poses`` array.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraPose, _finite
+from .geometry import Poses, _finite
 
 
 class FusionError(ValueError):
@@ -86,15 +89,91 @@ class SensorRecord:
             raise ValueError(f"sensor record has non-finite fields: {self!r}")
 
 
+class SensorLog:
+    """The drone log as read-only arrays, one row per record.
+
+    ``frame`` (n,) ints, ``t`` (n,) s, ``gps`` (n, 3) m, ``vel`` (n, 3)
+    m/s and ``att`` (n, 3) [pitch, yaw, roll] deg; every value is
+    finite. Indexing and iteration build the SensorRecord of one row;
+    ``==`` compares element-wise, also against a list of SensorRecord.
+    """
+
+    __slots__ = ("frame", "t", "gps", "vel", "att")
+
+    def __init__(self, frame, t, gps, vel, att) -> None:
+        frame = np.array(frame, dtype=np.int64)
+        t = np.array(t, dtype=float)
+        gps, vel, att = (np.array(a, dtype=float) for a in (gps, vel, att))
+        n = len(frame)
+        if frame.shape != (n,) or t.shape != (n,) or any(
+            a.shape != (n, 3) for a in (gps, vel, att)
+        ):
+            raise ValueError(
+                f"sensor log arrays must be frame (n,), t (n,) and gps, vel, "
+                f"att (n, 3); got {frame.shape}, {t.shape}, {gps.shape}, "
+                f"{vel.shape}, {att.shape}"
+            )
+        arrays = (frame, t, gps, vel, att)
+        for a in arrays:
+            a.flags.writeable = False
+        self.frame, self.t, self.gps, self.vel, self.att = arrays
+        bad = ~(
+            np.isfinite(t)
+            & np.isfinite(gps).all(axis=1)
+            & np.isfinite(vel).all(axis=1)
+            & np.isfinite(att).all(axis=1)
+        )
+        if bad.any():
+            self[int(np.argmax(bad))]  # raises, naming the record
+
+    @classmethod
+    def from_records(cls, records) -> "SensorLog":
+        """The SensorLog of a list of SensorRecord."""
+        cols = np.array(
+            [(r.t, *r.gps, *r.vel, r.pitch, r.yaw, r.roll) for r in records],
+            dtype=float,
+        ).reshape(-1, 10)
+        return cls(
+            [r.frame for r in records], cols[:, 0], cols[:, 1:4], cols[:, 4:7], cols[:, 7:]
+        )
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i) -> SensorRecord:
+        i = operator.index(i)
+        return SensorRecord(
+            int(self.frame[i]), float(self.t[i]), tuple(self.gps[i].tolist()),
+            tuple(self.vel[i].tolist()), *self.att[i].tolist(),
+        )
+
+    def __iter__(self):
+        columns = (self.frame, self.t, self.gps, self.vel, self.att)
+        for frame, t, gps, vel, att in zip(*(c.tolist() for c in columns)):
+            yield SensorRecord(frame, t, tuple(gps), tuple(vel), *att)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SensorLog):
+            return all(
+                np.array_equal(getattr(self, n), getattr(other, n)) for n in self.__slots__
+            )
+        if isinstance(other, list):
+            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SensorLog(<{len(self)} records>)"
+
+
 def _unwrap_deg(values: np.ndarray) -> np.ndarray:
     """Unwrap degree angles along axis 0."""
     return np.degrees(np.unwrap(np.radians(values), axis=0))
 
 
 def _frame_arrays(
-    log: list[SensorRecord], fps: float, n_frames: int | None
+    log: SensorLog, fps: float, n_frames: int | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read the log once and interpolate it onto frame timestamps k/fps.
+    """Interpolate the log's columns onto frame timestamps k/fps.
 
     Returns ``(frame_t (n,), z (n, 6) = [gps; vel], angles (n, 3) =
     [pitch, yaw, roll])``. Frames run from the first log timestamp up to
@@ -104,17 +183,12 @@ def _frame_arrays(
     """
     if not log:
         raise FusionError("sensor log is empty")
-    # Columns: t, gps (3), vel (3), pitch, yaw, roll.
-    cols = np.array(
-        [(r.t, *r.gps, *r.vel, r.pitch, r.yaw, r.roll) for r in log], dtype=float
-    )
-    t = cols[:, 0]
+    t = log.t
     bad = np.flatnonzero(np.diff(t) <= 0)
     if bad.size:
-        a, b = log[bad[0]], log[bad[0] + 1]
+        a, b = t[bad[0] : bad[0] + 2].tolist()
         raise FusionError(
-            f"sensor log timestamps must strictly increase "
-            f"(t={a.t} then t={b.t})"
+            f"sensor log timestamps must strictly increase (t={a} then t={b})"
         )
     if not (math.isfinite(fps) and fps > 0):
         raise FusionError(f"fps must be positive, got {fps!r}")
@@ -128,17 +202,23 @@ def _frame_arrays(
             f"{n_frames} frames at {fps} fps need {frame_t[-1]:.3f}s of log "
             f"but it ends at {t[-1]:.3f}s"
         )
-    cols[:, 7:] = _unwrap_deg(cols[:, 7:])
-    interp = np.stack(
-        [np.interp(frame_t, t, cols[:, j]) for j in range(1, cols.shape[1])], axis=1
-    )
+    columns = (*log.gps.T, *log.vel.T, *_unwrap_deg(log.att).T)
+    interp = np.stack([np.interp(frame_t, t, c) for c in columns], axis=1)
     return frame_t, interp[:, :6], interp[:, 6:]
+
+
+def check_orientation_alpha(alpha: float, name: str = "orientation_alpha") -> None:
+    """Raise FusionError unless the attitude EMA factor is in (0, 1].
+
+    ``name`` leads the message: the config key or the CLI flag.
+    """
+    if not (0 < alpha <= 1):
+        raise FusionError(f"{name}: must be in (0, 1], got {alpha!r}")
 
 
 def _smooth_angles(angles: np.ndarray, alpha: float) -> np.ndarray:
     """EMA over unwrapped attitude angles (n, 3); alpha=1 is pass-through."""
-    if not (0 < alpha <= 1):
-        raise FusionError(f"orientation alpha must be in (0, 1], got {alpha!r}")
+    check_orientation_alpha(alpha)
     raw = _unwrap_deg(angles)
     if alpha == 1.0:
         return raw
@@ -203,17 +283,17 @@ def _axis_gains(
 
 
 def fuse_log(
-    log: list[SensorRecord],
+    log: SensorLog,
     noise: NoiseConfig,
     fps: float,
     n_frames: int | None = None,
     orientation_alpha: float = 1.0,
-) -> list[CameraPose]:
+) -> Poses:
     """Kalman-fused camera pose per frame.
 
     The filter is initialized from the first frame-aligned record and
-    run predict/update at frame cadence. Returns one CameraPose per
-    frame; position from the filter, attitude from the (optionally
+    run predict/update at frame cadence. Returns one pose per frame;
+    position from the filter, attitude from the (optionally
     smoothed) log. The three axes share one 2x2 covariance and gain
     sequence (see the module docstring).
     """
@@ -244,16 +324,16 @@ def fuse_log(
 
 
 def gps_only_poses(
-    log: list[SensorRecord], fps: float, n_frames: int | None = None
-) -> list[CameraPose]:
+    log: SensorLog, fps: float, n_frames: int | None = None
+) -> Poses:
     """Raw GPS positions per frame, attitude passed through. Baseline."""
     _, z, angles = _frame_arrays(log, fps, n_frames)
     return _poses(z[:, :3], _smooth_angles(angles, 1.0))
 
 
 def dead_reckoning_poses(
-    log: list[SensorRecord], fps: float, n_frames: int | None = None
-) -> list[CameraPose]:
+    log: SensorLog, fps: float, n_frames: int | None = None
+) -> Poses:
     """IMU-only baseline: first GPS fix plus integrated velocity."""
     _, z, angles = _frame_arrays(log, fps, n_frames)
     dt = 1.0 / fps
@@ -265,9 +345,6 @@ def dead_reckoning_poses(
     return _poses(pos, _smooth_angles(angles, 1.0))
 
 
-def _poses(positions: np.ndarray, angles: np.ndarray) -> list[CameraPose]:
-    """CameraPose per row of positions (n, 3) and [pitch, yaw, roll] (n, 3)."""
-    return [
-        CameraPose(x, y, z, pitch, yaw, roll)
-        for x, y, z, pitch, yaw, roll in np.hstack([positions, angles]).tolist()
-    ]
+def _poses(positions: np.ndarray, angles: np.ndarray) -> Poses:
+    """Poses of positions (n, 3) and [pitch, yaw, roll] (n, 3)."""
+    return Poses(np.hstack([positions, angles]))

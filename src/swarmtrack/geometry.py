@@ -19,11 +19,16 @@ Conventions used throughout the toolkit:
 Egomotion is expressed in the camera frame of the earlier of the two
 poses involved: linear velocity (vx, vy, vz) along camera x/y/z and
 angular rate (wx, wy, wz) about the same axes, per unit time.
+
+A pose sequence (one pose per video frame) is a ``Poses``: one
+read-only (n, 6) array checked finite once. ``CameraPose`` is the
+scalar form of one row, built only when a caller indexes or iterates.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +121,48 @@ class CameraPose:
     @property
     def position(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
+
+
+class Poses:
+    """Camera poses of a frame sequence as one read-only (n, 6) array.
+
+    Columns are [x, y, z, pitch, yaw, roll] with CameraPose's meaning;
+    every value is finite. ``poses[i]`` and iteration build the
+    CameraPose of one row; ``==`` compares element-wise, also against a
+    list of CameraPose.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array) -> None:
+        a = np.array(array, dtype=float)
+        if a.ndim != 2 or a.shape[1] != 6:
+            raise ValueError(f"expected an (n, 6) pose array, got shape {a.shape}")
+        bad = ~np.isfinite(a).all(axis=1)
+        if bad.any():
+            CameraPose(*a[np.argmax(bad)].tolist())  # raises, naming the row
+        a.flags.writeable = False
+        self.array = a
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, i) -> CameraPose:
+        return CameraPose(*self.array[operator.index(i)].tolist())
+
+    def __iter__(self):
+        for row in self.array.tolist():
+            yield CameraPose(*row)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Poses):
+            return bool(np.array_equal(self.array, other.array))
+        if isinstance(other, list):
+            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Poses(<{len(self)} poses>)"
 
 
 @dataclass(frozen=True)

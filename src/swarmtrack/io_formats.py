@@ -8,9 +8,11 @@ binary PGM, byte-exact and reproducible:
   carries the box of its nonzero bytes (``SoftMask.box``), and writing
   a boxed mask quantizes only the box;
 * sensor log: CSV with header
-  frame,t_s,gps_x_m,gps_y_m,gps_z_m,vx_mps,vy_mps,vz_mps,pitch_deg,yaw_deg,roll_deg;
+  frame,t_s,gps_x_m,gps_y_m,gps_z_m,vx_mps,vy_mps,vz_mps,pitch_deg,yaw_deg,roll_deg,
+  read into and written from a ``fusion.SensorLog``;
 * camera poses: CSV with header
-  frame,t_s,x_m,y_m,z_m,pitch_deg,yaw_deg,roll_deg;
+  frame,t_s,x_m,y_m,z_m,pitch_deg,yaw_deg,roll_deg, read into and
+  written from a ``geometry.Poses``;
 * trajectories: CSV with header frame,u_px,v_px,world_x_m,world_y_m,lost_flag.
 * configs: strict JSON objects, read by ``load`` into the config
   dataclasses, which hold every default and range check.
@@ -35,8 +37,8 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .fusion import NoiseConfig, SensorRecord
-from .geometry import CameraPose
+from .fusion import NoiseConfig, SensorLog, check_orientation_alpha
+from .geometry import Poses
 from .shapes import BinaryMask
 from .tracker import SoftMask, TrackerConfig, nonzero_box
 
@@ -109,109 +111,66 @@ def _read_csv_rows(path: Path, header: str) -> list[tuple[int, list[str]]]:
 # -- sensor log ----------------------------------------------------------
 
 
-def write_sensor_log(log: list[SensorRecord], path: Path | str) -> None:
+def write_sensor_log(log: SensorLog, path: Path | str) -> None:
     path = Path(path)
     lines = [SENSOR_HEADER]
-    for r in log:
-        lines.append(
-            ",".join(
-                [
-                    str(r.frame),
-                    _fmt(r.t),
-                    _fmt(r.gps[0]),
-                    _fmt(r.gps[1]),
-                    _fmt(r.gps[2]),
-                    _fmt(r.vel[0]),
-                    _fmt(r.vel[1]),
-                    _fmt(r.vel[2]),
-                    _fmt(r.pitch),
-                    _fmt(r.yaw),
-                    _fmt(r.roll),
-                ]
-            )
-        )
+    values = np.column_stack([log.t, log.gps, log.vel, log.att]).tolist()
+    for frame, row in zip(log.frame.tolist(), values):
+        lines.append(",".join([str(frame), *map(_fmt, row)]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_sensor_log(path: Path | str) -> list[SensorRecord]:
+def read_sensor_log(path: Path | str) -> SensorLog:
     """Parse a sensor-log CSV; validates monotone time and row count."""
     path = Path(path)
     rows = _read_csv_rows(path, SENSOR_HEADER)
     if not rows:
         raise FormatError(f"{path}: empty log (header only)")
     cols = SENSOR_HEADER.split(",")
-    log = []
+    frames, values = [], []
     prev_t: float | None = None
     for line_no, fields in rows:
-        frame = _parse_int(fields[0], path, line_no, cols[0])
-        values = [
-            _parse_float(fields[k], path, line_no, cols[k]) for k in range(1, 11)
-        ]
-        t = values[0]
+        frames.append(_parse_int(fields[0], path, line_no, cols[0]))
+        row = [_parse_float(fields[k], path, line_no, cols[k]) for k in range(1, 11)]
+        t = row[0]
         if prev_t is not None and t <= prev_t:
             raise FormatError(
                 f"{path}:{line_no}: time {t} does not increase over previous {prev_t}"
             )
         prev_t = t
-        log.append(
-            SensorRecord(
-                frame=frame,
-                t=t,
-                gps=(values[1], values[2], values[3]),
-                vel=(values[4], values[5], values[6]),
-                pitch=values[7],
-                yaw=values[8],
-                roll=values[9],
-            )
-        )
-    return log
+        values.append(row)
+    a = np.array(values)
+    return SensorLog(frames, a[:, 0], a[:, 1:4], a[:, 4:7], a[:, 7:])
 
 
 # -- camera poses --------------------------------------------------------
 
 
-def write_poses(poses: list[CameraPose], fps: float, path: Path | str) -> None:
+def write_poses(poses: Poses, fps: float, path: Path | str) -> None:
     """Pose per frame at t = frame/fps."""
     path = Path(path)
     lines = [POSE_HEADER]
-    for i, p in enumerate(poses):
-        lines.append(
-            ",".join(
-                [
-                    str(i),
-                    _fmt(i / fps),
-                    _fmt(p.x),
-                    _fmt(p.y),
-                    _fmt(p.z),
-                    _fmt(p.pitch),
-                    _fmt(p.yaw),
-                    _fmt(p.roll),
-                ]
-            )
-        )
+    for i, row in enumerate(poses.array.tolist()):
+        lines.append(",".join([str(i), _fmt(i / fps), *map(_fmt, row)]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_poses(path: Path | str) -> list[CameraPose]:
+def read_poses(path: Path | str) -> Poses:
     path = Path(path)
     rows = _read_csv_rows(path, POSE_HEADER)
     if not rows:
         raise FormatError(f"{path}: no poses (header only)")
     cols = POSE_HEADER.split(",")
-    poses = []
-    expected = 0
-    for line_no, fields in rows:
+    values = []
+    for expected, (line_no, fields) in enumerate(rows):
         frame = _parse_int(fields[0], path, line_no, cols[0])
         if frame != expected:
             raise FormatError(
                 f"{path}:{line_no}: frame {frame}, expected consecutive {expected}"
             )
-        expected += 1
         v = [_parse_float(fields[k], path, line_no, cols[k]) for k in range(1, 8)]
-        poses.append(
-            CameraPose(x=v[1], y=v[2], z=v[3], pitch=v[4], yaw=v[5], roll=v[6])
-        )
-    return poses
+        values.append(v[1:])
+    return Poses(values)
 
 
 # -- trajectories --------------------------------------------------------
@@ -425,10 +384,7 @@ class RunConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name}: must be > 0, got {v!r}")
-        if not (0 < self.orientation_alpha <= 1):
-            raise ValueError(
-                f"orientation_alpha: must be in (0, 1], got {self.orientation_alpha!r}"
-            )
+        check_orientation_alpha(self.orientation_alpha)
         if self.alpha_px is not None and not (
             math.isfinite(self.alpha_px) and self.alpha_px > 0
         ):

@@ -186,8 +186,10 @@ def framewise_centroid_baseline(
     """Per-frame centroid of the thresholded mask, no temporal model.
 
     The reference baseline the filter is compared against. Frames with
-    no pixel above threshold carry the previous centroid forward (image
-    center before the first detection) so every frame stays annotated.
+    no pixel above threshold, or whose passing pixels weigh 0 in total
+    (an all-zero mask at threshold 0), carry the previous centroid
+    forward (image center before the first detection) so every frame
+    stays annotated.
     Above a threshold of 0 only the mask's box is thresholded; the
     passing pixels come in the same row-major order as on the full
     frame, so the sums are the same.
@@ -205,8 +207,9 @@ def framewise_centroid_baseline(
         ys, xs = np.nonzero(sub >= threshold)
         w = sub[ys, xs]
         ys, xs = ys + rows.start, xs + cols.start
-        if xs.size:
-            last = (float(np.dot(w, xs) / w.sum()), float(np.dot(w, ys) / w.sum()))
+        total = w.sum()
+        if total > 0:
+            last = (float(np.dot(w, xs) / total), float(np.dot(w, ys) / total))
         elif last is None:
             last = ((values.shape[1] - 1) / 2.0, (values.shape[0] - 1) / 2.0)
         points[i] = last

@@ -10,11 +10,12 @@ centers are backprojected to the ground plane and tested against the
 world-frame ellipse, so the ground truth is exact by construction, and
 the soft mask is the binary interior blurred by ``mask_softness``.
 
-The sensor log is the exact kinematics plus seeded Gaussian noise: GPS
-position noise, IMU velocity noise, and a per-run constant IMU
-velocity bias (the dominant real error of consumer-grade IMU velocity
-estimates; without it dead reckoning at frame cadence would be
-unrealistically accurate). All noise is drawn in frame order from one
+The drone's poses (``Poses``) and sensor log (``SensorLog``) are built
+as arrays for the whole flight. The log is the exact kinematics plus
+seeded Gaussian noise: GPS position noise, IMU velocity noise, and a
+per-run constant IMU velocity bias (the dominant real error of
+consumer-grade IMU velocity estimates; without it dead reckoning at
+frame cadence would be unrealistically accurate). All noise is drawn in frame order from one
 seeded generator, so a seed pins every byte of the output.
 
 In-frame validation requires the blurred boundary band (3 softness
@@ -37,8 +38,8 @@ import numpy as np
 from scipy import ndimage
 
 from . import io_formats
-from .fusion import NoiseConfig, SensorRecord
-from .geometry import CameraPose, GeometryError, Intrinsics, backproject_pixels
+from .fusion import NoiseConfig, SensorLog
+from .geometry import CameraPose, GeometryError, Intrinsics, Poses, backproject_pixels
 from .geometry import project_points, rotation_world_to_camera
 from .shapes import BinaryMask
 from .tracker import Box, SoftMask, nonzero_box
@@ -216,8 +217,8 @@ class Scenario:
     config: ScenarioConfig
     masks: list[SoftMask]
     gt_masks: list[BinaryMask]
-    sensor_log: list[SensorRecord]
-    gt_poses: list[CameraPose]
+    sensor_log: SensorLog
+    gt_poses: Poses
     gt_track2d: np.ndarray
     gt_track_world: np.ndarray
 
@@ -256,7 +257,7 @@ class _Polyline:
 
 def _drone_states(
     cfg: DronePathConfig, path: _Polyline, t: np.ndarray
-) -> tuple[list[CameraPose], np.ndarray, np.ndarray]:
+) -> tuple[Poses, np.ndarray, np.ndarray]:
     """Camera poses, world positions (n, 3) and velocities (n, 3) at times t.
 
     Trapezoidal speed profile over the path: accelerate from rest,
@@ -284,18 +285,18 @@ def _drone_states(
     v = np.select(phases, [0.0, accel * t, speed, accel * dt], 0.0)
     pos = path.point_at(s)
     d = path.direction_at(s)
-    vels = np.column_stack([v * d[:, 0], v * d[:, 1], np.zeros(len(t))])
+    n = len(t)
+    vels = np.column_stack([v * d[:, 0], v * d[:, 1], np.zeros(n)])
     if cfg.yaw_mode == "path":
         # math.atan2 per frame: np.arctan2 need not round the same way.
         yaws = [math.degrees(math.atan2(dx, dy)) for dx, dy in d.tolist()]
     else:
-        yaws = [cfg.yaw_deg] * len(t)
-    poses = [
-        CameraPose(px, py, cfg.altitude, cfg.camera_pitch_deg, yaw, cfg.camera_roll_deg)
-        for (px, py), yaw in zip(pos.tolist(), yaws)
-    ]
-    positions = np.column_stack([pos, np.full(len(t), float(cfg.altitude))])
-    return poses, positions, vels
+        yaws = np.full(n, float(cfg.yaw_deg))
+    poses = Poses(np.column_stack([
+        pos, np.full(n, float(cfg.altitude)), np.full(n, float(cfg.camera_pitch_deg)),
+        yaws, np.full(n, float(cfg.camera_roll_deg)),
+    ]))
+    return poses, poses.array[:, :3], vels
 
 
 # -- swarm shape ---------------------------------------------------------
@@ -530,11 +531,11 @@ def _kinematics(config: ScenarioConfig):
 
 def _sensor_log(
     config: ScenarioConfig,
-    poses: list[CameraPose],
+    poses: Poses,
     positions: np.ndarray,
     vels: np.ndarray,
     rng: np.random.Generator,
-) -> list[SensorRecord]:
+) -> SensorLog:
     scale = config.noise_scale
     # Constant per-run velocity bias: nominal magnitude, arbitrary
     # horizontal direction. A plain Gaussian draw would make a
@@ -550,18 +551,8 @@ def _sensor_log(
     noise = rng.standard_normal((len(poses), 2, 3))
     gps = positions + scale * config.noise.gps_sigma * noise[:, 0]
     vel = vels + bias + scale * config.noise.imu_vel_sigma * noise[:, 1]
-    return [
-        SensorRecord(
-            frame=frame,
-            t=frame / config.fps,
-            gps=tuple(g),
-            vel=tuple(w),
-            pitch=pose.pitch,
-            yaw=pose.yaw,
-            roll=pose.roll,
-        )
-        for frame, (pose, g, w) in enumerate(zip(poses, gps.tolist(), vel.tolist()))
-    ]
+    frames = np.arange(len(poses))
+    return SensorLog(frames, frames / config.fps, gps, vel, poses.array[:, 3:])
 
 
 def _simulate(config: ScenarioConfig):
@@ -574,20 +565,21 @@ def _simulate(config: ScenarioConfig):
     margin = 3.0 * config.mask_softness + 2.0
     # Every frame is checked in frame before the first one is rendered, so
     # a swarm that leaves the image fails before any output is written.
+    cams = list(poses)
     windows = [
-        _render_window(comps[frame], poses[frame], intr, margin, frame)
+        _render_window(comps[frame], cams[frame], intr, margin, frame)
         for frame in range(config.duration)
     ]
 
     def frames():
         for frame, window in enumerate(windows):
             soft, binary = _render(
-                comps[frame], poses[frame], intr, config.mask_softness, window
+                comps[frame], cams[frame], intr, config.mask_softness, window
             )
             yield (
                 soft,
                 BinaryMask(binary),
-                _project_centroid(world[frame], poses[frame], intr),
+                _project_centroid(world[frame], cams[frame], intr),
             )
 
     return log, poses, world, frames()
@@ -715,8 +707,8 @@ class MarkerRun:
     config: ScenarioConfig
     markers: np.ndarray
     sightings: list[tuple[int, int, float, float]]
-    sensor_log: list[SensorRecord]
-    gt_poses: list[CameraPose]
+    sensor_log: SensorLog
+    gt_poses: Poses
 
 
 def generate_marker_run(

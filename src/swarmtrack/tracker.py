@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraMotion, CameraPose, Intrinsics, flow_field, motion_between_poses
+from .geometry import CameraMotion, CameraPose, Intrinsics, Poses, flow_field, motion_between_poses
 
 logger = logging.getLogger(__name__)
 
@@ -293,7 +293,7 @@ class TrackResult:
 
 def track_sequence(
     masks,
-    poses: list[CameraPose],
+    poses: Poses | list[CameraPose],
     intr: Intrinsics,
     config: TrackerConfig,
     keep_particles: bool = True,
@@ -301,10 +301,10 @@ def track_sequence(
     """Run the filter over a mask sequence with per-frame camera poses.
 
     ``masks`` may be any iterable of SoftMask (a generator keeps memory
-    flat for long sequences); ``poses`` must have one CameraPose per
-    frame. On a lost frame the belief is re-spread uniform over the
-    image and flagged; after lost_reinit_after consecutive lost frames
-    the particle positions are re-drawn uniformly as well.
+    flat for long sequences); ``poses`` must have one pose per frame.
+    On a lost frame the belief is re-spread uniform over the image and
+    flagged; after lost_reinit_after consecutive lost frames the
+    particle positions are re-drawn uniformly as well.
     """
     ps = init_uniform(intr, config)
     centroids = []

@@ -2,9 +2,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from swarmtrack.cli import main as cli_main
+from swarmtrack.geometry import Poses
 
 
 def invoke_cli(*argv) -> int:
@@ -59,3 +61,9 @@ def small_run_config(**overrides) -> dict:
 def write_json(path: Path, payload: dict) -> Path:
     path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
     return path
+
+
+def poses_of(poses) -> Poses:
+    """The Poses of a list of CameraPose."""
+    rows = [(p.x, p.y, p.z, p.pitch, p.yaw, p.roll) for p in poses]
+    return Poses(np.array(rows, dtype=float).reshape(-1, 6))

@@ -484,13 +484,17 @@ class TestNonFiniteFlags:
         [
             ("fuse", ["--fps", "nan"], "--fps must be finite and > 0"),
             ("fuse", ["--fps", "inf"], "--fps must be finite and > 0"),
+            ("fuse", ["--fps", "15", "--orientation-alpha", "nan"],
+             "--orientation-alpha: must be in (0, 1]"),
+            ("fuse", ["--fps", "15", "--orientation-alpha", "2"],
+             "--orientation-alpha: must be in (0, 1]"),
             ("eval", ["--radius-scale", "nan"], "--radius-scale must be finite and > 0"),
             ("eval", ["--radii", "10,nan"], "--radii must be finite, positive and ascending"),
             ("eval", ["--radii", "nan"], "--radii must be finite, positive and ascending"),
             ("eval", ["--radii", "10,inf"], "--radii must be finite, positive and ascending"),
         ],
-        ids=["fps-nan", "fps-inf", "radius-scale-nan",
-             "radii-10-nan", "radii-nan", "radii-10-inf"],
+        ids=["fps-nan", "fps-inf", "orientation-alpha-nan", "orientation-alpha-2",
+             "radius-scale-nan", "radii-10-nan", "radii-nan", "radii-10-inf"],
     )
     def test_exits_2_with_one_error_line(
         self, scenario_dir, track_dir, tmp_path, run_cli, command, flags, message

@@ -8,6 +8,7 @@ import pytest
 from swarmtrack.fusion import (
     FusionError,
     NoiseConfig,
+    SensorLog,
     SensorRecord,
     _frame_arrays,
     dead_reckoning_poses,
@@ -307,7 +308,7 @@ class TestFuseLog:
             t = i / fps
             pos = (v[0] * t, v[1] * t, 80.0 + v[2] * t)
             recs.append(record(i, t, pos, v, yaw=yaw))
-        return recs
+        return SensorLog.from_records(recs)
 
     def test_noise_free_constant_velocity_log_is_recovered_exactly(self):
         log = self.straight_log()
@@ -320,7 +321,9 @@ class TestFuseLog:
             assert pose.yaw == pytest.approx(33.0, abs=1e-9)
 
     def test_single_record_log_passes_through(self):
-        log = [record(0, 0.0, (5, 6, 70), (1, 0, 0), pitch=2.0, yaw=40.0)]
+        log = SensorLog.from_records(
+            [record(0, 0.0, (5, 6, 70), (1, 0, 0), pitch=2.0, yaw=40.0)]
+        )
         poses = fuse_log(log, NOISE, fps=15.0)
         assert len(poses) == 1
         assert (poses[0].x, poses[0].y, poses[0].z) == (5.0, 6.0, 70.0)
@@ -328,22 +331,22 @@ class TestFuseLog:
 
     def test_empty_log_rejected(self):
         with pytest.raises(FusionError, match="empty"):
-            fuse_log([], NOISE, fps=10.0)
+            fuse_log(SensorLog.from_records([]), NOISE, fps=10.0)
 
     def test_non_monotone_time_rejected(self):
-        log = [
+        log = SensorLog.from_records([
             record(0, 0.0, (0, 0, 50), (0, 0, 0)),
             record(1, 0.2, (0, 0, 50), (0, 0, 0)),
             record(2, 0.1, (0, 0, 50), (0, 0, 0)),
-        ]
+        ])
         with pytest.raises(FusionError):
             fuse_log(log, NOISE, fps=10.0)
 
     def test_overflowing_state_rejected(self):
-        log = [
+        log = SensorLog.from_records([
             record(0, 0.0, (1.7e308, 0, 50), (1.7e308, 0, 0)),
             record(1, 0.1, (1.7e308, 0, 50), (1.7e308, 0, 0)),
-        ]
+        ])
         with pytest.raises(FusionError, match="non-finite"):
             fuse_log(log, NOISE, fps=10.0)
 
@@ -357,14 +360,14 @@ class TestFuseLog:
             rng = np.random.default_rng(seed)
             truth = np.array([v * (i / fps) for i in range(n)])
             truth[:, 2] += 60.0
-            log = [
+            log = SensorLog.from_records([
                 record(
                     i, i / fps,
                     truth[i] + rng.normal(0, NOISE.gps_sigma, 3),
                     v + rng.normal(0, NOISE.imu_vel_sigma, 3),
                 )
                 for i in range(n)
-            ]
+            ])
             fused = fuse_log(log, NOISE, fps)
             gps = gps_only_poses(log, fps)
             err_f = np.mean(
@@ -379,36 +382,36 @@ class TestFuseLog:
 
 class TestResampling:
     def test_interpolates_to_frame_timestamps(self):
-        log = [
+        log = SensorLog.from_records([
             record(0, 0.0, (0, 0, 50), (2, 0, 0)),
             record(1, 1.0, (2, 0, 50), (2, 0, 0)),
             record(2, 2.0, (4, 0, 50), (2, 0, 0)),
-        ]
+        ])
         poses = gps_only_poses(log, fps=2.0)
         assert len(poses) == 5
         np.testing.assert_allclose([p.x for p in poses], [0, 1, 2, 3, 4])
 
     def test_yaw_unwraps_across_the_seam(self):
-        log = [
+        log = SensorLog.from_records([
             record(0, 0.0, (0, 0, 50), (0, 0, 0), yaw=359.0),
             record(1, 1.0, (0, 0, 50), (0, 0, 0), yaw=1.0),
-        ]
+        ])
         poses = gps_only_poses(log, fps=2.0)
         mid = poses[1].yaw % 360.0
         assert min(mid, 360.0 - mid) < 1e-9  # 0 deg, not 180
 
     @pytest.mark.parametrize("n_frames", [0, -1])
     def test_frame_count_must_be_positive(self, n_frames):
-        log = [record(0, 0.0, (0, 0, 50), (0, 0, 0)),
-               record(1, 1.0, (0, 0, 50), (0, 0, 0))]
+        log = SensorLog.from_records([record(0, 0.0, (0, 0, 50), (0, 0, 0)),
+                                      record(1, 1.0, (0, 0, 50), (0, 0, 0))])
         with pytest.raises(FusionError, match="frame count must be >= 1"):
             gps_only_poses(log, fps=10.0, n_frames=n_frames)
         with pytest.raises(FusionError, match="frame count must be >= 1"):
             fuse_log(log, NOISE, fps=10.0, n_frames=n_frames)
 
     def test_frame_span_must_fit_log(self):
-        log = [record(0, 0.0, (0, 0, 50), (0, 0, 0)),
-               record(1, 1.0, (0, 0, 50), (0, 0, 0))]
+        log = SensorLog.from_records([record(0, 0.0, (0, 0, 50), (0, 0, 0)),
+                                      record(1, 1.0, (0, 0, 50), (0, 0, 0))])
         with pytest.raises(FusionError, match="frames"):
             gps_only_poses(log, fps=10.0, n_frames=50)
 
@@ -421,11 +424,11 @@ class TestBaselines:
             assert (pose.x, pose.y, pose.z) == rec.gps
 
     def test_dead_reckoning_integrates_trapezoidally(self):
-        log = [
+        log = SensorLog.from_records([
             record(0, 0.0, (0, 0, 50), (0.0, 0, 0)),
             record(1, 0.5, (99, 99, 99), (2.0, 0, 0)),
             record(2, 1.0, (99, 99, 99), (4.0, 0, 0)),
-        ]
+        ])
         poses = dead_reckoning_poses(log, fps=2.0)
         # only the first fix anchors; then x += 0.5*(v0+v1)*dt
         assert poses[0].x == 0.0
@@ -506,7 +509,7 @@ def random_log(rng, n, fps):
     """Irregularly sampled noisy log with attitude crossing the yaw seam."""
     t = np.cumsum(rng.uniform(0.3, 1.7, n)) / fps
     vel = rng.normal(0, 3, 3)
-    return [
+    return SensorLog.from_records([
         record(
             i, float(t[i]),
             rng.normal(vel * t[i] + (0, 0, 60), 2.0),
@@ -516,7 +519,7 @@ def random_log(rng, n, fps):
             roll=float(rng.uniform(-3, 3)),
         )
         for i in range(n)
-    ]
+    ])
 
 
 class TestFuseLogOracle:
@@ -577,6 +580,8 @@ class TestFuseLogOracle:
         self.check(log, NoiseConfig(gps_sigma=2.0, imu_vel_sigma=0.05), 10.0, n_frames=17)
 
     def test_one_record_log(self):
-        log = [record(0, 1.5, (5, 6, 70), (1, -2, 0.5), pitch=2.0, yaw=359.0, roll=-1.0)]
+        log = SensorLog.from_records(
+            [record(0, 1.5, (5, 6, 70), (1, -2, 0.5), pitch=2.0, yaw=359.0, roll=-1.0)]
+        )
         self.check(log, NOISE, 15.0)
         self.check(log, NOISE, 15.0, n_frames=1, alpha=0.3)

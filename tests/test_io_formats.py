@@ -5,7 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from swarmtrack.fusion import NoiseConfig, SensorRecord
+from swarmtrack.fusion import NoiseConfig, SensorLog, SensorRecord
 from swarmtrack.geometry import CameraPose
 from swarmtrack.io_formats import (
     FormatError,
@@ -31,7 +31,7 @@ from swarmtrack.io_formats import (
 from swarmtrack.shapes import BinaryMask
 from swarmtrack.synth import ScenarioConfig, write_scenario
 from swarmtrack.tracker import SoftMask, TrackerConfig
-from tests.conftest import small_run_config, small_scenario
+from tests.conftest import poses_of, small_run_config, small_scenario
 
 
 def sample_log():
@@ -53,12 +53,12 @@ class TestSensorLog:
     def test_round_trip_is_exact(self, tmp_path):
         path = tmp_path / "sensors.csv"
         log = sample_log()
-        write_sensor_log(log, path)
+        write_sensor_log(SensorLog.from_records(log), path)
         assert read_sensor_log(path) == log
 
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "sensors.csv"
-        write_sensor_log([], path)
+        write_sensor_log(SensorLog.from_records([]), path)
         with pytest.raises(FormatError, match="empty log"):
             read_sensor_log(path)
 
@@ -67,13 +67,13 @@ class TestSensorLog:
         log = sample_log()
         log[2] = SensorRecord(frame=2, t=log[1].t, gps=log[2].gps,
                               vel=log[2].vel, pitch=0, yaw=0, roll=0)
-        write_sensor_log(log, path)
+        write_sensor_log(SensorLog.from_records(log), path)
         with pytest.raises(FormatError, match=r":4: time"):
             read_sensor_log(path)
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "sensors.csv"
-        write_sensor_log(sample_log(), path)
+        write_sensor_log(SensorLog.from_records(sample_log()), path)
         lines = path.read_text().splitlines()
         lines[2] = ",".join(lines[2].split(",")[:-1])
         path.write_text("\n".join(lines) + "\n")
@@ -82,7 +82,7 @@ class TestSensorLog:
 
     def test_non_numeric_field_names_line_and_column(self, tmp_path):
         path = tmp_path / "sensors.csv"
-        write_sensor_log(sample_log(), path)
+        write_sensor_log(SensorLog.from_records(sample_log()), path)
         text = path.read_text().replace("0.31", "fast", 1)
         path.write_text(text)
         with pytest.raises(FormatError, match=r":2: column 'vx_mps'"):
@@ -106,12 +106,12 @@ class TestPoses:
             CameraPose(1.5, -0.25, 50.1, pitch=2.0, yaw=91.0, roll=-0.5),
         ]
         path = tmp_path / "poses.csv"
-        write_poses(poses, fps=15.0, path=path)
+        write_poses(poses_of(poses), fps=15.0, path=path)
         assert read_poses(path) == poses
 
     def test_frames_must_be_consecutive(self, tmp_path):
         path = tmp_path / "poses.csv"
-        write_poses([CameraPose(0, 0, 10), CameraPose(1, 0, 10)], 10.0, path)
+        write_poses(poses_of([CameraPose(0, 0, 10), CameraPose(1, 0, 10)]), 10.0, path)
         text = path.read_text().replace("\n1,", "\n3,")
         path.write_text(text)
         with pytest.raises(FormatError, match="expected consecutive 1"):
@@ -119,7 +119,7 @@ class TestPoses:
 
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "poses.csv"
-        write_poses([], 10.0, path)
+        write_poses(poses_of([]), 10.0, path)
         with pytest.raises(FormatError, match="no poses"):
             read_poses(path)
 

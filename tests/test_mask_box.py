@@ -44,8 +44,8 @@ def _reference_baseline(masks, threshold):
     for i, mask in enumerate(masks):
         values = mask.values
         ys, xs = np.nonzero(values >= threshold)
-        if xs.size:
-            w = values[ys, xs]
+        w = values[ys, xs]
+        if w.sum() > 0:  # passing pixels of zero total weight detect nothing
             last = (float(np.dot(w, xs) / w.sum()), float(np.dot(w, ys) / w.sum()))
         elif last is None:
             last = ((values.shape[1] - 1) / 2.0, (values.shape[0] - 1) / 2.0)
@@ -174,10 +174,6 @@ class TestFramewiseBaseline:
         values_list = [np.zeros((40, 60))] + list(_support_masks(rng))[:11]
         values_list += [np.zeros((40, 60))]
         values_list[5][3, 4] = 1.0
-        if threshold == 0.0:
-            # Every pixel of an all-zero frame passes with weight 0, and the
-            # 0/0 centroid is rejected as non-finite, by either path.
-            values_list = [v for v in values_list if v.any()]
         masks = _read_back(tmp_path, values_list)
         got = framewise_centroid_baseline(masks, threshold=threshold)
         assert got.points == _reference_baseline(masks, threshold)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from swarmtrack import io_formats, synth
+from swarmtrack import fusion, geometry, io_formats, synth, tracker
 from tests.conftest import invoke_cli, small_run_config, small_scenario, write_json
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -28,10 +28,10 @@ def test_span_target_resolves(module_name, attr, span):
     assert callable(owner), f"{module_name}.{attr} ({span}) is not callable"
 
 
-def test_pipeline_calls_mask_functions_by_name(tmp_path, monkeypatch):
+def _count_calls(monkeypatch, targets):
+    """Wrap each (module, name) with a call counter; returns the Counter."""
     calls = Counter()
-    for owner, name in ((synth, "soften"), (io_formats, "read_mask"),
-                        (io_formats, "write_mask")):
+    for owner, name in targets:
         original = getattr(owner, name)
 
         def counting(*args, _original=original, _name=name, **kwargs):
@@ -39,6 +39,13 @@ def test_pipeline_calls_mask_functions_by_name(tmp_path, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_pipeline_calls_mask_functions_by_name(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, (
+        (synth, "soften"), (io_formats, "read_mask"), (io_formats, "write_mask"),
+    ))
     cfg = write_json(tmp_path / "s.json", small_scenario(duration=6))
     run = write_json(tmp_path / "r.json", small_run_config())
     sim, trk = tmp_path / "sim", tmp_path / "trk"
@@ -48,3 +55,39 @@ def test_pipeline_calls_mask_functions_by_name(tmp_path, monkeypatch):
                       "--config", run, "--out", trk) == 0
     assert calls["read_mask"] == 6 and calls["write_mask"] == 18
     assert invoke_cli("eval", "--pred", trk, "--gt", sim, "--out", tmp_path / "ev") == 0
+
+
+def test_marker_run_calls_fusion_functions_by_name(monkeypatch):
+    calls = _count_calls(monkeypatch, (
+        (synth, "generate_marker_run"), (fusion, "fuse_log"),
+        (fusion, "gps_only_poses"), (fusion, "dead_reckoning_poses"),
+        (geometry, "backproject_pixels"),
+    ))
+    # One marker-study operation, through the names the benchmark wraps.
+    run = synth.generate_marker_run(0)
+    cfg = run.config
+    intr = geometry.Intrinsics.centered(cfg.focal_px, cfg.width, cfg.height)
+    n = cfg.duration
+    fused = fusion.fuse_log(run.sensor_log, cfg.noise, cfg.fps, n)
+    gps = fusion.gps_only_poses(run.sensor_log, cfg.fps, n)
+    dr = fusion.dead_reckoning_poses(run.sensor_log, cfg.fps, n)
+    for poses in (fused, gps, dr):
+        assert len(poses) == n
+        for _, frame, u, v in run.sightings:
+            geometry.backproject_pixels(u - intr.cx, v - intr.cy, poses[frame], intr)
+    assert calls == {
+        "generate_marker_run": 1, "fuse_log": 1, "gps_only_poses": 1,
+        "dead_reckoning_poses": 1, "backproject_pixels": 3 * len(run.sightings),
+    }
+    assert len([(p.x, p.y, p.z, p.pitch, p.yaw, p.roll) for p in fused]) == n
+
+
+def test_track_sequence_calls_motion_between_poses_per_frame(monkeypatch):
+    calls = _count_calls(monkeypatch, ((tracker, "motion_between_poses"),))
+    scen = synth.generate(io_formats.load(synth.ScenarioConfig, small_scenario(duration=7)))
+    cfg = tracker.TrackerConfig(n_particles=200, seed=0)
+    res = tracker.track_sequence(
+        scen.masks, scen.gt_poses, scen.config.intrinsics, cfg, keep_particles=False
+    )
+    assert len(res.lost) == 7
+    assert calls == {"motion_between_poses": 6}

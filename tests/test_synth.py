@@ -10,7 +10,7 @@ import pytest
 from scipy import ndimage
 
 from swarmtrack import io_formats, synth
-from swarmtrack.fusion import NoiseConfig, SensorRecord
+from swarmtrack.fusion import NoiseConfig, SensorLog, SensorRecord
 from swarmtrack.geometry import (
     CameraPose,
     PixelPoint,
@@ -31,6 +31,7 @@ from swarmtrack.synth import (
     soften,
 )
 from swarmtrack.tracker import SoftMask
+from tests.conftest import poses_of
 
 
 def make_config(**overrides):
@@ -674,8 +675,8 @@ class TestArrayKinematicsOracle:
         ])
         ref = tmp_path / "ref"
         ref.mkdir()
-        io_formats.write_sensor_log(log, ref / "sensors.csv")
-        io_formats.write_poses(poses, config.fps, ref / "gt_poses.csv")
+        io_formats.write_sensor_log(SensorLog.from_records(log), ref / "sensors.csv")
+        io_formats.write_poses(poses_of(poses), config.fps, ref / "gt_poses.csv")
         io_formats.write_trajectory(
             frames=list(range(n)), uv=uv, world=world,
             lost=np.zeros(n, dtype=bool), path=ref / "gt_track.csv",
