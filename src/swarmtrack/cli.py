@@ -17,8 +17,10 @@ import itertools
 import json
 import logging
 import math
+import os
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -63,6 +65,14 @@ def _read_config(cls, path):
         return io_formats.config_from_json(cls, text)
     except FormatError as e:
         raise UsageError(str(e)) from None
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count; at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
 
 
 # -- provenance ------------------------------------------------------------
@@ -176,7 +186,8 @@ def cmd_track(args: argparse.Namespace) -> int:
     out = Path(args.out)
     shapes_dir = out / "shapes"
     shapes_dir.mkdir(parents=True, exist_ok=True)
-    for t in range(n_frames):
+
+    def write_outline(t: int) -> None:
         if result.lost[t]:
             # No posterior support this frame: emit an empty outline.
             mask_bits = np.zeros((height, width), dtype=bool)
@@ -189,6 +200,12 @@ def cmd_track(args: argparse.Namespace) -> int:
             except ShapeError:
                 mask_bits = np.zeros((height, width), dtype=bool)
         io_formats.write_mask(BinaryMask(mask_bits), shapes_dir / f"{t:06d}.pgm")
+
+    # Frames are independent and qhull releases the GIL, so threads run
+    # the outlines in parallel; map re-raises the first failure in frame
+    # order and the pool cancels the frames not yet started.
+    with ThreadPoolExecutor(max_workers=min(usable_cpus(), n_frames)) as pool:
+        list(pool.map(write_outline, range(n_frames)))
     io_formats.write_trajectory(
         frames=list(range(n_frames)),
         uv=result.centroids,

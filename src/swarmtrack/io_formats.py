@@ -266,8 +266,10 @@ def write_mask(mask: SoftMask | BinaryMask, path: Path | str) -> None:
         payload = np.zeros(mask.values.shape, dtype=np.uint8)
         payload[mask.box] = quantize_mask(mask.values[mask.box])
     h, w = payload.shape
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    path.write_bytes(header + payload.tobytes())
+    # write needs a C-ordered buffer; a transposed mask's payload is not.
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(np.ascontiguousarray(payload))
 
 
 def _read_pgm_bytes(path: Path) -> np.ndarray:

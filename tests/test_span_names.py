@@ -2,6 +2,7 @@
 keep every name it wraps resolvable and called on the paths it traces."""
 import importlib
 import importlib.util
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -29,13 +30,18 @@ def test_span_target_resolves(module_name, attr, span):
 
 
 def _count_calls(monkeypatch, targets):
-    """Wrap each (module, name) with a call counter; returns the Counter."""
+    """Wrap each (module, name) with a call counter; returns the Counter.
+
+    The outline stage calls its wrapped names from worker threads, so the
+    counter is updated under a lock."""
     calls = Counter()
+    lock = threading.Lock()
     for owner, name in targets:
         original = getattr(owner, name)
 
         def counting(*args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
+            with lock:
+                calls[_name] += 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counting)
