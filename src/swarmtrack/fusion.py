@@ -238,7 +238,9 @@ def _axis_gains(
     frame with covariance R). Each step predicts with F = [[1, dt],
     [0, 1]] and white-acceleration Q, then updates with H = I2 and
     R = diag(gps_sigma^2, imu_vel_sigma^2) in Joseph form, as the
-    6-state reference does on each axis block.
+    6-state reference does on each axis block. The gain depends only
+    on the covariance, so once a step leaves (p00, p01, p11) exactly as
+    it found it, every later gain is the last one.
     """
     rg = noise.gps_sigma**2
     rv = noise.imu_vel_sigma**2
@@ -248,6 +250,7 @@ def _axis_gains(
     p00, p01, p11 = rg, 0.0, rv
     gains = []
     for _ in range(1, n):
+        before = (p00, p01, p11)
         # Predict: F P F' + Q.
         p00, p01, p11 = (
             p00 + dt * (p01 + p01) + dt * dt * p11 + q00,
@@ -279,6 +282,9 @@ def _axis_gains(
         if not (p00 > 0 and c > 0 and math.isfinite(p00 + c)):
             raise FusionError("covariance is not positive definite")
         gains.append((k00, k01, k10, k11))
+        if (p00, p01, p11) == before:
+            gains += [gains[-1]] * (n - 1 - len(gains))
+            break
     return gains
 
 

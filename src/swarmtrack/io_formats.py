@@ -5,8 +5,8 @@ binary PGM, byte-exact and reproducible:
 
 * soft masks: binary PGM (magic P5), maxval 255, one byte per pixel,
   value = byte / 255, quantization round-half-up; a mask read back
-  carries the box of its nonzero bytes (``SoftMask.box``), and writing
-  a boxed mask quantizes only the box;
+  is stored as the box of its nonzero bytes (``SoftMask.box`` and
+  ``SoftMask.inner``), and writing a soft mask quantizes only its box;
 * sensor log: CSV with header
   frame,t_s,gps_x_m,gps_y_m,gps_z_m,vx_mps,vy_mps,vz_mps,pitch_deg,yaw_deg,roll_deg,
   read into and written from a ``fusion.SensorLog``;
@@ -263,8 +263,8 @@ def write_mask(mask: SoftMask | BinaryMask, path: Path | str) -> None:
         payload = mask.bits.view(np.uint8) * np.uint8(255)
     else:
         # quantize_mask(0.0) is byte 0, so only the box needs the float pass.
-        payload = np.zeros(mask.values.shape, dtype=np.uint8)
-        payload[mask.box] = quantize_mask(mask.values[mask.box])
+        payload = np.zeros(mask.shape, dtype=np.uint8)
+        payload[mask.box] = quantize_mask(mask.inner)
     h, w = payload.shape
     # write needs a C-ordered buffer; a transposed mask's payload is not.
     with open(path, "wb") as fh:
@@ -318,14 +318,12 @@ def _read_pgm_bytes(path: Path) -> np.ndarray:
 def read_mask(path: Path | str) -> SoftMask:
     """Read a PGM into a SoftMask with values byte/255, boxed to its nonzero bytes.
 
-    Only the box is divided; every other value is the 0.0 that byte 0
-    gives, so the values equal grid / 255.0 bit for bit.
+    Only the box is divided and stored; every other value is the 0.0
+    that byte 0 gives, so the values equal grid / 255.0 bit for bit.
     """
     grid = _read_pgm_bytes(Path(path))
     box = nonzero_box(grid)
-    values = np.zeros(grid.shape)
-    values[box] = grid[box] / 255.0
-    return SoftMask(values, box)
+    return SoftMask.from_box(grid[box] / 255.0, box, grid.shape)
 
 
 def read_binary_mask(path: Path | str, threshold: float = 0.5) -> BinaryMask:
@@ -351,12 +349,6 @@ def mask_sequence_paths(directory: Path | str) -> list[Path]:
                 f"{directory}: expected frame file {i:06d}.pgm, found {p.name}"
             )
     return paths
-
-
-def read_mask_sequence(directory: Path | str):
-    """Generator over the masks of a directory, one frame in memory."""
-    for p in mask_sequence_paths(directory):
-        yield read_mask(p)
 
 
 # -- config JSON -----------------------------------------------------------

@@ -192,7 +192,8 @@ def framewise_centroid_baseline(
     stays annotated.
     Above a threshold of 0 only the mask's box is thresholded; the
     passing pixels come in the same row-major order as on the full
-    frame, so the sums are the same.
+    frame, so the sums are the same. At a threshold of 0 every pixel
+    passes, and the sums run over the whole frame in that order.
     """
     if not (0 <= threshold <= 1):
         raise MetricError(f"threshold must be in [0, 1], got {threshold!r}")
@@ -200,18 +201,21 @@ def framewise_centroid_baseline(
     last: tuple[float, float] | None = None
     n = 0
     for i, mask in enumerate(masks):
-        values = mask.values
-        # The zeros outside a box pass only a threshold of 0.
-        rows, cols = mask.box if threshold > 0 else np.s_[0:, 0:]
-        sub = values[rows, cols]
+        if threshold > 0:
+            sub, r0, c0 = mask.inner, mask.box[0].start, mask.box[1].start
+        else:
+            # The zeros outside the box pass too, and their places set the
+            # order in which the sums add up.
+            sub, r0, c0 = np.zeros(mask.shape), 0, 0
+            sub[mask.box] = mask.inner
         ys, xs = np.nonzero(sub >= threshold)
         w = sub[ys, xs]
-        ys, xs = ys + rows.start, xs + cols.start
+        ys, xs = ys + r0, xs + c0
         total = w.sum()
         if total > 0:
             last = (float(np.dot(w, xs) / total), float(np.dot(w, ys) / total))
         elif last is None:
-            last = ((values.shape[1] - 1) / 2.0, (values.shape[0] - 1) / 2.0)
+            last = ((mask.width - 1) / 2.0, (mask.height - 1) / 2.0)
         points[i] = last
         n += 1
     if n == 0:

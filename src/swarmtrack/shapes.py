@@ -65,10 +65,6 @@ class AlphaShape:
     boundary: np.ndarray
     area: float
 
-    @property
-    def is_empty(self) -> bool:
-        return self.triangles.shape[0] == 0
-
 
 def _circumradius(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Circumradius per triangle, inf for degenerate ones.

@@ -23,9 +23,10 @@ In-frame validation requires the blurred boundary band (3 softness
 violation is a generation error naming the first bad frame, raised
 before any frame is rendered or written.
 
-Each soft mask carries its box (``SoftMask.box``): the render window
-grown by the blur kernel's radius. ``degrade_mask`` blurs only inside
-the box it is given and returns the grown one.
+Each soft mask is stored as its box (``SoftMask.box`` and
+``SoftMask.inner``): the render window grown by the blur kernel's
+radius. ``soften`` and ``degrade_mask`` filter only that block and
+return the grown box with it; no full-frame float array is built.
 """
 
 from __future__ import annotations
@@ -436,53 +437,54 @@ def _blur_box(support: Box, sigma: float, shape: tuple[int, int]) -> Box:
 
 
 def _blur_support(
-    values: np.ndarray,
+    inner: np.ndarray,
+    support: Box,
+    shape: tuple[int, int],
     sigma: float,
     gain: np.ndarray | None = None,
-    support: Box | None = None,
-) -> tuple[np.ndarray, Box]:
+) -> SoftMask:
     """clip(gaussian_filter(values, sigma) [* gain], 0, 1) on the support only.
 
-    values is non-negative and zero outside ``support`` (its nonzero box
-    when not given). Only the support grown by the kernel radius
-    int(4 sigma + 0.5) and clamped to the image is filtered, and that
-    box is returned with the result; every pixel outside it is exactly
-    0. Inside the box each pixel sums the same taps in the same order as
-    the full-frame filter: where the box stops short of the image edge
+    The frame ``values`` of ``shape`` holds ``inner`` inside ``support``
+    and 0.0 elsewhere, with inner >= 0. Only the support grown by the kernel
+    radius int(4 sigma + 0.5) and clamped to the frame is filtered, and
+    the result is that box's block; every pixel outside it is exactly 0.
+    Inside the box each pixel sums the same taps in the same order as
+    the full-frame filter: where the box stops short of the frame edge
     its reflect boundary reads only the zero margin, so the result is
-    byte-identical to the full-frame one for any finite gain >= 0 and
-    any support that holds the nonzeros. The first (row-wise) pass runs
-    on the support's columns only, since every other column is zero in
-    and zero out.
+    byte-identical to the full-frame one for any finite gain >= 0. The
+    first (row-wise) pass runs on the support's columns only, since
+    every other column is zero in and zero out.
     """
-    if gain is not None and gain.shape != values.shape:
-        raise ValueError(
-            f"gain field {gain.shape} does not match mask {values.shape}"
-        )
-    out = np.zeros(values.shape, dtype=float)
-    if support is None:
-        support = nonzero_box(values)
+    if gain is not None and gain.shape != tuple(shape):
+        raise ValueError(f"gain field {gain.shape} does not match mask {tuple(shape)}")
     if any(s.start >= s.stop for s in support):
-        return out, (slice(0, 0), slice(0, 0))
-    box = _blur_box(support, sigma, values.shape)
-    block = values[box].astype(float)
+        return SoftMask.from_box(np.zeros((0, 0)), (slice(0, 0), slice(0, 0)), shape)
+    box = _blur_box(support, sigma, shape)
     if sigma > 0:
-        cols = slice(support[1].start - box[1].start, support[1].stop - box[1].start)
-        rowwise = np.zeros(block.shape)
-        rowwise[:, cols] = ndimage.gaussian_filter1d(block[:, cols], sigma, axis=0)
-        block = ndimage.gaussian_filter1d(rowwise, sigma, axis=1)
+        (rows, cols), (r0, c0) = support, (box[0].start, box[1].start)
+        columns = np.zeros((box[0].stop - r0, cols.stop - cols.start))
+        columns[rows.start - r0 : rows.stop - r0] = inner
+        block = np.zeros((box[0].stop - r0, box[1].stop - c0))
+        block[:, cols.start - c0 : cols.stop - c0] = ndimage.gaussian_filter1d(
+            columns, sigma, axis=0
+        )
+        block = ndimage.gaussian_filter1d(block, sigma, axis=1)
+    else:
+        block = inner.astype(float)  # a copy: the caller's inner stays as it is
     if gain is not None:
         block *= gain[box]
-    np.clip(block, 0.0, 1.0, out=out[box])
-    return out, box
+    return SoftMask.from_box(np.clip(block, 0.0, 1.0, out=block), box, shape)
 
 
-def soften(binary: np.ndarray, softness: float, support: Box | None = None) -> np.ndarray:
+def soften(binary: np.ndarray, softness: float, support: Box | None = None) -> SoftMask:
     """Blur a binary interior into a soft mask; softness 0 passes through.
 
     support, when given, is a box holding every True pixel.
     """
-    return _blur_support(binary, softness, support=support)[0]
+    if support is None:
+        support = nonzero_box(binary)
+    return _blur_support(binary[support], support, binary.shape, softness)
 
 
 def _render(
@@ -494,8 +496,7 @@ def _render(
 ) -> tuple[SoftMask, np.ndarray]:
     """Soft observation mask, boxed, and the exact binary interior."""
     binary = _render_binary(components, pose, intr, window)
-    box = _blur_box(window, softness, binary.shape)
-    return SoftMask(soften(binary, softness, window), box), binary
+    return soften(binary, softness, window), binary
 
 
 def render_frame(
@@ -690,7 +691,7 @@ def degrade_mask(
     """
     if blur_sigma < 0:
         raise ValueError(f"blur_sigma must be >= 0, got {blur_sigma}")
-    return SoftMask(*_blur_support(mask.values, blur_sigma, gain, mask.box))
+    return _blur_support(mask.inner, mask.box, mask.shape, blur_sigma, gain)
 
 
 # -- marker runs ---------------------------------------------------------

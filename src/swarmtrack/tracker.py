@@ -88,49 +88,84 @@ def nonzero_box(values: np.ndarray) -> Box:
     return slice(r0, r1), slice(int(cols[0]), int(cols[-1]) + 1)
 
 
-@dataclass
 class SoftMask:
-    """Per-pixel swarm presence in [0, 1], shape (height, width).
+    """Per-pixel swarm presence in [0, 1] on a frame of ``shape`` (height, width).
 
-    ``box`` is a (rows, cols) pair of step-1 slices outside which every
-    value is exactly 0.0, so ``values[box]`` holds the whole support.
-    Producers that know it pass it in (``io_formats.read_mask``, the
-    scenario renderer, ``synth.degrade_mask``); left out, it is worked
-    out as ``nonzero_box(values)``. Consumers then read, threshold, blur
-    and quantize only the box, and only the box is range-checked: a
-    derived box holds every NaN and out-of-range value too.
+    Only the box is stored. ``box`` is a (rows, cols) pair of step-1
+    slices outside which every value is exactly 0.0, and ``inner`` holds
+    the values inside it. The stored block is the box grown by a
+    one-pixel ring of zeros, clamped to the frame, so that a bilinear
+    read next to the box finds the zeros it would find on the full frame.
+
+    ``SoftMask(values, box=None)`` takes a full-frame array; left out,
+    the box is ``nonzero_box(values)``, which holds every NaN and
+    out-of-range value too. ``SoftMask.from_box(inner, box, shape)`` is
+    the path of producers that already hold the box's values
+    (``io_formats.read_mask``, ``synth.soften``, ``synth.degrade_mask``).
+    Both range-check the box only, with the full frame's message.
+    ``values`` builds the full frame on demand, as a read-only copy.
     """
 
-    values: np.ndarray
-    box: Box | None = None  # set to nonzero_box(values) when left out
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError(f"mask must be 2-D, got shape {self.values.shape}")
-        if self.values.size == 0:
+    def __init__(self, values, box: Box | None = None) -> None:
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 2:
+            raise ValueError(f"mask must be 2-D, got shape {values.shape}")
+        if values.size == 0:
             raise ValueError("mask must be non-empty")
-        if self.box is None:
-            self.box = nonzero_box(self.values)
-        inner = self.values[self.box]
+        if box is None:
+            box = nonzero_box(values)
+        self._store(values[box], box, values.shape)
+
+    @classmethod
+    def from_box(cls, inner: np.ndarray, box: Box, shape: tuple[int, int]) -> SoftMask:
+        """The mask of frame ``shape`` that is ``inner`` inside ``box`` and 0 outside."""
+        mask = cls.__new__(cls)
+        mask._store(np.asarray(inner, dtype=float), box, shape)
+        return mask
+
+    def _store(self, inner: np.ndarray, box: Box, shape: tuple[int, int]) -> None:
+        h, w = shape
+        if not all(0 <= s.start <= s.stop <= n for s, n in zip(box, shape)):
+            raise ValueError(f"mask box {box} does not fit a {w}x{h} frame")
+        if inner.shape != (box[0].stop - box[0].start, box[1].stop - box[1].start):
+            raise ValueError(f"mask box {box} does not match values of shape {inner.shape}")
         # NaN propagates through min and max, so finite extremes mean a
         # finite mask.
         lo, hi = (float(inner.min()), float(inner.max())) if inner.size else (0.0, 0.0)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("mask contains non-finite values")
-        if inner.size < self.values.size:
+        if inner.size < h * w:
             # The zeros outside the box, so the message is the full frame's.
             lo, hi = min(lo, 0.0), max(hi, 0.0)
         if lo < 0.0 or hi > 1.0:
             raise ValueError(f"mask values must lie in [0, 1], got [{lo}, {hi}]")
+        ring = tuple(
+            slice(max(s.start - 1, 0), min(s.stop + 1, n)) for s, n in zip(box, shape)
+        )
+        block = np.zeros((ring[0].stop - ring[0].start, ring[1].stop - ring[1].start))
+        at = tuple(slice(s.start - r.start, s.stop - r.start) for s, r in zip(box, ring))
+        block[at] = inner
+        block.flags.writeable = False
+        self.shape = (h, w)
+        self.box = box
+        self.inner = block[at]
+        self._ring = ring
+        self._block = block
+
+    @property
+    def values(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self._ring] = self._block
+        out.flags.writeable = False
+        return out
 
     @property
     def width(self) -> int:
-        return self.values.shape[1]
+        return self.shape[1]
 
     @property
     def height(self) -> int:
-        return self.values.shape[0]
+        return self.shape[0]
 
 
 @dataclass
@@ -204,26 +239,39 @@ def predict(
     return ParticleSet(xy, ps.weights.copy(), ps.rng)
 
 
-def sample_bilinear(values: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bilinear read of a (h, w) array at float positions, 0 outside.
+def sample_bilinear(mask: SoftMask, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bilinear read of a mask at float positions, 0 outside the frame.
 
     Positions are corner-origin pixels; integer coordinates hit pixel
-    values exactly. Outside [0, w-1] x [0, h-1] the result is 0.
+    values exactly. Outside [0, w-1] x [0, h-1] the result is 0. The
+    four neighbours are found on the frame, then clipped into the stored
+    block: a neighbour outside it lies outside the box, and the clip
+    lands it on the zero ring, so every read equals the full frame's.
     """
-    h, w = values.shape
+    h, w = mask.shape
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    inside = (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
     xc = np.clip(x, 0, w - 1)
     yc = np.clip(y, 0, h - 1)
-    x0 = np.clip(np.floor(xc).astype(int), 0, max(w - 2, 0))
-    y0 = np.clip(np.floor(yc).astype(int), 0, max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    # A clip that moves the position (or a NaN) puts it outside.
+    inside = (xc == x) & (yc == y)
+    # Integer clips as maximum then minimum: np.clip costs twice as much.
+    x0 = np.minimum(np.maximum(np.floor(xc).astype(int), 0), max(w - 2, 0))
+    y0 = np.minimum(np.maximum(np.floor(yc).astype(int), 0), max(h - 2, 0))
     fx = xc - x0
     fy = yc - y0
-    top = values[y0, x0] * (1 - fx) + values[y0, x1] * fx
-    bot = values[y1, x0] * (1 - fx) + values[y1, x1] * fx
+    rows, cols = mask._ring
+    bh, bw = mask._block.shape
+    # x1 = min(x0 + 1, w - 1) differs from x0 + 1 only at x0 = w - 1,
+    # where the block's last column is w - 1 too.
+    c0 = np.minimum(np.maximum(x0 - cols.start, 0), bw - 1)
+    c1 = np.minimum(np.maximum(x0 + (1 - cols.start), 0), bw - 1)
+    r0 = np.minimum(np.maximum(y0 - rows.start, 0), bh - 1) * bw
+    r1 = np.minimum(np.maximum(y0 + (1 - rows.start), 0), bh - 1) * bw
+    flat = mask._block.ravel()
+    gx = 1 - fx
+    top = flat[r0 + c0] * gx + flat[r0 + c1] * fx
+    bot = flat[r1 + c0] * gx + flat[r1 + c1] * fx
     out = top * (1 - fy) + bot * fy
     return np.where(inside, out, 0.0)
 
@@ -236,7 +284,7 @@ def update_weights(
     Raises TrackLostError when the total likelihood is zero; the caller
     decides whether to flag the frame and keep a uniform belief.
     """
-    like = sample_bilinear(mask.values, ps.xy[:, 0], ps.xy[:, 1])
+    like = sample_bilinear(mask, ps.xy[:, 0], ps.xy[:, 1])
     if exponent != 1.0:
         like = like**exponent
     total = float(like.sum())

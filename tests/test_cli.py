@@ -1,6 +1,8 @@
 """Command-line interface: file outputs, exit codes, error channels."""
 import json
 import math
+import shutil
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +368,77 @@ class TestTrack:
             "--config", cfg, "--out", tmp_path / "o",
         )
         assert code == 1 and "not a directory" in err
+
+
+def _break_input(fault: str, masks: Path, sensors: Path, tmp: Path) -> Path:
+    """Apply one fault to a copied mask directory or to a copy of the log;
+    returns the sensor log to track with."""
+    frame20 = masks / "000020.pgm"
+    header, *rows = sensors.read_text().splitlines()
+    if fault == "truncated-pgm":
+        frame20.write_bytes(frame20.read_bytes()[:3000])
+    elif fault == "small-mask":
+        grid = io_formats.quantize_mask(read_mask(frame20).values[::2, ::2])
+        frame20.write_bytes(b"P5\n320 180\n255\n" + grid.tobytes())
+    elif fault == "missing-mask":
+        frame20.unlink()
+    elif fault == "nan-gps":
+        fields = rows[20].split(",")
+        fields[header.split(",").index("gps_x_m")] = "nan"
+        rows[20] = ",".join(fields)
+    elif fault == "swapped-rows":
+        rows[10], rows[11] = rows[11], rows[10]
+    elif fault == "half-log":
+        rows = rows[: len(rows) // 2]
+    if fault in ("nan-gps", "swapped-rows", "half-log"):
+        sensors = tmp / "sensors.csv"
+        sensors.write_text("\n".join([header, *rows]) + "\n")
+    return sensors
+
+
+class TestTrackFaults:
+    """Bad input on a 40-frame cut of the default scenario: track exits 1
+    with one error line, no traceback, and creates no --out directory."""
+
+    @pytest.fixture(scope="class")
+    def default_cut(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("default-cut")
+        doc = json.loads(
+            resources.files("swarmtrack.data").joinpath("default_scenario.json").read_text()
+        )
+        doc["duration"] = 40
+        cfg = write_json(root / "scenario.json", doc)
+        assert invoke_cli("simulate", "--config", cfg, "--out", root / "sim") == 0
+        return root / "sim"
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("truncated-pgm", "000020.pgm: byte 15: payload truncated"),
+            ("small-mask", "frame 20: mask is 320x180, intrinsics say 640x360"),
+            ("missing-mask", "expected frame file 000020.pgm, found 000021.pgm"),
+            ("nan-gps", "sensors.csv:22: column 'gps_x_m': non-finite value"),
+            ("swapped-rows", "sensors.csv:13: time"),
+            ("half-log", "40 frames at 15.0 fps need 2.600s of log but it ends at 1.267s"),
+        ],
+    )
+    def test_exits_1_with_one_error_line_and_no_output(
+        self, default_cut, tmp_path, run_cli, fault, message
+    ):
+        masks = tmp_path / "masks"
+        shutil.copytree(default_cut / "masks", masks)
+        sensors = _break_input(fault, masks, default_cut / "sensors.csv", tmp_path)
+        out = tmp_path / "o"
+        cfg = resources.files("swarmtrack.data").joinpath("default_run.json")
+        with resources.as_file(cfg) as run_cfg:
+            code, _, err = run_cli(
+                "track", "--masks", masks, "--sensors", sensors,
+                "--config", run_cfg, "--out", out,
+            )
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert code == 1 and len(errors) == 1 and message in errors[0], err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestProject:

@@ -10,6 +10,7 @@ from swarmtrack.fusion import (
     NoiseConfig,
     SensorLog,
     SensorRecord,
+    _axis_gains,
     _frame_arrays,
     dead_reckoning_poses,
     fuse_log,
@@ -585,3 +586,65 @@ class TestFuseLogOracle:
         )
         self.check(log, NOISE, 15.0)
         self.check(log, NOISE, 15.0, n_frames=1, alpha=0.3)
+
+
+def reference_axis_gains(n, dt, noise):
+    """Every step of the per-axis gain recursion, with no early stop, and
+    the first step after which the covariance state repeated (or None)."""
+    rg, rv = noise.gps_sigma**2, noise.imu_vel_sigma**2
+    s2 = noise.process_accel_sigma**2
+    q00, q01, q11 = s2 * dt**4 / 4.0, s2 * dt**3 / 2.0, s2 * dt**2
+    p00, p01, p11 = rg, 0.0, rv
+    gains, repeated = [], None
+    for step in range(1, n):
+        before = (p00, p01, p11)
+        p00, p01, p11 = (
+            p00 + dt * (p01 + p01) + dt * dt * p11 + q00,
+            p01 + dt * p11 + q01,
+            p11 + q11,
+        )
+        s00 = p00 + rg
+        l = p01 / s00
+        c = p11 + rv - l * p01
+        k01, k11 = (p01 - l * p00) / c, (p11 - l * p01) / c
+        k00, k10 = p00 / s00 - l * k01, p01 / s00 - l * k11
+        a00, a01, a10, a11 = 1.0 - k00, -k01, -k10, 1.0 - k11
+        b00, b01 = a00 * p00 + a01 * p01, a00 * p01 + a01 * p11
+        b10, b11 = a10 * p00 + a11 * p01, a10 * p01 + a11 * p11
+        c01 = b00 * a10 + b01 * a11 + k00 * k10 * rg + k01 * k11 * rv
+        c10 = b10 * a00 + b11 * a01 + k10 * k00 * rg + k11 * k01 * rv
+        p00 = b00 * a00 + b01 * a01 + k00 * k00 * rg + k01 * k01 * rv
+        p11 = b10 * a10 + b11 * a11 + k10 * k10 * rg + k11 * k11 * rv
+        p01 = 0.5 * (c01 + c10)
+        gains.append((k00, k01, k10, k11))
+        if repeated is None and (p00, p01, p11) == before:
+            repeated = step
+    return gains, repeated
+
+
+class TestGainFixedPoint:
+    """_axis_gains stops once the covariance state repeats and fills in the
+    last gain; every gain equals the full recursion's, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "sigmas, fps, repeats",
+        [((0.5, 0.2, 1.0), 15.0, True), ((0.5, 0.2, 1.0), 30.0, True),
+         ((0.5, 0.05, 2.0), 15.0, False)],
+        ids=["bundled-15fps", "bundled-30fps", "slow-15fps"],
+    )
+    def test_equals_full_recursion(self, sigmas, fps, repeats):
+        noise = NoiseConfig(*sigmas)
+        want, repeated = reference_axis_gains(5000, 1.0 / fps, noise)
+        # The stop is taken on the bundled noise and never on the slow one.
+        assert (repeated is not None) == repeats
+        for n in (1, 2, 810, 5000) + ((repeated, repeated + 1, repeated + 2) if repeats else ()):
+            got = _axis_gains(n, 1.0 / fps, noise)
+            assert np.array(got).tobytes() == np.array(want[: n - 1]).reshape(-1, 4).tobytes()
+
+    def test_bundled_noise_settles_within_a_marker_run(self):
+        # With the bundled noise at 15 fps the state first repeats at step
+        # 642, so the gains are constant from index 641 of the 809 a
+        # marker run's 810 frames take.
+        gains, repeated = reference_axis_gains(810, 1.0 / 15.0, NoiseConfig())
+        assert repeated == 642
+        assert gains[640] != gains[641] and len(set(gains[641:])) == 1

@@ -16,7 +16,6 @@ from swarmtrack.io_formats import (
     quantize_mask,
     read_binary_mask,
     read_mask,
-    read_mask_sequence,
     read_poses,
     read_sensor_log,
     read_trajectory,
@@ -242,7 +241,7 @@ class TestMasks:
     def test_sequence_reads_in_frame_order(self, tmp_path):
         for i in range(3):
             write_mask(SoftMask(np.full((2, 2), i / 255.0)), tmp_path / f"{i:06d}.pgm")
-        seq = list(read_mask_sequence(tmp_path))
+        seq = [read_mask(p) for p in mask_sequence_paths(tmp_path)]
         assert [m.values[0, 0] for m in seq] == [0.0, 1 / 255, 2 / 255]
 
     def test_empty_directory_rejected(self, tmp_path):

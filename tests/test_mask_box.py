@@ -1,6 +1,9 @@
 """SoftMask.box: every producer's box holds the support, every consumer
-that reads only the box gives the full-frame result byte for byte."""
+that reads only the box gives the full-frame result byte for byte, and a
+mask stores its box (with a one-pixel zero ring) and nothing else."""
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -15,7 +18,8 @@ from swarmtrack.synth import (
     degrade_mask,
     generate,
 )
-from swarmtrack.tracker import SoftMask, nonzero_box
+from swarmtrack.tracker import SoftMask, nonzero_box, sample_bilinear
+from tests.conftest import invoke_cli, write_json
 from tests.test_synth import _full_frame, _support_masks, make_config
 
 SIGMAS = [0.0, 1.0, 8.0, 13.7]
@@ -230,3 +234,129 @@ def test_scenario_masks_round_trip_through_disk_with_tight_box(tmp_path):
         back = read_mask(path)
         assert back.box == nonzero_box(quantize_mask(mask.values))
         assert path.read_bytes() == _pgm(mask.values)
+
+
+def _reference_bilinear(values, x, y):
+    """Bilinear read of the full (h, w) frame at float positions, 0 outside."""
+    h, w = values.shape
+    inside = (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
+    xc = np.clip(x, 0, w - 1)
+    yc = np.clip(y, 0, h - 1)
+    x0 = np.clip(np.floor(xc).astype(int), 0, max(w - 2, 0))
+    y0 = np.clip(np.floor(yc).astype(int), 0, max(h - 2, 0))
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = xc - x0
+    fy = yc - y0
+    top = values[y0, x0] * (1 - fx) + values[y0, x1] * fx
+    bot = values[y1, x0] * (1 - fx) + values[y1, x1] * fx
+    out = top * (1 - fy) + bot * fy
+    return np.where(inside, out, 0.0)
+
+
+def _probe_positions(rng, box, shape):
+    """Random positions over and around the frame, plus every line that
+    matters: the box edges, the ring, the frame edges and just beyond."""
+    h, w = shape
+    xs = [rng.uniform(-3.0, w + 2.0, 400)]
+    ys = [rng.uniform(-3.0, h + 2.0, 400)]
+    # (coordinate lists on the line, its box slice and frame size; the
+    # other coordinate's lists and frame size)
+    for on, s, n, across, m in ((xs, box[1], w, ys, h), (ys, box[0], h, xs, w)):
+        for e in (s.start - 1, s.start, s.stop - 1, s.stop, 0, n - 1):
+            for d in (-1.0, -0.5, -1e-9, 0.0, 1e-9, 0.25, 0.5, 1.0):
+                on.append(np.full(40, e + d))
+                across.append(rng.uniform(-2.0, m + 1.0, 40))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+class TestBoxedSampler:
+    def test_bitwise_equal_to_full_frame_read(self):
+        rng = np.random.default_rng(11)
+        n_masks = 0
+        for values in _support_masks(rng):
+            mask = SoftMask(values)
+            x, y = _probe_positions(rng, mask.box, values.shape)
+            got = sample_bilinear(mask, x, y)
+            assert got.tobytes() == _reference_bilinear(values, x, y).tobytes()
+            n_masks += 1
+        assert n_masks == 44  # edges, corners, a pixel and an empty mask per size
+
+    def test_box_touching_each_frame_edge(self):
+        rng = np.random.default_rng(12)
+        h, w = 30, 50
+        for box in ((slice(0, 8), slice(20, 30)), (slice(22, 30), slice(20, 30)),
+                    (slice(10, 20), slice(0, 7)), (slice(10, 20), slice(43, 50)),
+                    (slice(0, 30), slice(0, 50))):
+            values = np.zeros((h, w))
+            values[box] = rng.uniform(0.05, 1.0, values[box].shape)
+            mask = SoftMask.from_box(values[box], box, (h, w))
+            x, y = _probe_positions(rng, box, (h, w))
+            got = sample_bilinear(mask, x, y)
+            assert got.tobytes() == _reference_bilinear(values, x, y).tobytes()
+
+    def test_empty_mask_reads_zero_everywhere(self):
+        rng = np.random.default_rng(13)
+        mask = SoftMask(np.zeros((9, 14)))
+        x, y = _probe_positions(rng, mask.box, (9, 14))
+        assert sample_bilinear(mask, x, y).tobytes() == np.zeros(x.size).tobytes()
+
+
+def _owned_floats(mask):
+    """Floats in the arrays a mask owns (views of them count once)."""
+    return sum(a.size for a in vars(mask).values()
+               if isinstance(a, np.ndarray) and a.base is None)
+
+
+class TestBoxedStorage:
+    def test_read_mask_holds_its_box_and_a_ring(self, tmp_path):
+        # A cut of the bundled degradation scenario, as the robustness
+        # study reads it from disk.
+        doc = json.loads(
+            resources.files("swarmtrack.data")
+            .joinpath("degradation_scenario.json").read_text()
+        )
+        doc["duration"] = 3
+        cfg = write_json(tmp_path / "scenario.json", doc)
+        assert invoke_cli("simulate", "--config", cfg, "--out", tmp_path / "sim") == 0
+        for path in io_formats.mask_sequence_paths(tmp_path / "sim" / "masks"):
+            mask = read_mask(path)
+            h_box, w_box = mask.inner.shape
+            assert 0 < h_box * w_box < mask.width * mask.height // 10
+            assert _owned_floats(mask) <= (h_box + 2) * (w_box + 2)
+
+    def test_values_is_a_read_only_frame_built_on_demand(self):
+        values = np.zeros((7, 9))
+        values[2:4, 3:6] = 0.5
+        mask = SoftMask(values)
+        assert _owned_floats(mask) == 4 * 5
+        full = mask.values
+        assert full.tobytes() == values.tobytes() and not full.flags.writeable
+        assert mask.values is not full
+        with pytest.raises(AttributeError):
+            mask.values = values
+        assert mask.inner.tobytes() == values[2:4, 3:6].tobytes()
+
+    def test_from_box_equals_full_frame_constructor(self):
+        rng = np.random.default_rng(14)
+        for values in _support_masks(rng):
+            box = nonzero_box(values)
+            fast = SoftMask.from_box(values[box], box, values.shape)
+            assert fast.box == box and fast.shape == values.shape
+            assert fast.values.tobytes() == SoftMask(values).values.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.01, 1.01])
+    def test_from_box_rejects_with_full_frame_message(self, bad):
+        values = np.zeros((6, 9))
+        values[2:4, 3:7] = 0.5
+        values[3, 5] = bad
+        box = (slice(2, 4), slice(3, 7))
+        with pytest.raises(ValueError) as err:
+            SoftMask.from_box(values[box], box, values.shape)
+        assert str(err.value) == _full_frame_message(values)
+
+    def test_from_box_rejects_a_box_that_does_not_fit(self):
+        with pytest.raises(ValueError, match="does not fit a 9x6 frame"):
+            SoftMask.from_box(np.zeros((2, 2)), (slice(5, 7), slice(0, 2)), (6, 9))
+        with pytest.raises(ValueError, match="does not match values of shape"):
+            SoftMask.from_box(np.zeros((1, 2)), (slice(0, 2), slice(0, 2)), (6, 9))

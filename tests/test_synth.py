@@ -110,8 +110,8 @@ class TestRendering:
     def test_soften_preserves_binary_when_zero(self):
         binary = np.zeros((8, 8))
         binary[3:5, 3:5] = 1.0
-        np.testing.assert_array_equal(soften(binary, 0.0), binary)
-        soft = soften(binary, 1.0)
+        np.testing.assert_array_equal(soften(binary, 0.0).values, binary)
+        soft = soften(binary, 1.0).values
         assert soft.max() <= 1.0 and soft.min() >= 0.0
         assert 0 < soft[2, 3] < 1  # mass leaked outside the square
 
@@ -317,7 +317,7 @@ class TestWindowedBlur:
         rng = np.random.default_rng(int(sigma * 10))
         for values in _support_masks(rng):
             binary = values > 0
-            assert soften(binary, sigma).tobytes() == _full_frame(binary, sigma).tobytes()
+            assert soften(binary, sigma).values.tobytes() == _full_frame(binary, sigma).tobytes()
 
 
 class TestMarkerRuns:

@@ -109,18 +109,18 @@ class TestPredict:
 class TestBilinear:
     def test_integer_positions_hit_pixels_exactly(self):
         values = np.arange(12, dtype=float).reshape(3, 4) / 11.0
-        got = sample_bilinear(values, np.array([2.0]), np.array([1.0]))
+        got = sample_bilinear(SoftMask(values), np.array([2.0]), np.array([1.0]))
         assert got[0] == values[1, 2]
 
     def test_midpoint_of_adjacent_pixels_averages(self):
         values = np.zeros((2, 2))
         values[0, 1] = 1.0
-        got = sample_bilinear(values, np.array([0.5]), np.array([0.0]))
+        got = sample_bilinear(SoftMask(values), np.array([0.5]), np.array([0.0]))
         assert got[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_outside_image_reads_zero(self):
         values = np.ones((4, 4))
-        got = sample_bilinear(values, np.array([-0.1, 3.1]), np.array([0.0, 0.0]))
+        got = sample_bilinear(SoftMask(values), np.array([-0.1, 3.1]), np.array([0.0, 0.0]))
         assert got[0] == 0.0 and got[1] == 0.0
 
 
