@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io_formats, synth
-from .fusion import FusionError, NoiseConfig, check_orientation_alpha, fuse_log
+from .fusion import ORIENTATION_ALPHA, FusionError, NoiseConfig, check_orientation_alpha, fuse_log
 from .geometry import GeometryError, Intrinsics, PixelPoint, backproject_image_to_ground
 from .io_formats import FormatError, RunConfig
 from .metrics import (
@@ -513,6 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
         "in a particle filter.",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--log-level", default="info", choices=("debug", "info", "warning", "error"),
+                        help="least severe log lines shown on standard error (default: info)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic scenario directory")
@@ -528,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gps-sigma", type=float, default=NoiseConfig.gps_sigma, help="GPS noise std, m")
     p.add_argument("--imu-vel-sigma", type=float, default=NoiseConfig.imu_vel_sigma, help="IMU velocity noise std, m/s")
     p.add_argument("--process-accel-sigma", type=float, default=NoiseConfig.process_accel_sigma, help="process accel std, m/s^2")
-    p.add_argument("--orientation-alpha", type=float, default=RunConfig.orientation_alpha, help="attitude EMA factor (1 = pass-through)")
+    p.add_argument("--orientation-alpha", type=float, default=ORIENTATION_ALPHA, help="attitude EMA factor (1 = pass-through)")
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("track", help="run the particle filter over a mask directory")
@@ -565,11 +567,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    # A no-op when the root logger already has a handler (an embedding program's).
     logging.basicConfig(
-        stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s"
+        stream=sys.stderr, level=args.log_level.upper(), format="%(levelname)s %(message)s"
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as e:

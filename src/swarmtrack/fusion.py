@@ -207,6 +207,10 @@ def _frame_arrays(
     return frame_t, interp[:, :6], interp[:, 6:]
 
 
+# The attitude EMA factor's default: 1 passes the logged attitude through.
+ORIENTATION_ALPHA = 1.0
+
+
 def check_orientation_alpha(alpha: float, name: str = "orientation_alpha") -> None:
     """Raise FusionError unless the attitude EMA factor is in (0, 1].
 
@@ -293,7 +297,7 @@ def fuse_log(
     noise: NoiseConfig,
     fps: float,
     n_frames: int | None = None,
-    orientation_alpha: float = 1.0,
+    orientation_alpha: float = ORIENTATION_ALPHA,
 ) -> Poses:
     """Kalman-fused camera pose per frame.
 

@@ -32,7 +32,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 
 class GeometryError(ValueError):
@@ -348,6 +347,7 @@ def motion_between_poses(
     r_wc_prev = rotation_world_to_camera(prev)
     linear = r_wc_prev @ ((curr.position - prev.position) / dt)
     rel = r_wc_prev @ rotation_camera_to_world(curr)
+    from scipy.spatial.transform import Rotation  # loaded on first use: only tracking needs it
     angular = Rotation.from_matrix(rel).as_rotvec() / dt
     return CameraMotion(
         (float(linear[0]), float(linear[1]), float(linear[2])),

@@ -37,7 +37,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .fusion import NoiseConfig, SensorLog, check_orientation_alpha
+from .fusion import ORIENTATION_ALPHA, NoiseConfig, SensorLog, check_orientation_alpha
 from .geometry import Poses
 from .shapes import BinaryMask
 from .tracker import SoftMask, TrackerConfig, nonzero_box
@@ -368,7 +368,7 @@ class RunConfig:
     focal_px: float
     cx: float | None = None
     cy: float | None = None
-    orientation_alpha: float = 1.0
+    orientation_alpha: float = ORIENTATION_ALPHA
     alpha_px: float | None = None
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)

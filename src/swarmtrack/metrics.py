@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .shapes import BinaryMask
 
@@ -158,6 +157,16 @@ class MaskScoreAccumulator:
         return len(self.per_frame)
 
 
+def _pair_distances(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """|points[i] - points[j]| summed coordinate by coordinate as scipy's
+    pdist does, so over np.triu_indices(n, 1) it equals pdist bit for bit."""
+    sq = np.zeros(len(i))
+    for c in points.T:
+        d = c[i] - c[j]
+        sq += d * d
+    return np.sqrt(sq, out=sq)
+
+
 def relative_distance_error(
     pred: np.ndarray, ref: np.ndarray
 ) -> tuple[float, float]:
@@ -176,7 +185,8 @@ def relative_distance_error(
         raise MetricError(f"expected (n, 2) or (n, 3) points, got {p.shape}")
     if p.shape[0] < 2:
         raise MetricError("need at least 2 points for pairwise distances")
-    errors = np.abs(pdist(p) - pdist(r))
+    i, j = np.triu_indices(len(p), 1)
+    errors = np.abs(_pair_distances(p, i, j) - _pair_distances(r, i, j))
     return float(errors.mean()), float(errors.std())
 
 

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay, cKDTree
 
 
 class ShapeError(ValueError):
@@ -119,6 +118,7 @@ def alpha_shape(points: np.ndarray, alpha: float) -> AlphaShape:
         raise ShapeError(
             f"need at least 3 distinct points for an alpha shape, got {pts.shape[0]}"
         )
+    from scipy.spatial import Delaunay  # loaded on first use: runs that draw no outline skip it
     try:
         tri = Delaunay(pts)
     except Exception as exc:
@@ -154,6 +154,7 @@ def default_alpha(points: np.ndarray) -> float:
     pts = _dedup(np.asarray(points, dtype=float))
     if pts.shape[0] < 2:
         raise ShapeError("need at least 2 distinct points for a default alpha")
+    from scipy.spatial import cKDTree  # loaded on first use: runs that draw no outline skip it
     tree = cKDTree(pts)
     dist, _ = tree.query(pts, k=2)
     med = float(np.median(dist[:, 1]))

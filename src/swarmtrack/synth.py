@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from . import io_formats
 from .fusion import NoiseConfig, SensorLog
@@ -462,6 +461,7 @@ def _blur_support(
         return SoftMask.from_box(np.zeros((0, 0)), (slice(0, 0), slice(0, 0)), shape)
     box = _blur_box(support, sigma, shape)
     if sigma > 0:
+        from scipy import ndimage  # loaded on first use: only rendering blurs
         (rows, cols), (r0, c0) = support, (box[0].start, box[1].start)
         columns = np.zeros((box[0].stop - r0, cols.stop - cols.start))
         columns[rows.start - r0 : rows.stop - r0] = inner
@@ -663,6 +663,7 @@ def make_gain_field(
     """
     if gain_sigma < 0 or scale_px <= 0:
         raise ValueError("gain_sigma must be >= 0 and scale_px > 0")
+    from scipy import ndimage  # loaded on first use: only degradation draws a field
     ch = max(2, int(math.ceil(height / scale_px)) + 1)
     cw = max(2, int(math.ceil(width / scale_px)) + 1)
     coarse = rng.standard_normal((ch, cw))

@@ -1,7 +1,10 @@
 """Command-line interface: file outputs, exit codes, error channels."""
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -582,6 +585,32 @@ class TestNonFiniteFlags:
         assert code == 2 and len(errors) == 1 and message in errors[0]
         assert "Traceback" not in err
         assert not out.exists()
+
+
+def _fuse_stderr(scenario_dir: Path, out: Path, *flags: str) -> str:
+    """Standard error of ``fuse`` in a fresh interpreter: in process the
+    test runner's own log handler would turn basicConfig into a no-op."""
+    env = {**os.environ, "PYTHONPATH": str(Path(swarmtrack.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "swarmtrack", *flags, "fuse",
+         "--sensors", str(scenario_dir / "sensors.csv"), "--fps", "15", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr
+
+
+class TestLogLevel:
+    def test_default_prints_info_lines(self, scenario_dir, tmp_path):
+        out = tmp_path / "fuse"
+        assert _fuse_stderr(scenario_dir, out) == f"INFO fused 45 poses -> {out / 'fused_poses.csv'}\n"
+
+    def test_warning_silences_info_lines(self, scenario_dir, tmp_path):
+        assert _fuse_stderr(scenario_dir, tmp_path / "fuse", "--log-level", "warning") == ""
+
+    def test_unknown_level_exits_2(self, run_cli, tmp_path):
+        code, _, err = run_cli("--log-level", "loud", "selftest")
+        assert code == 2 and "--log-level" in err
 
 
 class TestEntryPoint:

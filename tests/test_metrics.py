@@ -1,7 +1,10 @@
 """Evaluation metrics: SDR, mask overlap scores, distance consistency."""
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
+from swarmtrack import fusion, metrics
+from swarmtrack.geometry import Intrinsics, backproject_pixels
 from swarmtrack.metrics import (
     MaskScoreAccumulator,
     MetricError,
@@ -11,6 +14,7 @@ from swarmtrack.metrics import (
     relative_distance_error,
     sdr,
 )
+from swarmtrack.synth import generate_marker_run
 from swarmtrack.tracker import SoftMask
 
 
@@ -202,6 +206,54 @@ class TestRelativeDistanceError:
             relative_distance_error(pts[:1], pts[:1])
         with pytest.raises(MetricError):
             relative_distance_error(np.zeros(3), np.zeros(3))
+
+
+def _numpy_pdist(points: np.ndarray) -> np.ndarray:
+    return metrics._pair_distances(points, *np.triu_indices(len(points), 1))
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestPairDistancesOracle:
+    """The numpy pair distances equal scipy's pdist bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bitwise_equal_to_pdist_over_sizes_and_scales(self, dim):
+        rng = np.random.default_rng(dim)
+        for n in range(2, 61):
+            for scale in np.logspace(-3, 5, 9):
+                pts = rng.normal(size=(n, dim)) * scale + rng.uniform(-100, 100, dim) * scale
+                np.testing.assert_array_equal(_bits(_numpy_pdist(pts)), _bits(pdist(pts)))
+
+    def test_duplicate_points_give_exact_zeros(self):
+        pts = np.array([[1.5, -2.0, 3.0], [1.5, -2.0, 3.0], [0.0, 4.0, 1.0], [1.5, -2.0, 3.0]])
+        got = _numpy_pdist(pts)
+        np.testing.assert_array_equal(_bits(got), _bits(pdist(pts)))
+        assert (_bits(got[[0, 2, 4]]) == 0).all()  # +0.0, not -0.0
+
+    def test_nan_input_gives_nan(self):
+        pts = np.random.default_rng(5).normal(size=(6, 2))
+        pts[2, 1] = np.nan
+        got, ref = _numpy_pdist(pts), pdist(pts)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
+        assert np.isnan(got).sum() == 5
+        np.testing.assert_array_equal(_bits(got[~np.isnan(got)]), _bits(ref[~np.isnan(ref)]))
+
+    def test_relative_distance_error_matches_pdist_formula_on_marker_runs(self):
+        for seed in range(25):
+            run = generate_marker_run(seed)
+            cfg = run.config
+            intr = Intrinsics.centered(cfg.focal_px, cfg.width, cfg.height)
+            poses = fusion.fuse_log(run.sensor_log, cfg.noise, cfg.fps, cfg.duration)
+            est = np.zeros((len(run.markers), 2))
+            for idx, frame, u, v in run.sightings:
+                est[idx] = backproject_pixels(u - intr.cx, v - intr.cy, poses[frame], intr)
+            gt = run.markers[:, :2]
+            errors = np.abs(pdist(est) - pdist(gt))
+            got = relative_distance_error(est, gt)
+            assert _bits(got).tolist() == _bits([errors.mean(), errors.std()]).tolist(), seed
 
 
 class TestCentroidBaseline:
