@@ -18,7 +18,15 @@ Conventions used throughout the toolkit:
 
 Egomotion is expressed in the camera frame of the earlier of the two
 poses involved: linear velocity (vx, vy, vz) along camera x/y/z and
-angular rate (wx, wy, wz) about the same axes, per unit time.
+angular rate (wx, wy, wz) about the same axes, per unit time. The
+angular rate is the rotation vector of the relative attitude over the
+time step. It is computed in plain float math: the quaternion of the
+relative rotation matrix by Markley's method (F. L. Markley, "Unit
+Quaternion from Rotation Matrix", J. Guidance, Control, and Dynamics
+31(2), 2008), from the largest of the diagonal and the trace, then the
+angle-axis scaling with a series below 1e-3 rad. The operations follow
+scipy's ``Rotation.from_matrix(m).as_rotvec()`` in order, so the result
+equals it bit for bit, without loading scipy.spatial.
 
 A pose sequence (one pose per video frame) is a ``Poses``: one
 read-only (n, 6) array checked finite once. ``CameraPose`` is the
@@ -346,10 +354,43 @@ def motion_between_poses(
         raise ValueError(f"dt must be positive, got {dt!r}")
     r_wc_prev = rotation_world_to_camera(prev)
     linear = r_wc_prev @ ((curr.position - prev.position) / dt)
-    rel = r_wc_prev @ rotation_camera_to_world(curr)
-    from scipy.spatial.transform import Rotation  # loaded on first use: only tracking needs it
-    angular = Rotation.from_matrix(rel).as_rotvec() / dt
+    rx, ry, rz = _rotvec(r_wc_prev @ rotation_camera_to_world(curr))
     return CameraMotion(
         (float(linear[0]), float(linear[1]), float(linear[2])),
-        (float(angular[0]), float(angular[1]), float(angular[2])),
+        (rx / dt, ry / dt, rz / dt),
     )
+
+
+def _rotvec(m: np.ndarray) -> tuple[float, float, float]:
+    """Rotation vector of the 3x3 rotation matrix ``m``, in radians.
+
+    Markley's quaternion from the largest of the diagonal and the trace,
+    then the angle-axis scaling, with scipy's ``Rotation.from_matrix(m)
+    .as_rotvec()`` operations in scipy's order, so the result equals it
+    bit for bit (``m`` orthonormal to rounding, as every product of
+    attitude matrices is).
+    """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m.tolist()
+    tr = m00 + m11 + m22
+    # The first maximum of (m00, m11, m22, tr) picks the stable branch.
+    if m00 >= m11 and m00 >= m22 and m00 >= tr:
+        x, y, z, w = 1 - tr + 2 * m00, m10 + m01, m20 + m02, m21 - m12
+    elif m11 >= m22 and m11 >= tr:
+        x, y, z, w = m10 + m01, 1 - tr + 2 * m11, m21 + m12, m02 - m20
+    elif m22 >= tr:
+        x, y, z, w = m20 + m02, m21 + m12, 1 - tr + 2 * m22, m10 - m01
+    else:
+        x, y, z, w = m21 - m12, m02 - m20, m10 - m01, 1 + tr
+    n = math.sqrt(x * x + y * y + z * z + w * w)
+    x, y, z, w = x / n, y / n, z / n, w / n
+    # The sign with w >= 0 gives an angle in [0, pi]; at w == 0 (a half
+    # turn) the first nonzero of x, y, z is made positive.
+    if w < 0 or (w == 0 and (x < 0 or (x == 0 and (y < 0 or (y == 0 and z < 0))))):
+        x, y, z, w = -x, -y, -z, -w
+    angle = 2 * math.atan2(math.sqrt(x * x + y * y + z * z), w)
+    if angle <= 1e-3:
+        a2 = angle * angle
+        scale = 2 + a2 / 12 + 7 * a2 * a2 / 2880
+    else:
+        scale = angle / math.sin(angle / 2)
+    return scale * x, scale * y, scale * z

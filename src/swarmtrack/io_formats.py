@@ -40,7 +40,7 @@ import numpy as np
 from .fusion import ORIENTATION_ALPHA, NoiseConfig, SensorLog, check_orientation_alpha
 from .geometry import Poses
 from .shapes import BinaryMask
-from .tracker import SoftMask, TrackerConfig, nonzero_box
+from .tracker import SoftMask, TrackerConfig, nonzero_box, ring_box
 
 
 class FormatError(ValueError):
@@ -318,12 +318,14 @@ def _read_pgm_bytes(path: Path) -> np.ndarray:
 def read_mask(path: Path | str) -> SoftMask:
     """Read a PGM into a SoftMask with values byte/255, boxed to its nonzero bytes.
 
-    Only the box is divided and stored; every other value is the 0.0
-    that byte 0 gives, so the values equal grid / 255.0 bit for bit.
+    Only the box and its one-pixel ring are divided, straight into the
+    mask's stored block: the ring's bytes are 0 by definition of the
+    nonzero box. Every other value is the 0.0 that byte 0 gives, so the
+    values equal grid / 255.0 bit for bit.
     """
     grid = _read_pgm_bytes(Path(path))
     box = nonzero_box(grid)
-    return SoftMask.from_box(grid[box] / 255.0, box, grid.shape)
+    return SoftMask._from_block(grid[ring_box(box, grid.shape)[0]] / 255.0, box, grid.shape)
 
 
 def read_binary_mask(path: Path | str, threshold: float = 0.5) -> BinaryMask:

@@ -42,7 +42,7 @@ from .fusion import NoiseConfig, SensorLog
 from .geometry import CameraPose, GeometryError, Intrinsics, Poses, backproject_pixels
 from .geometry import project_points, rotation_world_to_camera
 from .shapes import BinaryMask
-from .tracker import Box, SoftMask, nonzero_box
+from .tracker import Box, SoftMask, nonzero_box, ring_box
 
 
 class ScenarioError(ValueError):
@@ -460,6 +460,11 @@ def _blur_support(
     if any(s.start >= s.stop for s in support):
         return SoftMask.from_box(np.zeros((0, 0)), (slice(0, 0), slice(0, 0)), shape)
     box = _blur_box(support, sigma, shape)
+    # The mask's stored block (the box and a ring of zeros); the last
+    # pass, the gain and the clip write into its box in place.
+    ring, at = ring_box(box, shape)
+    padded = np.zeros((ring[0].stop - ring[0].start, ring[1].stop - ring[1].start))
+    out = padded[at]
     if sigma > 0:
         from scipy import ndimage  # loaded on first use: only rendering blurs
         (rows, cols), (r0, c0) = support, (box[0].start, box[1].start)
@@ -469,12 +474,13 @@ def _blur_support(
         block[:, cols.start - c0 : cols.stop - c0] = ndimage.gaussian_filter1d(
             columns, sigma, axis=0
         )
-        block = ndimage.gaussian_filter1d(block, sigma, axis=1)
+        ndimage.gaussian_filter1d(block, sigma, axis=1, output=out)
     else:
-        block = inner.astype(float)  # a copy: the caller's inner stays as it is
+        out[...] = inner
     if gain is not None:
-        block *= gain[box]
-    return SoftMask.from_box(np.clip(block, 0.0, 1.0, out=block), box, shape)
+        out *= gain[box]
+    np.clip(out, 0.0, 1.0, out=out)
+    return SoftMask._from_block(padded, box, shape)
 
 
 def soften(binary: np.ndarray, softness: float, support: Box | None = None) -> SoftMask:

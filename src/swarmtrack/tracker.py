@@ -74,6 +74,19 @@ class TrackerConfig:
 Box = tuple[slice, slice]
 
 
+def ring_box(box: Box, shape: tuple[int, int]) -> tuple[Box, Box]:
+    """The frame box of a soft mask's stored block, and ``box`` inside it.
+
+    The block is ``box`` grown by one pixel on every side, clamped to
+    ``shape``; the second box gives ``box`` in the block's coordinates.
+    """
+    ring = tuple(
+        slice(max(s.start - 1, 0), min(s.stop + 1, n)) for s, n in zip(box, shape)
+    )
+    at = tuple(slice(s.start - r.start, s.stop - r.start) for s, r in zip(box, ring))
+    return ring, at
+
+
 def nonzero_box(values: np.ndarray) -> Box:
     """Smallest (rows, cols) slice pair holding every nonzero of a 2-D array.
 
@@ -100,9 +113,8 @@ class SoftMask:
     ``SoftMask(values, box=None)`` takes a full-frame array; left out,
     the box is ``nonzero_box(values)``, which holds every NaN and
     out-of-range value too. ``SoftMask.from_box(inner, box, shape)`` is
-    the path of producers that already hold the box's values
-    (``io_formats.read_mask``, ``synth.soften``, ``synth.degrade_mask``).
-    Both range-check the box only, with the full frame's message.
+    the path of producers that already hold the box's values. Both
+    range-check the box only, with the full frame's message.
     ``values`` builds the full frame on demand, as a read-only copy.
     """
 
@@ -123,12 +135,34 @@ class SoftMask:
         mask._store(np.asarray(inner, dtype=float), box, shape)
         return mask
 
+    @classmethod
+    def _from_block(cls, block: np.ndarray, box: Box, shape: tuple[int, int]) -> SoftMask:
+        """from_box for a producer that wrote the stored block itself.
+
+        ``block`` is float64, covers ``ring_box(box, shape)[0]`` and is
+        zero outside ``box``; it is kept as it is, not copied
+        (``io_formats.read_mask``, ``synth.soften``, ``synth.degrade_mask``).
+        """
+        mask = cls.__new__(cls)
+        mask._keep(block, box, shape)
+        return mask
+
     def _store(self, inner: np.ndarray, box: Box, shape: tuple[int, int]) -> None:
         h, w = shape
         if not all(0 <= s.start <= s.stop <= n for s, n in zip(box, shape)):
             raise ValueError(f"mask box {box} does not fit a {w}x{h} frame")
         if inner.shape != (box[0].stop - box[0].start, box[1].stop - box[1].start):
             raise ValueError(f"mask box {box} does not match values of shape {inner.shape}")
+        ring, at = ring_box(box, shape)
+        block = np.zeros((ring[0].stop - ring[0].start, ring[1].stop - ring[1].start))
+        block[at] = inner
+        self._keep(block, box, shape)
+
+    def _keep(self, block: np.ndarray, box: Box, shape: tuple[int, int]) -> None:
+        h, w = shape
+        ring, at = ring_box(box, shape)
+        block.flags.writeable = False
+        inner = block[at]
         # NaN propagates through min and max, so finite extremes mean a
         # finite mask.
         lo, hi = (float(inner.min()), float(inner.max())) if inner.size else (0.0, 0.0)
@@ -139,16 +173,9 @@ class SoftMask:
             lo, hi = min(lo, 0.0), max(hi, 0.0)
         if lo < 0.0 or hi > 1.0:
             raise ValueError(f"mask values must lie in [0, 1], got [{lo}, {hi}]")
-        ring = tuple(
-            slice(max(s.start - 1, 0), min(s.stop + 1, n)) for s, n in zip(box, shape)
-        )
-        block = np.zeros((ring[0].stop - ring[0].start, ring[1].stop - ring[1].start))
-        at = tuple(slice(s.start - r.start, s.stop - r.start) for s, r in zip(box, ring))
-        block[at] = inner
-        block.flags.writeable = False
         self.shape = (h, w)
         self.box = box
-        self.inner = block[at]
+        self.inner = inner
         self._ring = ring
         self._block = block
 

@@ -3,8 +3,11 @@
 scipy.spatial and scipy.ndimage are imported inside the functions that
 use them, so a marker run, `fuse`, `project` and `eval` start without
 either; `simulate` loads only scipy.ndimage and `track` only
-scipy.spatial. Each case runs in its own subprocess, because the test
-process itself has long since imported both.
+scipy.spatial (Delaunay and the kd-tree of the outlines). The tracker
+itself converts camera rotations without scipy, so a degradation-study
+pass (read, degrade, track) loads only scipy.ndimage. Each case runs in
+its own subprocess, because the test process itself has long since
+imported both.
 """
 import json
 import subprocess
@@ -51,6 +54,26 @@ for poses in (
     for idx, frame, u, v in run.sightings:
         est[idx] = geometry.backproject_pixels(u - intr.cx, v - intr.cy, poses[frame], intr)
     metrics.relative_distance_error(est, run.markers[:, :2])
+"""
+
+# One pass of the degradation study over a simulated scenario: masks read
+# from disk, blurred and dimmed, then tracked.
+_DEGRADATION_PASS = """
+from pathlib import Path
+import numpy as np
+from swarmtrack import fusion, io_formats, synth, tracker
+sim = Path(sys.argv[1])
+scen = io_formats.scenario_config_from_json((sim / "scenario.json").read_text())
+log = io_formats.read_sensor_log(sim / "sensors.csv")
+poses = fusion.fuse_log(log, scen.noise, scen.fps, scen.duration)
+gain = synth.make_gain_field(scen.width, scen.height, 1.0, 150.0, np.random.default_rng(0))
+masks = (
+    synth.degrade_mask(io_formats.read_mask(path), blur_sigma=4.0, gain=gain)
+    for path in io_formats.mask_sequence_paths(sim / "masks")
+)
+cfg = tracker.TrackerConfig(n_particles=200, seed=0)
+res = tracker.track_sequence(masks, poses, scen.intrinsics, cfg, keep_particles=False)
+assert len(res.centroids) == scen.duration > 1
 """
 
 
@@ -103,6 +126,11 @@ def test_simulate_loads_only_ndimage(tmp_path):
     assert _loaded(_CLI, "simulate", "--config", scenario, "--out", tmp_path / "sim") == [
         "scipy.ndimage"
     ]
+
+
+def test_degradation_pass_loads_only_ndimage(runs):
+    _, sim, _ = runs
+    assert _loaded(_DEGRADATION_PASS, sim) == ["scipy.ndimage"]
 
 
 def test_track_with_two_outline_threads_loads_only_spatial(runs, tmp_path):

@@ -1,9 +1,12 @@
 """Projection, ground-plane backprojection, flow model, pose differencing."""
+import itertools
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from swarmtrack import fusion, io_formats, synth
 from swarmtrack.geometry import (
     CameraMotion,
     CameraPose,
@@ -18,6 +21,9 @@ from swarmtrack.geometry import (
     motion_between_poses,
     project_world_to_image,
     project_points,
+    _rotvec,
+    rotation_camera_to_world,
+    rotation_world_to_camera,
 )
 
 INTR = Intrinsics.centered(1000.0, 3840, 2160)
@@ -207,6 +213,91 @@ class TestMotionBetweenPoses:
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ValueError):
             motion_between_poses(NADIR, NADIR, 0.0)
+
+
+def _relative_rotations(pairs) -> np.ndarray:
+    """The relative attitude of each pose pair, as motion_between_poses forms it."""
+    return np.array([
+        rotation_world_to_camera(a) @ rotation_camera_to_world(b) for a, b in pairs
+    ])
+
+
+class TestRotvecOracle:
+    """_rotvec equals scipy's Rotation.from_matrix(m).as_rotvec() bit for bit."""
+
+    @staticmethod
+    def _assert_bitwise_scipy(mats: np.ndarray) -> None:
+        from scipy.spatial.transform import Rotation  # the oracle only
+        ref = Rotation.from_matrix(mats).as_rotvec()
+        got = np.array([_rotvec(m) for m in mats]).reshape(ref.shape)
+        # Compared as integers, so a sign of zero counts too.
+        bad = np.flatnonzero((got.view(np.int64) != ref.view(np.int64)).any(axis=1))
+        assert bad.size == 0, (
+            f"{bad.size} of {len(mats)} differ; first {mats[bad[0]].tolist()}: "
+            f"{got[bad[0]].tolist()} != {ref[bad[0]].tolist()}"
+        )
+
+    def test_inter_frame_rotations_on_both_sides_of_the_series_switch(self):
+        from scipy.spatial.transform import Rotation
+        rng = np.random.default_rng(0)
+        n = 40_000
+        angle = 10 ** rng.uniform(-7, -2, n)
+        axis = rng.normal(size=(n, 3))
+        axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+        att = Rotation.random(n, rng=rng).as_matrix()
+        step = Rotation.from_rotvec(axis * angle[:, None]).as_matrix()
+        rel = np.swapaxes(att, 1, 2) @ (att @ step)
+        # Pose pairs through geometry's own attitude matrices.
+        pairs = []
+        for _ in range(10_000):
+            pitch, roll = rng.uniform(-30.0, 30.0, 2)
+            yaw = rng.uniform(0.0, 360.0)
+            d = np.degrees(10 ** rng.uniform(-7, -2) * rng.normal(size=3) / math.sqrt(3))
+            pairs.append((
+                CameraPose(0, 0, 50, pitch=pitch, yaw=yaw, roll=roll),
+                CameraPose(0, 0, 50, pitch=pitch + d[0], yaw=yaw + d[1], roll=roll + d[2]),
+            ))
+        rel = np.concatenate([rel, _relative_rotations(pairs)])
+        angles = np.linalg.norm(Rotation.from_matrix(rel).as_rotvec(), axis=1)
+        assert (angles <= 1e-3).sum() > 30_000 and (angles > 1e-3).sum() > 8_000
+        self._assert_bitwise_scipy(rel)
+
+    def test_arbitrary_attitudes_reach_every_branch(self):
+        from scipy.spatial.transform import Rotation
+        mats = Rotation.random(50_000, rng=np.random.default_rng(1)).as_matrix()
+        diag = np.diagonal(mats, axis1=1, axis2=2)
+        choice = np.argmax(np.column_stack([diag, diag.sum(axis=1)]), axis=1)
+        assert np.bincount(choice, minlength=4).min() > 1_000
+        self._assert_bitwise_scipy(mats)
+
+    def test_exact_quarter_and_half_turns(self):
+        # Every signed permutation matrix of determinant +1: the identity,
+        # quarter, half and third turns about the axes and diagonals.
+        mats = []
+        for perm in itertools.permutations(range(3)):
+            for signs in itertools.product((1.0, -1.0), repeat=3):
+                m = np.zeros((3, 3))
+                m[range(3), perm] = signs
+                if np.linalg.det(m) > 0:
+                    mats.append(m)
+        assert len(mats) == 24
+        # Half turns 2 n n^T - I about axes with zero components, in every
+        # order and sign: w is exactly 0, so the sign rule for x, y, z decides.
+        for triple in ((0.6, 0.8, 0.0), (5 / 13, 12 / 13, 0.0), (1.0, 0.0, 0.0)):
+            for perm in itertools.permutations(triple):
+                for signs in itertools.product((1.0, -1.0), repeat=3):
+                    n = np.array(perm) * signs
+                    mats.append(2 * np.outer(n, n) - np.eye(3))
+        self._assert_bitwise_scipy(np.array(mats))
+
+    @pytest.mark.parametrize("name", ["default_scenario.json", "degradation_scenario.json"])
+    def test_fused_pose_pairs_of_bundled_scenarios(self, name):
+        config = io_formats.scenario_config_from_json(
+            resources.files("swarmtrack.data").joinpath(name).read_text("utf-8")
+        )
+        log = synth._simulate(config)[0]
+        fused = list(fusion.fuse_log(log, config.noise, config.fps, config.duration))
+        self._assert_bitwise_scipy(_relative_rotations(zip(fused, fused[1:])))
 
 
 class TestValidation:

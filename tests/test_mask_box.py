@@ -18,7 +18,7 @@ from swarmtrack.synth import (
     degrade_mask,
     generate,
 )
-from swarmtrack.tracker import SoftMask, nonzero_box, sample_bilinear
+from swarmtrack.tracker import SoftMask, nonzero_box, ring_box, sample_bilinear
 from tests.conftest import invoke_cli, write_json
 from tests.test_synth import _full_frame, _support_masks, make_config
 
@@ -336,6 +336,26 @@ class TestBoxedStorage:
         with pytest.raises(AttributeError):
             mask.values = values
         assert mask.inner.tobytes() == values[2:4, 3:6].tobytes()
+
+    def test_producers_hand_over_a_read_only_block_with_a_zero_ring(self, tmp_path):
+        # read_mask and the blur write the stored block themselves; it
+        # must be what SoftMask itself would have built.
+        rng = np.random.default_rng(15)
+        values = np.zeros((40, 60))
+        values[10:20, 15:35] = rng.uniform(0.01, 1.0, (10, 20))
+        write_mask(SoftMask(values), tmp_path / "m.pgm")
+        read = read_mask(tmp_path / "m.pgm")
+        gain = np.full(values.shape, 1.5)
+        for mask in (read, degrade_mask(read), degrade_mask(read, 2.0, gain),
+                     synth.soften(values > 0.5, 1.0)):
+            ring, at = ring_box(mask.box, mask.shape)
+            assert mask._block.shape == (ring[0].stop - ring[0].start,
+                                         ring[1].stop - ring[1].start)
+            assert not mask._block.flags.writeable and not mask.inner.flags.writeable
+            assert np.shares_memory(mask.inner, mask._block)
+            assert not np.any(_outside(mask._block, at))
+            again = SoftMask.from_box(mask.inner, mask.box, mask.shape)
+            assert again._block.tobytes() == mask._block.tobytes()
 
     def test_from_box_equals_full_frame_constructor(self):
         rng = np.random.default_rng(14)
