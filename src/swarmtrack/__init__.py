@@ -15,9 +15,7 @@ from .geometry import (
     Poses,
     WorldPoint,
     backproject_image_to_ground,
-    induced_flow,
     motion_between_poses,
-    project_world_to_image,
 )
 from .fusion import NoiseConfig, SensorLog, SensorRecord, fuse_log
 from .tracker import ParticleSet, SoftMask, TrackerConfig, TrackLostError, track_sequence
@@ -49,10 +47,8 @@ __all__ = [
     "backproject_image_to_ground",
     "default_alpha",
     "fuse_log",
-    "induced_flow",
     "mask_scores",
     "motion_between_poses",
-    "project_world_to_image",
     "rasterize",
     "relative_distance_error",
     "sdr",

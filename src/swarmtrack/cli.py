@@ -86,6 +86,16 @@ def _write_provenance(out_dir: Path, effective: dict) -> None:
     (out_dir / "version.txt").write_text(__version__ + "\n", encoding="utf-8")
 
 
+def _project_track(uv: np.ndarray, poses, intr: Intrinsics) -> np.ndarray:
+    """World (X, Y) of each corner-origin image point (n, 2) on the
+    ground, through the pose of its row."""
+    world = np.zeros((len(uv), 2))
+    for i, ((u, v), pose) in enumerate(zip(uv, poses)):
+        ground = backproject_image_to_ground(PixelPoint(u - intr.cx, v - intr.cy), pose, intr)
+        world[i] = (ground.x, ground.y)
+    return world
+
+
 # -- subcommands -----------------------------------------------------------
 
 
@@ -176,13 +186,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     result = track_sequence(masks, poses, intr, cfg.tracker)
     # Project every centroid before writing anything, so a ray that misses
     # the ground leaves no partial shapes/ behind.
-    world = np.zeros((n_frames, 2))
-    for t in range(n_frames):
-        u, v = result.centroids[t]
-        ground = backproject_image_to_ground(
-            PixelPoint(u - intr.cx, v - intr.cy), poses[t], intr
-        )
-        world[t] = (ground.x, ground.y)
+    world = _project_track(result.centroids, poses, intr)
     out = Path(args.out)
     shapes_dir = out / "shapes"
     shapes_dir.mkdir(parents=True, exist_ok=True)
@@ -252,14 +256,7 @@ def cmd_project(args: argparse.Namespace) -> int:
             f"(only {len(poses)} poses)"
         )
     uv = track["uv"]
-    world = np.zeros_like(uv)
-    for i, frame in enumerate(frames):
-        ground = backproject_image_to_ground(
-            PixelPoint(uv[i, 0] - intr.cx, uv[i, 1] - intr.cy),
-            poses[int(frame)],
-            intr,
-        )
-        world[i] = (ground.x, ground.y)
+    world = _project_track(uv, (poses[int(f)] for f in frames), intr)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     io_formats.write_trajectory(
@@ -577,6 +574,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        return 1
     except (
         FormatError,
         FusionError,

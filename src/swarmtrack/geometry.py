@@ -18,9 +18,9 @@ Conventions used throughout the toolkit:
 
 Egomotion is expressed in the camera frame of the earlier of the two
 poses involved: linear velocity (vx, vy, vz) along camera x/y/z and
-angular rate (wx, wy, wz) about the same axes, per unit time. The
-angular rate is the rotation vector of the relative attitude over the
-time step. It is computed in plain float math: the quaternion of the
+angular rate (wx, wy, wz) about the same axes, per frame. The
+angular rate is the rotation vector of the relative attitude. It is
+computed in plain float math: the quaternion of the
 relative rotation matrix by Markley's method (F. L. Markley, "Unit
 Quaternion from Rotation Matrix", J. Guidance, Control, and Dynamics
 31(2), 2008), from the largest of the diagonal and the trace, then the
@@ -251,16 +251,6 @@ def project_points(points: np.ndarray, pose: CameraPose, intr: Intrinsics) -> np
     return out
 
 
-def project_world_to_image(
-    point: WorldPoint, pose: CameraPose, intr: Intrinsics
-) -> PixelPoint:
-    """Project a world point to principal-point pixel coordinates."""
-    uv = project_points(
-        np.array([[point.x, point.y, point.z]]), pose, intr
-    )
-    return PixelPoint(float(uv[0, 0]), float(uv[0, 1]))
-
-
 def backproject_pixels(
     x: np.ndarray, y: np.ndarray, pose: CameraPose, intr: Intrinsics
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -331,33 +321,18 @@ def flow_field(
     return vx, vy
 
 
-def induced_flow(
-    pixel: PixelPoint, motion: CameraMotion, intr: Intrinsics, z: float
-) -> tuple[float, float]:
-    """Induced flow at a single pixel; see flow_field."""
-    vx, vy = flow_field(
-        np.array([pixel.x]), np.array([pixel.y]), motion, intr, z
-    )
-    return float(vx[0]), float(vy[0])
-
-
-def motion_between_poses(
-    prev: CameraPose, curr: CameraPose, dt: float = 1.0
-) -> CameraMotion:
-    """Camera-frame egomotion taking ``prev`` to ``curr`` over ``dt``.
+def motion_between_poses(prev: CameraPose, curr: CameraPose) -> CameraMotion:
+    """Camera-frame egomotion taking ``prev`` to ``curr`` over one frame.
 
     Linear velocity is the world displacement rotated into the earlier
     camera frame; angular rate is the rotation vector of the relative
-    attitude, also in the earlier camera frame, divided by ``dt``.
+    attitude, also in the earlier camera frame.
     """
-    if not (_finite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive, got {dt!r}")
     r_wc_prev = rotation_world_to_camera(prev)
-    linear = r_wc_prev @ ((curr.position - prev.position) / dt)
-    rx, ry, rz = _rotvec(r_wc_prev @ rotation_camera_to_world(curr))
+    linear = r_wc_prev @ (curr.position - prev.position)
     return CameraMotion(
         (float(linear[0]), float(linear[1]), float(linear[2])),
-        (rx / dt, ry / dt, rz / dt),
+        _rotvec(r_wc_prev @ rotation_camera_to_world(curr)),
     )
 
 

@@ -328,13 +328,9 @@ def read_mask(path: Path | str) -> SoftMask:
     return SoftMask._from_block(grid[ring_box(box, grid.shape)[0]] / 255.0, box, grid.shape)
 
 
-def read_binary_mask(path: Path | str, threshold: float = 0.5) -> BinaryMask:
-    """Read a PGM as a binary mask: value >= threshold."""
-    grid = _read_pgm_bytes(Path(path))
-    # byte/255 grows with the byte, so the passing bytes are the top ones:
-    # find the first on the 256 values, then compare bytes to it.
-    first = 256 - int(np.count_nonzero(np.arange(256) / 255.0 >= threshold))
-    return BinaryMask(grid >= first)
+def read_binary_mask(path: Path | str) -> BinaryMask:
+    """Read a PGM as a binary mask: value byte/255 >= 0.5, i.e. byte >= 128."""
+    return BinaryMask(_read_pgm_bytes(Path(path)) >= 128)
 
 
 def mask_sequence_paths(directory: Path | str) -> list[Path]:

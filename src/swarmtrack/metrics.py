@@ -190,37 +190,23 @@ def relative_distance_error(
     return float(errors.mean()), float(errors.std())
 
 
-def framewise_centroid_baseline(
-    masks, threshold: float = 0.5
-) -> Trajectory2D:
-    """Per-frame centroid of the thresholded mask, no temporal model.
+def framewise_centroid_baseline(masks) -> Trajectory2D:
+    """Per-frame centroid of the mask's pixels at or above 0.5, no temporal model.
 
     The reference baseline the filter is compared against. Frames with
-    no pixel above threshold, or whose passing pixels weigh 0 in total
-    (an all-zero mask at threshold 0), carry the previous centroid
-    forward (image center before the first detection) so every frame
-    stays annotated.
-    Above a threshold of 0 only the mask's box is thresholded; the
-    passing pixels come in the same row-major order as on the full
-    frame, so the sums are the same. At a threshold of 0 every pixel
-    passes, and the sums run over the whole frame in that order.
+    no such pixel carry the previous centroid forward (image center
+    before the first detection) so every frame stays annotated.
+    Only the mask's box is thresholded; the passing pixels come in the
+    same row-major order as on the full frame, so the sums are the same.
     """
-    if not (0 <= threshold <= 1):
-        raise MetricError(f"threshold must be in [0, 1], got {threshold!r}")
     points: dict[int, tuple[float, float]] = {}
     last: tuple[float, float] | None = None
     n = 0
     for i, mask in enumerate(masks):
-        if threshold > 0:
-            sub, r0, c0 = mask.inner, mask.box[0].start, mask.box[1].start
-        else:
-            # The zeros outside the box pass too, and their places set the
-            # order in which the sums add up.
-            sub, r0, c0 = np.zeros(mask.shape), 0, 0
-            sub[mask.box] = mask.inner
-        ys, xs = np.nonzero(sub >= threshold)
+        sub = mask.inner
+        ys, xs = np.nonzero(sub >= 0.5)
         w = sub[ys, xs]
-        ys, xs = ys + r0, xs + c0
+        ys, xs = ys + mask.box[0].start, xs + mask.box[1].start
         total = w.sum()
         if total > 0:
             last = (float(np.dot(w, xs) / total), float(np.dot(w, ys) / total))

@@ -163,8 +163,8 @@ def default_alpha(points: np.ndarray) -> float:
     return 3.0 * med
 
 
-def support_points(xy: np.ndarray, weights: np.ndarray, rel_threshold: float = 0.01) -> np.ndarray:
-    """Particles whose weight is at least rel_threshold of the maximum.
+def support_points(xy: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Particles whose weight is at least 1 % of the maximum.
 
     A freshly initialized or momentarily confused filter carries many
     particles with vanishing weight; an outline over raw positions
@@ -177,12 +177,10 @@ def support_points(xy: np.ndarray, weights: np.ndarray, rel_threshold: float = 0
         raise ShapeError(
             f"positions {xy.shape} and weights {weights.shape} do not match"
         )
-    if not 0.0 <= rel_threshold <= 1.0:
-        raise ShapeError(f"rel_threshold must be in [0, 1], got {rel_threshold}")
     top = weights.max() if weights.size else 0.0
     if top <= 0:
         return xy[:0]
-    return xy[weights >= rel_threshold * top]
+    return xy[weights >= 0.01 * top]
 
 
 def rasterize(shape: AlphaShape, width: int, height: int) -> BinaryMask:

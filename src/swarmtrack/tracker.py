@@ -402,7 +402,7 @@ def track_sequence(
             )
         pose = poses[t]
         if prev_pose is not None:
-            motion = motion_between_poses(prev_pose, pose, 1.0)
+            motion = motion_between_poses(prev_pose, pose)
             z_mid = 0.5 * (prev_pose.z + pose.z)
             ps = predict(ps, motion, intr, z_mid, config.motion_noise_sigma)
         try:

@@ -27,9 +27,9 @@ from swarmtrack.geometry import (
     PixelPoint,
     backproject_image_to_ground,
     backproject_pixels,
-    induced_flow,
+    flow_field,
     motion_between_poses,
-    project_world_to_image,
+    project_points,
 )
 from swarmtrack.metrics import (
     Trajectory2D,
@@ -90,7 +90,7 @@ def degradation_scenario(tmp_path_factory):
 
 
 def test_flow_model_tracks_exact_reprojection_within_two_percent():
-    """induced_flow vs exact two-pose reprojection differencing, 10^4 cases.
+    """flow_field vs exact two-pose reprojection differencing, 10^4 cases.
 
     Small motions: ||t|| < 0.05 z, rotation deltas < 0.5 deg.  The model is
     first order, so the bound is on the aggregate relative error (mean and
@@ -120,11 +120,14 @@ def test_flow_model_tracks_exact_reprojection_within_two_percent():
         py = rng.uniform(-intr.cy, intr.height - 1 - intr.cy)
         p = PixelPoint(px, py)
         ground = backproject_image_to_ground(p, pose0, intr)
-        q = project_world_to_image(ground, pose1, intr)
-        exact = np.array([q.x - p.x, q.y - p.y])
+        q = project_points(np.array([[ground.x, ground.y, ground.z]]), pose1, intr)[0]
+        exact = np.array([q[0] - p.x, q[1] - p.y])
         mag = np.linalg.norm(exact)
-        motion = motion_between_poses(pose0, pose1, 1.0)
-        model = np.array(induced_flow(p, motion, intr, 0.5 * (pose0.z + pose1.z)))
+        motion = motion_between_poses(pose0, pose1)
+        vx, vy = flow_field(
+            np.array([p.x]), np.array([p.y]), motion, intr, 0.5 * (pose0.z + pose1.z)
+        )
+        model = np.array([vx[0], vy[0]])
         err = np.linalg.norm(model - exact)
         rels[i] = err / mag if mag > 0 else 0.0
         abss[i] = err

@@ -176,6 +176,25 @@ class TestFuse:
         assert "Traceback" not in err
         assert not (out / "fused_poses.csv").exists()
 
+    def test_out_of_memory_exits_1_with_one_error_line(
+        self, scenario_dir, tmp_path, run_cli, monkeypatch
+    ):
+        from swarmtrack import cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "fuse_log", exhausted)
+        out = tmp_path / "o"
+        code, _, err = run_cli(
+            "fuse", "--sensors", scenario_dir / "sensors.csv",
+            "--fps", 15.0, "--out", out,
+        )
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert code == 1 and errors == ["error: fuse ran out of memory"], err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrack:
     def test_outputs_trajectory_and_shapes(self, track_dir):
@@ -443,6 +462,28 @@ class TestTrackFaults:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_out_of_memory_exits_1_with_one_error_line(
+        self, default_cut, tmp_path, run_cli, monkeypatch
+    ):
+        from swarmtrack import cli
+
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "track_sequence", exhausted)
+        out = tmp_path / "o"
+        cfg = resources.files("swarmtrack.data").joinpath("default_run.json")
+        with resources.as_file(cfg) as run_cfg:
+            code, _, err = run_cli(
+                "track", "--masks", default_cut / "masks",
+                "--sensors", default_cut / "sensors.csv",
+                "--config", run_cfg, "--out", out,
+            )
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert code == 1 and errors == ["error: track ran out of memory"], err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestProject:
     def test_ground_truth_round_trips(self, scenario_dir, tmp_path):
@@ -459,6 +500,35 @@ class TestProject:
         projected = read_trajectory(out / "trajectory.csv")
         np.testing.assert_array_equal(projected["uv"], original["uv"])
         np.testing.assert_allclose(projected["world"], original["world"], atol=1e-9)
+
+    def test_reproduces_track_trajectory_from_fused_poses(self, scenario_dir, tmp_path):
+        cfg = small_run_config(
+            orientation_alpha=0.5,
+            noise={"gps_sigma": 0.7, "imu_vel_sigma": 0.3, "process_accel_sigma": 1.0},
+        )
+        trk = tmp_path / "track"
+        assert invoke_cli(
+            "track", "--masks", scenario_dir / "masks",
+            "--sensors", scenario_dir / "sensors.csv",
+            "--config", write_json(tmp_path / "run.json", cfg), "--out", trk,
+        ) == 0
+        n_frames = len(read_trajectory(trk / "trajectory.csv")["frame"])
+        noise = cfg["noise"]
+        assert invoke_cli(
+            "fuse", "--sensors", scenario_dir / "sensors.csv", "--fps", cfg["fps"],
+            "--n-frames", n_frames, "--orientation-alpha", cfg["orientation_alpha"],
+            "--gps-sigma", noise["gps_sigma"], "--imu-vel-sigma", noise["imu_vel_sigma"],
+            "--process-accel-sigma", noise["process_accel_sigma"],
+            "--out", tmp_path / "fuse",
+        ) == 0
+        out = tmp_path / "proj"
+        assert invoke_cli(
+            "project", "--trajectory", trk / "trajectory.csv",
+            "--poses", tmp_path / "fuse" / "fused_poses.csv",
+            "--focal", cfg["focal_px"], "--width", 320, "--height", 180,
+            "--out", out,
+        ) == 0
+        assert (out / "trajectory.csv").read_bytes() == (trk / "trajectory.csv").read_bytes()
 
     def test_frame_without_pose_exits_1(self, scenario_dir, tmp_path, run_cli):
         poses = (scenario_dir / "gt_poses.csv").read_text().splitlines()
@@ -544,6 +614,24 @@ class TestEval:
             "--out", tmp_path / "o", "--radii", "ten,20",
         )
         assert code == 2 and "comma-separated" in err
+
+    def test_out_of_memory_exits_1_with_one_error_line(
+        self, scenario_dir, tmp_path, run_cli, monkeypatch
+    ):
+        from swarmtrack import cli
+
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "relative_distance_error", exhausted)
+        out = tmp_path / "eval"
+        code, _, err = run_cli(
+            "eval", "--pred", scenario_dir, "--gt", scenario_dir, "--out", out
+        )
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert code == 1 and errors == ["error: eval ran out of memory"], err
+        assert "Traceback" not in err
+        assert not (out / "report.json").exists()
 
     def test_missing_prediction_exits_1(self, scenario_dir, tmp_path, run_cli):
         empty = tmp_path / "empty"

@@ -13,13 +13,10 @@ from swarmtrack.geometry import (
     GeometryError,
     Intrinsics,
     PixelPoint,
-    WorldPoint,
     backproject_image_to_ground,
     backproject_pixels,
     flow_field,
-    induced_flow,
     motion_between_poses,
-    project_world_to_image,
     project_points,
     _rotvec,
     rotation_camera_to_world,
@@ -30,29 +27,34 @@ INTR = Intrinsics.centered(1000.0, 3840, 2160)
 NADIR = CameraPose(0.0, 0.0, 100.0)
 
 
+def _project(x, y, z, pose=NADIR):
+    """Principal-point pixel (x, y) of one world point."""
+    return project_points(np.array([[x, y, z]]), pose, INTR)[0]
+
+
 class TestProjection:
     def test_optical_axis_point_hits_principal_point(self):
-        p = project_world_to_image(WorldPoint(0.0, 0.0, 0.0), NADIR, INTR)
-        assert abs(p.x) < 1e-12 and abs(p.y) < 1e-12
+        x, y = _project(0.0, 0.0, 0.0)
+        assert abs(x) < 1e-12 and abs(y) < 1e-12
 
     def test_lateral_offset_scales_by_similar_triangles(self):
         # x_px = f * X / Z = 1000 * 10 / 100
-        p = project_world_to_image(WorldPoint(10.0, 0.0, 0.0), NADIR, INTR)
-        assert p.x == pytest.approx(100.0, abs=1e-9)
-        assert p.y == pytest.approx(0.0, abs=1e-9)
+        x, y = _project(10.0, 0.0, 0.0)
+        assert x == pytest.approx(100.0, abs=1e-9)
+        assert y == pytest.approx(0.0, abs=1e-9)
 
     def test_north_offset_maps_to_negative_image_y(self):
         # Camera y points down the image and south on the ground at nadir.
-        p = project_world_to_image(WorldPoint(0.0, 10.0, 0.0), NADIR, INTR)
-        assert p.y == pytest.approx(-100.0, abs=1e-9)
+        _, y = _project(0.0, 10.0, 0.0)
+        assert y == pytest.approx(-100.0, abs=1e-9)
 
     def test_point_behind_camera_rejected(self):
         with pytest.raises(GeometryError, match="behind"):
-            project_world_to_image(WorldPoint(0.0, 0.0, 250.0), NADIR, INTR)
+            _project(0.0, 0.0, 250.0)
 
     def test_point_at_zero_depth_rejected(self):
         with pytest.raises(GeometryError, match="zero depth"):
-            project_world_to_image(WorldPoint(5.0, 0.0, 100.0), NADIR, INTR)
+            _project(5.0, 0.0, 100.0)
 
     def test_project_points_shape_validation(self):
         with pytest.raises(ValueError):
@@ -90,9 +92,9 @@ class TestBackprojection:
             px = rng.uniform(-INTR.cx * 0.8, INTR.cx * 0.8)
             py = rng.uniform(-INTR.cy * 0.8, INTR.cy * 0.8)
             ground = backproject_image_to_ground(PixelPoint(px, py), pose, INTR)
-            back = project_world_to_image(ground, pose, INTR)
-            assert back.x == pytest.approx(px, abs=1e-9)
-            assert back.y == pytest.approx(py, abs=1e-9)
+            bx, by = _project(ground.x, ground.y, ground.z, pose)
+            assert bx == pytest.approx(px, abs=1e-9)
+            assert by == pytest.approx(py, abs=1e-9)
 
     def test_camera_at_or_below_plane_rejected(self):
         with pytest.raises(GeometryError, match="height"):
@@ -118,15 +120,21 @@ class TestBackprojection:
             assert gy[i] == pytest.approx(w.y, abs=1e-12)
 
 
+def _flow(x, y, motion, z):
+    """Flow (vx, vy) at one principal-point pixel."""
+    vx, vy = flow_field(np.array([x]), np.array([y]), motion, INTR, z)
+    return float(vx[0]), float(vy[0])
+
+
 class TestInducedFlow:
     def test_zero_motion_zero_flow(self):
-        v = induced_flow(PixelPoint(123.0, -45.0), CameraMotion.zero(), INTR, 100.0)
+        v = _flow(123.0, -45.0, CameraMotion.zero(), 100.0)
         assert v == (0.0, 0.0)
 
     def test_forward_translation_hand_value(self):
         # U = 1 m/frame at f=1000, z=100: v = (-f*U/z, 0) = (-10, 0).
         motion = CameraMotion((1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-        v = induced_flow(PixelPoint(0.0, 0.0), motion, INTR, 100.0)
+        v = _flow(0.0, 0.0, motion, 100.0)
         assert v[0] == pytest.approx(-10.0, abs=1e-12)
         assert v[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -134,13 +142,13 @@ class TestInducedFlow:
         # Rotation about the optical axis sweeps pixels tangentially:
         # (C*y, -C*x) at p=(100, 0) with C=0.01 gives (0, -1).
         motion = CameraMotion((0.0, 0.0, 0.0), (0.0, 0.0, 0.01))
-        v = induced_flow(PixelPoint(100.0, 0.0), motion, INTR, 100.0)
+        v = _flow(100.0, 0.0, motion, 100.0)
         assert v[0] == pytest.approx(0.0, abs=1e-12)
         assert v[1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_flow_is_linear_in_motion(self):
         rng = np.random.default_rng(5)
-        p = PixelPoint(200.0, -150.0)
+        x, y = 200.0, -150.0
         for _ in range(50):
             l1 = rng.normal(size=3)
             l2 = rng.normal(size=3)
@@ -150,30 +158,31 @@ class TestInducedFlow:
             combined = CameraMotion(
                 tuple(a * l1 + b * l2), tuple(a * w1 + b * w2)
             )
-            v = np.array(induced_flow(p, combined, INTR, 90.0))
-            v1 = np.array(induced_flow(p, CameraMotion(tuple(l1), tuple(w1)), INTR, 90.0))
-            v2 = np.array(induced_flow(p, CameraMotion(tuple(l2), tuple(w2)), INTR, 90.0))
+            v = np.array(_flow(x, y, combined, 90.0))
+            v1 = np.array(_flow(x, y, CameraMotion(tuple(l1), tuple(w1)), 90.0))
+            v2 = np.array(_flow(x, y, CameraMotion(tuple(l2), tuple(w2)), 90.0))
             np.testing.assert_allclose(v, a * v1 + b * v2, atol=1e-9)
 
     def test_depth_must_be_positive(self):
         with pytest.raises(GeometryError, match="depth"):
-            induced_flow(PixelPoint(0, 0), CameraMotion.zero(), INTR, 0.0)
+            _flow(0.0, 0.0, CameraMotion.zero(), 0.0)
 
-    def test_flow_field_matches_pointwise(self):
+    def test_flow_field_is_elementwise_over_grids(self):
         motion = CameraMotion((0.4, -0.2, 0.1), (0.002, -0.001, 0.003))
-        xs = np.array([0.0, 512.0, -1000.0])
-        ys = np.array([7.0, -300.0, 900.0])
+        xs = np.array([[0.0, 512.0, -1000.0], [3.5, -7.25, 1919.0]])
+        ys = np.array([[7.0, -300.0, 900.0], [-1079.0, 0.0, 42.0]])
         vx, vy = flow_field(xs, ys, motion, INTR, 75.0)
-        for i in range(3):
-            v = induced_flow(PixelPoint(xs[i], ys[i]), motion, INTR, 75.0)
-            assert vx[i] == pytest.approx(v[0], abs=1e-12)
-            assert vy[i] == pytest.approx(v[1], abs=1e-12)
+        assert vx.shape == vy.shape == xs.shape
+        for i, j in np.ndindex(xs.shape):
+            v = _flow(xs[i, j], ys[i, j], motion, 75.0)
+            assert vx[i, j] == pytest.approx(v[0], abs=1e-12)
+            assert vy[i, j] == pytest.approx(v[1], abs=1e-12)
 
 
 class TestMotionBetweenPoses:
     def test_identical_poses_give_zero_motion(self):
         pose = CameraPose(4.0, 5.0, 60.0, pitch=3.0, yaw=200.0, roll=-1.0)
-        m = motion_between_poses(pose, pose, 1.0)
+        m = motion_between_poses(pose, pose)
         assert m.linear == (0.0, 0.0, 0.0)
         np.testing.assert_allclose(m.angular, 0.0, atol=1e-12)
 
@@ -198,21 +207,24 @@ class TestMotionBetweenPoses:
         assert m.angular[1] == pytest.approx(0.0, abs=1e-12)
         assert m.angular[2] == pytest.approx(math.radians(1.0), abs=1e-12)
 
-    def test_dt_scales_rates(self):
-        a = CameraPose(0, 0, 100)
-        b = CameraPose(3, 0, 100, yaw=2.0)
-        m1 = motion_between_poses(a, b, 1.0)
-        m2 = motion_between_poses(a, b, 2.0)
-        np.testing.assert_allclose(
-            np.array(m2.linear) * 2.0, m1.linear, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            np.array(m2.angular) * 2.0, m1.angular, atol=1e-12
-        )
-
-    def test_nonpositive_dt_rejected(self):
-        with pytest.raises(ValueError):
-            motion_between_poses(NADIR, NADIR, 0.0)
+    def test_reverse_motion_inverts_forward_motion(self):
+        # R_ba = R_ab^T shares the rotation axis, so the rotation vector
+        # flips sign; the displacement flips and moves into frame b.
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            x, y, z, pitch, yaw, roll = rng.uniform(
+                (-50, -50, 20, -20, 0, -5), (50, 50, 120, 20, 360, 5)
+            )
+            dx, dy, dz, dpitch, dyaw, droll = rng.normal(0, (2, 2, 2, 1, 2, 1))
+            a = CameraPose(x, y, z, pitch=pitch, yaw=yaw, roll=roll)
+            b = CameraPose(x + dx, y + dy, z + dz,
+                           pitch=pitch + dpitch, yaw=yaw + dyaw, roll=roll + droll)
+            ab, ba = motion_between_poses(a, b), motion_between_poses(b, a)
+            np.testing.assert_allclose(ba.angular, -np.array(ab.angular), atol=1e-12)
+            r_ab = rotation_world_to_camera(a) @ rotation_camera_to_world(b)
+            np.testing.assert_allclose(
+                ba.linear, -(r_ab.T @ np.array(ab.linear)), atol=1e-9
+            )
 
 
 def _relative_rotations(pairs) -> np.ndarray:

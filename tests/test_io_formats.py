@@ -184,13 +184,24 @@ class TestMasks:
         assert raw.startswith(b"P5\n4 4\n255\n")
         np.testing.assert_array_equal(read_binary_mask(path).bits, bits)
 
-    @pytest.mark.parametrize("threshold", [0.0, 0.5, 128 / 255, 1.0, float("nan")])
-    def test_binary_read_matches_float_threshold_for_every_byte(self, tmp_path, threshold):
+    def test_binary_read_matches_float_threshold_for_every_byte(self, tmp_path):
         grid = np.arange(256, dtype=np.uint8).reshape(16, 16)
         path = tmp_path / "all.pgm"
         path.write_bytes(b"P5\n16 16\n255\n" + grid.tobytes())
-        bits = read_binary_mask(path, threshold).bits
-        np.testing.assert_array_equal(bits, grid.astype(float) / 255.0 >= threshold)
+        bits = read_binary_mask(path).bits
+        np.testing.assert_array_equal(bits, grid.astype(float) / 255.0 >= 0.5)
+
+    def test_binary_read_agrees_with_soft_read_at_half(self, tmp_path):
+        # The binary reader and the baseline's 0.5 threshold on read_mask
+        # pick the same pixels of any PGM.
+        rng = np.random.default_rng(9)
+        grid = rng.integers(0, 256, (12, 20), dtype=np.uint8)
+        grid[:, :2] = (127, 128)
+        path = tmp_path / "soft.pgm"
+        path.write_bytes(b"P5\n20 12\n255\n" + grid.tobytes())
+        np.testing.assert_array_equal(
+            read_binary_mask(path).bits, read_mask(path).values >= 0.5
+        )
 
     def test_binary_write_payload_is_0_or_255(self, tmp_path):
         bits = np.random.default_rng(4).random((9, 7)) < 0.5

@@ -171,24 +171,27 @@ class TestWriteMask:
 
 
 class TestFramewiseBaseline:
-    @pytest.mark.parametrize("threshold", [0.0, 1 / 255, 0.5, 1.0])
-    def test_matches_full_frame_reference(self, tmp_path, threshold):
+    # _support_masks yields 11 masks per image size, in this order.
+    @pytest.mark.parametrize("block", range(4), ids=["40x60", "6x45", "45x3", "2x2"])
+    def test_matches_full_frame_reference(self, tmp_path, block):
         rng = np.random.default_rng(3)
+        supports = list(_support_masks(rng))[11 * block : 11 * block + 11]
         # Empty frames first: the image center, then carried centroids.
-        values_list = [np.zeros((40, 60))] + list(_support_masks(rng))[:11]
-        values_list += [np.zeros((40, 60))]
-        values_list[5][3, 4] = 1.0
+        blank = np.zeros_like(supports[0])
+        values_list = [blank] + supports + [blank.copy()]
+        h, w = blank.shape
+        values_list[5][3 % h, 4 % w] = 1.0
         masks = _read_back(tmp_path, values_list)
-        got = framewise_centroid_baseline(masks, threshold=threshold)
-        assert got.points == _reference_baseline(masks, threshold)
+        got = framewise_centroid_baseline(masks)
+        assert got.points == _reference_baseline(masks, 0.5)
 
-    @pytest.mark.parametrize("threshold", [0.0, 1 / 255, 0.5, 1.0])
-    def test_matches_reference_on_degraded_scenario_masks(self, threshold):
+    @pytest.mark.parametrize("sigma", [0.0, 1.0, 4.0, 13.7])
+    def test_matches_reference_on_degraded_scenario_masks(self, sigma):
         scen = generate(make_config(duration=6, mask_softness=1.5))
         gain = synth.make_gain_field(256, 256, 1.0, 60.0, np.random.default_rng(4))
-        masks = [degrade_mask(m, blur_sigma=4.0, gain=gain) for m in scen.masks]
-        got = framewise_centroid_baseline(masks, threshold=threshold)
-        assert got.points == _reference_baseline(masks, threshold)
+        masks = [degrade_mask(m, blur_sigma=sigma, gain=gain) for m in scen.masks]
+        got = framewise_centroid_baseline(masks)
+        assert got.points == _reference_baseline(masks, 0.5)
 
 
 def _full_frame_message(values):

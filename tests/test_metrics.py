@@ -269,9 +269,21 @@ class TestCentroidBaseline:
     def test_subthreshold_pixels_ignored(self):
         values = np.zeros((5, 5))
         values[2, 2] = 0.9
-        values[0, 0] = 0.4  # below the default 0.5 threshold
+        values[0, 0] = 0.4  # below the 0.5 threshold
         t = framewise_centroid_baseline([SoftMask(values)])
         assert t.points[0] == (2.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "value, counted",
+        [(np.nextafter(0.5, 0.0), False), (0.5, True), (np.nextafter(0.5, 1.0), True)],
+    )
+    def test_threshold_is_half_inclusive(self, value, counted):
+        values = np.zeros((5, 5))
+        values[2, 0] = 1.0
+        values[2, 4] = value
+        x, y = framewise_centroid_baseline([SoftMask(values)]).points[0]
+        assert x == pytest.approx(4.0 * value / (1.0 + value) if counted else 0.0)
+        assert y == 2.0
 
     def test_image_center_before_first_detection(self):
         empty = SoftMask(np.zeros((5, 9)))
@@ -286,12 +298,6 @@ class TestCentroidBaseline:
             [SoftMask(values), SoftMask(np.zeros((5, 5)))]
         )
         assert t.points[1] == (1.0, 1.0)
-
-    def test_threshold_validation(self):
-        with pytest.raises(MetricError):
-            framewise_centroid_baseline([SoftMask(np.zeros((3, 3)))], threshold=1.5)
-        with pytest.raises(MetricError):
-            framewise_centroid_baseline([SoftMask(np.zeros((3, 3)))], threshold=-0.1)
 
     def test_no_masks_rejected(self):
         with pytest.raises(MetricError, match="no masks"):

@@ -143,28 +143,33 @@ class TestSupportPoints:
     def test_drops_negligible_weights(self):
         xy = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
         w = np.array([0.5, 0.4999, 0.00005, 0.00005])
-        kept = support_points(xy, w, rel_threshold=0.01)
+        kept = support_points(xy, w)
         np.testing.assert_array_equal(kept, xy[:2])
 
     def test_keeps_weights_at_threshold(self):
         xy = np.array([[0.0, 0.0], [1.0, 0.0]])
         w = np.array([1.0, 0.01])
-        kept = support_points(xy, w / w.sum(), rel_threshold=0.01)
+        kept = support_points(xy, w / w.sum())
         assert kept.shape == (2, 2)
+
+    def test_threshold_is_relative_to_the_maximum(self):
+        xy = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        # 0.01 * 3.0 rounds to 0.03; the weight one step below it drops.
+        w = np.array([3.0, 0.03, np.nextafter(0.03, 0.0)])
+        np.testing.assert_array_equal(support_points(xy, w), xy[:2])
+        for scale in (1e-6, 1e6):
+            w = np.array([3.0, 0.05, 0.02]) * scale
+            np.testing.assert_array_equal(support_points(xy, w), xy[:2])
 
     def test_all_zero_weights_give_empty_set(self):
         xy = np.ones((4, 2))
-        kept = support_points(xy, np.zeros(4), rel_threshold=0.01)
+        kept = support_points(xy, np.zeros(4))
         assert kept.shape == (0, 2)
 
     def test_validation(self):
         xy = np.zeros((3, 2))
         with pytest.raises(ShapeError):
-            support_points(xy, np.zeros(2), rel_threshold=0.01)
-        with pytest.raises(ShapeError):
-            support_points(xy, np.zeros(3), rel_threshold=1.5)
-        with pytest.raises(ShapeError):
-            support_points(xy, np.zeros(3), rel_threshold=-0.1)
+            support_points(xy, np.zeros(2))
 
 
 class TestRasterize:

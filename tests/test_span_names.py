@@ -1,7 +1,10 @@
-"""The benchmark's span tracer wraps package names by lookup; these tests
-keep every name it wraps resolvable and called on the paths it traces."""
+"""The benchmark's span tracer wraps package names by lookup, and its
+workloads read package names directly; these tests keep every such name
+resolvable and every wrapped one called on the paths it traces."""
+import ast
 import importlib
 import importlib.util
+import inspect
 import threading
 from collections import Counter
 from pathlib import Path
@@ -11,7 +14,8 @@ import pytest
 from swarmtrack import fusion, geometry, io_formats, synth, tracker
 from tests.conftest import invoke_cli, small_run_config, small_scenario, write_json
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _span_targets():
@@ -27,6 +31,50 @@ def test_span_target_resolves(module_name, attr, span):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner), f"{module_name}.{attr} ({span}) is not callable"
+
+
+def _workload_reads():
+    """Every dotted name workloads.py reads from a swarmtrack module it
+    imports, e.g. "geometry.PixelPoint" or "geometry.Intrinsics.centered"."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "swarmtrack"
+        for alias in node.names
+    }
+    reads = set()
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in modules and parts:
+            reads.add(".".join([node.id, *reversed(parts)]))
+    return sorted(reads)
+
+
+def test_workloads_read_package_names():
+    # Direct reads that keep these names in the package; the parse must
+    # see them. A benchmark change that drops one frees that name.
+    assert {"geometry.PixelPoint", "metrics.Trajectory2D",
+            "io_formats.scenario_config_from_json"} <= set(_workload_reads())
+
+
+@pytest.mark.parametrize("dotted", _workload_reads())
+def test_workload_read_resolves(dotted):
+    root, *attrs = dotted.split(".")
+    owner = importlib.import_module(f"swarmtrack.{root}")
+    for attr in attrs:
+        assert hasattr(owner, attr), f"perfbench/workloads.py reads {dotted}"
+        owner = getattr(owner, attr)
+
+
+def test_marker_run_keeps_defaulted_size_parameters():
+    # The markers workload reports its resolution from these defaults.
+    params = inspect.signature(synth.generate_marker_run).parameters
+    for name in ("width", "height"):
+        assert params[name].default is not inspect.Parameter.empty
 
 
 def _count_calls(monkeypatch, targets):

@@ -27,7 +27,6 @@ from swarmtrack.synth import (
     generate,
     generate_marker_run,
     make_gain_field,
-    render_frame,
     soften,
 )
 from swarmtrack.tracker import SoftMask
@@ -101,11 +100,6 @@ class TestRendering:
             cy = float(np.dot(w, ys) / w.sum())
             assert cx == pytest.approx(scen.gt_track2d[t, 0], abs=0.5)
             assert cy == pytest.approx(scen.gt_track2d[t, 1], abs=0.5)
-
-    def test_render_frame_rejects_grounded_camera(self):
-        from swarmtrack.geometry import CameraPose
-        with pytest.raises(ScenarioError, match="altitude"):
-            render_frame([], CameraPose(0, 0, 0.0), make_config().intrinsics, 1.0)
 
     def test_soften_preserves_binary_when_zero(self):
         binary = np.zeros((8, 8))
@@ -340,26 +334,21 @@ class TestMarkerRuns:
         assert a.sightings == b.sightings
         assert a.sensor_log == b.sensor_log
 
-    def test_needs_two_markers(self):
-        with pytest.raises(ScenarioError, match="at least 2"):
-            generate_marker_run(seed=0, n_markers=1)
+    def test_flies_the_documented_pass(self):
+        config = generate_marker_run(seed=0).config
+        assert (config.fps, config.focal_px) == (15.0, 1000.0)
+        assert (config.width, config.height) == (960, 540)
+        assert config.drone.waypoints == ((0.0, 0.0), (80.0, 0.0), (80.0, 80.0))
+        assert (config.drone.altitude, config.drone.speed) == (40.0, 3.2)
+        # 160 m at 3.2 m/s plus 4 s of margin, at 15 fps.
+        assert config.duration == 810
+        assert config.noise == NoiseConfig()
+        assert config.imu_vel_bias_sigma == 0.14
 
-    @pytest.mark.parametrize(
-        "name, value",
-        [
-            ("speed", 0.0),
-            ("speed", math.nan),
-            ("speed", -3.2),
-            ("fps", 0.0),
-            ("fps", math.inf),
-            ("path_length", math.inf),
-            ("path_length", -5.0),
-            ("path_length", 0.0),
-        ],
-    )
-    def test_rejects_non_positive_or_non_finite_arguments(self, name, value):
-        with pytest.raises(ScenarioError, match=rf"^{name}: must be finite and > 0"):
-            generate_marker_run(seed=0, **{name: value})
+    @pytest.mark.parametrize("width, height", [(7, 540), (960, 7), (0, 0)])
+    def test_rejects_image_below_8x8(self, width, height):
+        with pytest.raises(ScenarioError, match="8x8"):
+            generate_marker_run(seed=0, width=width, height=height)
 
 
 class TestConfigValidation:
@@ -378,6 +367,12 @@ class TestConfigValidation:
             DronePathConfig(waypoints=((0.0, 0.0),), altitude=10.0, speed=0.0)
         with pytest.raises(ScenarioError, match="waypoint"):
             DronePathConfig(waypoints=(), altitude=10.0, speed=1.0)
+
+    # Every rendered camera is above the ground because of this check.
+    @pytest.mark.parametrize("altitude", [0.0, -5.0, math.nan, math.inf])
+    def test_altitude_must_be_finite_and_positive(self, altitude):
+        with pytest.raises(ScenarioError, match="altitude: must be > 0"):
+            DronePathConfig(waypoints=((0.0, 0.0),), altitude=altitude, speed=1.0)
 
     def test_scenario_scalar_validation(self):
         with pytest.raises(ScenarioError, match="duration"):
@@ -540,11 +535,9 @@ def _sighting_hex(sightings):
     return [(m, f, u.hex(), v.hex()) for m, f, u, v in sightings]
 
 
-def _assert_marker_run_matches(seed, n_markers=10, path_length=160.0, **kwargs):
-    run = generate_marker_run(
-        seed, n_markers=n_markers, path_length=path_length, **kwargs
-    )
-    markers, sightings, log, poses = _ref_marker_run(run.config, n_markers, path_length)
+def _assert_marker_run_matches(seed, **kwargs):
+    run = generate_marker_run(seed, **kwargs)
+    markers, sightings, log, poses = _ref_marker_run(run.config, 10, 160.0)
     assert run.markers.tobytes() == markers.tobytes()
     assert [_record_hex(r) for r in run.sensor_log] == [_record_hex(r) for r in log]
     assert [_pose_hex(p) for p in run.gt_poses] == [_pose_hex(p) for p in poses]
@@ -638,17 +631,13 @@ class TestArrayKinematicsOracle:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"speed": 5.5},
-            {"speed": 1.1, "path_length": 30.0},
-            {"fps": 7.0},
-            {"fps": 29.97},
-            {"n_markers": 2},
-            {"n_markers": 17},
-            {"noise": NoiseConfig(1.3, 0.05, 2.0)},
-            {"path_length": 12.0, "speed": 9.0},
-            {"altitude": 25.0, "focal_px": 800.0, "width": 640, "height": 360},
+            {"width": 640, "height": 360},
+            {"width": 1920, "height": 1080},
+            {"width": 320, "height": 180},
+            {"width": 1280, "height": 720},
+            {"width": 961, "height": 541},
         ],
-        ids=lambda kw: ",".join(kw),
+        ids=lambda kw: f"{kw['width']}x{kw['height']}",
     )
     def test_marker_runs_match_reference_off_defaults(self, kwargs):
         for seed in (0, 1, 2):
