@@ -222,6 +222,8 @@ def read_trajectory(path: Path | str) -> dict[str, np.ndarray]:
     prev_frame: int | None = None
     for line_no, fields in rows:
         frame = _parse_int(fields[0], path, line_no, cols[0])
+        if frame < 0:
+            raise FormatError(f"{path}:{line_no}: frame {frame} is negative")
         if prev_frame is not None and frame <= prev_frame:
             raise FormatError(
                 f"{path}:{line_no}: frame {frame} does not increase over {prev_frame}"

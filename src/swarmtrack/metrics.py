@@ -167,6 +167,11 @@ def _pair_distances(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndar
     return np.sqrt(sq, out=sq)
 
 
+# Pairs scored at once. 1,024 points make 523,776 pairs, one block, so
+# every bundled scenario is scored by the all-pairs formula, bit for bit.
+_PAIR_BLOCK = 1 << 19
+
+
 def relative_distance_error(
     pred: np.ndarray, ref: np.ndarray
 ) -> tuple[float, float]:
@@ -176,6 +181,11 @@ def relative_distance_error(
     abs(|pred_i - pred_j| - |ref_i - ref_j|). Because only distances
     enter, a global translation or rotation of either set changes
     nothing; this isolates geometric consistency from georeferencing.
+
+    The pairs are walked in row blocks of the upper triangle, at most
+    _PAIR_BLOCK pairs each (one row if a row holds more), and the blocks'
+    means and squared deviations are merged (Chan, Golub and LeVeque), so
+    memory is bounded whatever the number of points.
     """
     p = np.asarray(pred, dtype=float)
     r = np.asarray(ref, dtype=float)
@@ -185,9 +195,29 @@ def relative_distance_error(
         raise MetricError(f"expected (n, 2) or (n, 3) points, got {p.shape}")
     if p.shape[0] < 2:
         raise MetricError("need at least 2 points for pairwise distances")
-    i, j = np.triu_indices(len(p), 1)
-    errors = np.abs(_pair_distances(p, i, j) - _pair_distances(r, i, j))
-    return float(errors.mean()), float(errors.std())
+    n = len(p)
+    row_end = np.cumsum(np.arange(n - 1, 0, -1))  # pairs in rows 0..r
+    count, mean, m2 = 0, 0.0, 0.0
+    a = 0
+    while a < n - 1:
+        b = max(a + 1, int(np.searchsorted(row_end, count + _PAIR_BLOCK, side="right")))
+        i, j = np.triu_indices(b - a, 1, n - a)
+        i += a
+        j += a
+        errors = np.abs(_pair_distances(p, i, j) - _pair_distances(r, i, j))
+        k = len(errors)
+        block_mean = errors.sum() / k
+        errors -= block_mean
+        errors *= errors
+        block_m2 = errors.sum()
+        count += k
+        delta = block_mean - mean
+        # With one block these are errors.mean() and its squared
+        # deviations exactly, as numpy's mean and std compute them.
+        mean += delta * (k / count)
+        m2 += block_m2 + delta * delta * ((count - k) * k / count)
+        a = b
+    return float(mean), float(math.sqrt(m2 / count))
 
 
 def framewise_centroid_baseline(masks) -> Trajectory2D:

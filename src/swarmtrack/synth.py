@@ -649,13 +649,12 @@ def make_gain_field(
     sd = float(coarse.std())
     if sd > 0:
         coarse /= sd
+    # zoom returns round(c * (n / c)) == n rows and columns, so the field
+    # is the frame's size; it is scaled and exponentiated in place so no
+    # second frame-size array is built.
     field = ndimage.zoom(coarse, (height / ch, width / cw), order=1)
-    field = field[:height, :width]
-    if field.shape != (height, width):
-        pad_h = height - field.shape[0]
-        pad_w = width - field.shape[1]
-        field = np.pad(field, ((0, pad_h), (0, pad_w)), mode="edge")
-    return np.exp(gain_sigma * field)
+    field *= gain_sigma
+    return np.exp(field, out=field)
 
 
 def degrade_mask(

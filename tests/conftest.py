@@ -1,5 +1,6 @@
 """Shared test helpers: in-process CLI runner and small scenario configs."""
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,18 @@ def small_run_config(**overrides) -> dict:
 def write_json(path: Path, payload: dict) -> Path:
     path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
     return path
+
+
+def traced_peak(fn, *args):
+    """(peak bytes that tracemalloc saw while fn(*args) ran, its result)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
 
 
 def poses_of(poses) -> Poses:

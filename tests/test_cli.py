@@ -541,6 +541,23 @@ class TestProject:
         )
         assert code == 1 and "has no pose" in err
 
+    def test_negative_frame_exits_1(self, scenario_dir, tmp_path, run_cli):
+        rows = (scenario_dir / "gt_track.csv").read_text().splitlines()
+        assert rows[1].startswith("0,")
+        rows[1] = "-1" + rows[1][1:]
+        track = tmp_path / "track.csv"
+        track.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "o"
+        code, _, err = run_cli(
+            "project", "--trajectory", track,
+            "--poses", scenario_dir / "gt_poses.csv",
+            "--focal", 350.0, "--width", 320, "--height", 180, "--out", out,
+        )
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert code == 1 and errors == [f"error: {track}:2: frame -1 is negative"], err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_focal_exits_2(self, scenario_dir, tmp_path, run_cli):
         code, _, err = run_cli(
             "project", "--trajectory", scenario_dir / "gt_track.csv",

@@ -146,6 +146,15 @@ class TestTrajectory:
         with pytest.raises(FormatError, match="does not increase"):
             read_trajectory(path)
 
+    def test_negative_frame_rejected(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        write_trajectory(
+            [0, 1], np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), path
+        )
+        path.write_text(path.read_text().replace("\n0,", "\n-1,"))
+        with pytest.raises(FormatError, match=r"traj\.csv:2: frame -1 is negative"):
+            read_trajectory(path)
+
     def test_lost_flag_must_be_binary(self, tmp_path):
         path = tmp_path / "traj.csv"
         write_trajectory([0], np.zeros((1, 2)), np.zeros((1, 2)), np.ones(1), path)

@@ -16,6 +16,7 @@ from swarmtrack.metrics import (
 )
 from swarmtrack.synth import generate_marker_run
 from swarmtrack.tracker import SoftMask
+from tests.conftest import traced_peak
 
 
 def traj(points):
@@ -206,6 +207,54 @@ class TestRelativeDistanceError:
             relative_distance_error(pts[:1], pts[:1])
         with pytest.raises(MetricError):
             relative_distance_error(np.zeros(3), np.zeros(3))
+
+
+def _all_pairs_error(pred: np.ndarray, ref: np.ndarray) -> tuple[float, float]:
+    """Reference: every pair's error in one array, then numpy's mean and std."""
+    i, j = np.triu_indices(len(pred), 1)
+    errors = np.abs(
+        metrics._pair_distances(pred, i, j) - metrics._pair_distances(ref, i, j)
+    )
+    return float(errors.mean()), float(errors.std())
+
+
+class TestBlockedPairs:
+    """The row-block walk over the upper triangle against the all-pairs formula."""
+
+    @staticmethod
+    def _points(n, dim, seed):
+        rng = np.random.default_rng(seed)
+        ref = rng.uniform(-300.0, 300.0, (n, dim))
+        return ref + rng.normal(0.0, 0.5, (n, dim)), ref
+
+    @pytest.mark.parametrize("n", [2, 3, 75, 900, 1023, 1024])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_block_is_bitwise_all_pairs(self, n, dim):
+        pred, ref = self._points(n, dim, n + dim)
+        got = relative_distance_error(pred, ref)
+        assert _bits(got).tolist() == _bits(_all_pairs_error(pred, ref)).tolist()
+
+    @pytest.mark.parametrize("n", [1025, 1500, 1800])
+    def test_many_blocks_agree_with_all_pairs(self, n):
+        pred, ref = self._points(n, 2, n)
+        got = relative_distance_error(pred, ref)
+        np.testing.assert_allclose(got, _all_pairs_error(pred, ref), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("block", [1, 7, 48, 49, 50, 300])
+    def test_block_edges_cover_every_pair_once(self, monkeypatch, block):
+        # 50 points: rows hold 49 down to 1 pairs, so small blocks take one
+        # row even when it holds more pairs than the block.
+        pred, ref = self._points(50, 3, block)
+        want = _all_pairs_error(pred, ref)
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK", block)
+        got = relative_distance_error(pred, ref)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_memory_is_bounded(self):
+        # All pairs at once peaked at 448 MB here.
+        pred, ref = self._points(4000, 2, 4)
+        peak, _ = traced_peak(relative_distance_error, pred, ref)
+        assert peak <= 40_000_000, peak
 
 
 def _numpy_pdist(points: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from swarmtrack.synth import (
     soften,
 )
 from swarmtrack.tracker import SoftMask
-from tests.conftest import poses_of
+from tests.conftest import poses_of, traced_peak
 
 
 def make_config(**overrides):
@@ -236,6 +236,49 @@ class TestDegradation:
         with pytest.raises(ValueError):
             make_gain_field(32, 32, 0.5, 0.0, rng)
 
+    @pytest.mark.parametrize(
+        "width, height, gain_sigma, scale_px",
+        [
+            (640, 360, 1.0, 150.0),
+            (641, 359, 0.7, 37.5),
+            (97, 13, 1.3, 4.0),
+            (1, 1, 1.0, 150.0),
+            (1, 7, 0.5, 0.3),
+            (64, 48, 0.8, 500.0),
+            (333, 211, 0.0, 20.0),
+        ],
+    )
+    def test_gain_field_matches_reference(self, width, height, gain_sigma, scale_px):
+        for seed in (0, 5):
+            got = make_gain_field(
+                width, height, gain_sigma, scale_px, np.random.default_rng(seed)
+            )
+            want = _reference_gain_field(
+                width, height, gain_sigma, scale_px, np.random.default_rng(seed)
+            )
+            assert got.shape == want.shape == (height, width)
+            assert got.tobytes() == want.tobytes()
+
+    def test_gain_field_is_frame_size(self):
+        # zoom returns round(c * (n / c)) == n rows and columns; nothing
+        # trims or pads the field, so this sweep is the guard.
+        rng = np.random.default_rng(1)
+        for n in range(1, 130):
+            for scale_px in (1.0, 2.9, 64.0, 1e4):
+                for width, height in ((n, 7), (5, n), (n, 131 - n)):
+                    field = make_gain_field(width, height, 0.5, scale_px, rng)
+                    assert field.shape == (height, width), (width, height, scale_px)
+        for width, height in ((1280, 720), (1920, 1080), (1023, 769)):
+            field = make_gain_field(width, height, 0.5, 150.0, rng)
+            assert field.shape == (height, width)
+
+    def test_gain_field_builds_one_frame_size_array(self):
+        peak, field = traced_peak(
+            make_gain_field, 640, 360, 1.0, 150.0, np.random.default_rng(0)
+        )
+        assert field.shape == (360, 640)
+        assert peak <= field.nbytes + 64 * 1024, peak
+
     def test_blur_spreads_and_dims(self):
         values = np.zeros((31, 31))
         values[15, 15] = 1.0
@@ -262,6 +305,17 @@ class TestDegradation:
         values = rng.uniform(0, 1, (16, 16))
         out = degrade_mask(SoftMask(values))
         np.testing.assert_array_equal(out.values, values)
+
+
+def _reference_gain_field(width, height, gain_sigma, scale_px, rng):
+    """Reference: the coarse draw, the zoom, then exp of a scaled copy."""
+    ch = max(2, int(math.ceil(height / scale_px)) + 1)
+    cw = max(2, int(math.ceil(width / scale_px)) + 1)
+    coarse = ndimage.gaussian_filter(rng.standard_normal((ch, cw)), sigma=1.0)
+    sd = float(coarse.std())
+    if sd > 0:
+        coarse /= sd
+    return np.exp(gain_sigma * ndimage.zoom(coarse, (height / ch, width / cw), order=1))
 
 
 def _full_frame(values, sigma, gain=None):
