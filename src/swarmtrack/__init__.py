@@ -17,10 +17,10 @@ from .geometry import (
     backproject_image_to_ground,
     motion_between_poses,
 )
-from .fusion import NoiseConfig, SensorLog, SensorRecord, fuse_log
+from .fusion import NoiseConfig, SensorLog, fuse_log
 from .tracker import ParticleSet, SoftMask, TrackerConfig, TrackLostError, track_sequence
 from .shapes import AlphaShape, BinaryMask, alpha_shape, default_alpha, rasterize
-from .metrics import MaskScores, Trajectory2D, mask_scores, relative_distance_error, sdr
+from .metrics import MaskScores, Trajectory2D, relative_distance_error, sdr
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "PixelPoint",
     "Poses",
     "SensorLog",
-    "SensorRecord",
     "SoftMask",
     "TrackLostError",
     "TrackerConfig",
@@ -47,7 +46,6 @@ __all__ = [
     "backproject_image_to_ground",
     "default_alpha",
     "fuse_log",
-    "mask_scores",
     "motion_between_poses",
     "rasterize",
     "relative_distance_error",

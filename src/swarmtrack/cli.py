@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io_formats, synth
-from .fusion import ORIENTATION_ALPHA, FusionError, NoiseConfig, check_orientation_alpha, fuse_log
-from .geometry import GeometryError, Intrinsics, PixelPoint, backproject_image_to_ground
+from .fusion import ORIENTATION_ALPHA, NoiseConfig, check_orientation_alpha, fuse_log
+from .geometry import Intrinsics, PixelPoint, backproject_image_to_ground
 from .io_formats import FormatError, RunConfig
 from .metrics import (
     MaskScoreAccumulator,
@@ -577,16 +577,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print(f"error: {args.command} ran out of memory", file=sys.stderr)
         return 1
-    except (
-        FormatError,
-        FusionError,
-        GeometryError,
-        MetricError,
-        ScenarioError,
-        ShapeError,
-        ValueError,
-        OSError,
-    ) as e:
+    except (ValueError, OSError) as e:  # every package error is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,8 @@
 """GPS/IMU fusion of the drone sensor log into per-frame camera poses.
 
 Each sensor record carries a GPS position fix, an IMU velocity and the
-gimbal attitude. A log is a ``SensorLog``, one array per column
-(``SensorRecord`` is the scalar form of one row); its columns are
-linearly interpolated onto the frame timestamps, then a
+gimbal attitude. A log is a ``SensorLog``, one array per column; its
+columns are linearly interpolated onto the frame timestamps, then a
 constant-velocity Kalman filter over the 6-state [position; velocity]
 smooths position and velocity. Attitude angles are not filtered (the
 gimbal already stabilizes them); an optional exponential moving
@@ -31,12 +30,11 @@ poses and both baselines come back as one ``geometry.Poses`` array.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Poses, _finite
+from .geometry import Poses
 
 
 class FusionError(ValueError):
@@ -72,30 +70,12 @@ class NoiseConfig:
                 )
 
 
-@dataclass(frozen=True)
-class SensorRecord:
-    """One row of the drone log: GPS fix, IMU velocity, gimbal attitude."""
-
-    frame: int
-    t: float
-    gps: tuple[float, float, float]
-    vel: tuple[float, float, float]
-    pitch: float
-    yaw: float
-    roll: float
-
-    def __post_init__(self) -> None:
-        if not _finite(self.t, *self.gps, *self.vel, self.pitch, self.yaw, self.roll):
-            raise ValueError(f"sensor record has non-finite fields: {self!r}")
-
-
 class SensorLog:
     """The drone log as read-only arrays, one row per record.
 
     ``frame`` (n,) ints, ``t`` (n,) s, ``gps`` (n, 3) m, ``vel`` (n, 3)
     m/s and ``att`` (n, 3) [pitch, yaw, roll] deg; every value is
-    finite. Indexing and iteration build the SensorRecord of one row;
-    ``==`` compares element-wise, also against a list of SensorRecord.
+    finite; ``==`` compares element-wise.
     """
 
     __slots__ = ("frame", "t", "gps", "vel", "att")
@@ -124,41 +104,23 @@ class SensorLog:
             & np.isfinite(att).all(axis=1)
         )
         if bad.any():
-            self[int(np.argmax(bad))]  # raises, naming the record
-
-    @classmethod
-    def from_records(cls, records) -> "SensorLog":
-        """The SensorLog of a list of SensorRecord."""
-        cols = np.array(
-            [(r.t, *r.gps, *r.vel, r.pitch, r.yaw, r.roll) for r in records],
-            dtype=float,
-        ).reshape(-1, 10)
-        return cls(
-            [r.frame for r in records], cols[:, 0], cols[:, 1:4], cols[:, 4:7], cols[:, 7:]
-        )
+            # Worded as the record form of the first bad row.
+            i = int(np.argmax(bad))
+            pitch, yaw, roll = att[i].tolist()
+            raise ValueError(
+                f"sensor record has non-finite fields: SensorRecord(frame={int(frame[i])!r}, "
+                f"t={float(t[i])!r}, gps={tuple(gps[i].tolist())!r}, "
+                f"vel={tuple(vel[i].tolist())!r}, pitch={pitch!r}, yaw={yaw!r}, roll={roll!r})"
+            )
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def __getitem__(self, i) -> SensorRecord:
-        i = operator.index(i)
-        return SensorRecord(
-            int(self.frame[i]), float(self.t[i]), tuple(self.gps[i].tolist()),
-            tuple(self.vel[i].tolist()), *self.att[i].tolist(),
-        )
-
-    def __iter__(self):
-        columns = (self.frame, self.t, self.gps, self.vel, self.att)
-        for frame, t, gps, vel, att in zip(*(c.tolist() for c in columns)):
-            yield SensorRecord(frame, t, tuple(gps), tuple(vel), *att)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SensorLog):
             return all(
                 np.array_equal(getattr(self, n), getattr(other, n)) for n in self.__slots__
             )
-        if isinstance(other, list):
-            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
         return NotImplemented
 
     def __repr__(self) -> str:

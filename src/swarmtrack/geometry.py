@@ -135,8 +135,7 @@ class Poses:
 
     Columns are [x, y, z, pitch, yaw, roll] with CameraPose's meaning;
     every value is finite. ``poses[i]`` and iteration build the
-    CameraPose of one row; ``==`` compares element-wise, also against a
-    list of CameraPose.
+    CameraPose of one row; ``==`` compares element-wise.
     """
 
     __slots__ = ("array",)
@@ -164,8 +163,6 @@ class Poses:
     def __eq__(self, other) -> bool:
         if isinstance(other, Poses):
             return bool(np.array_equal(self.array, other.array))
-        if isinstance(other, list):
-            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -189,10 +186,6 @@ class CameraMotion:
             raise ValueError("linear and angular must each have 3 components")
         if not _finite(*self.linear, *self.angular):
             raise ValueError(f"motion components must be finite, got {self}")
-
-    @classmethod
-    def zero(cls) -> "CameraMotion":
-        return cls((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
 def _rot_x(rad: float) -> np.ndarray:

@@ -476,11 +476,6 @@ def scenario_config_from_json(text: str):
     return config_from_json(ScenarioConfig, text)
 
 
-def scenario_config_to_json(config) -> str:
-    """Serialize a ScenarioConfig as the scenario.json document."""
-    return json.dumps(dump(config), indent=2) + "\n"
-
-
 # -- score reports ---------------------------------------------------------
 
 

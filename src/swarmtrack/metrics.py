@@ -85,12 +85,9 @@ class MaskScores:
     degenerate: bool = False
 
 
-def _confusion(
-    pred: BinaryMask | np.ndarray, ref: BinaryMask | np.ndarray
-) -> tuple[int, int, int]:
+def _confusion(pred: BinaryMask, ref: BinaryMask) -> tuple[int, int, int]:
     """True positive, false positive and false negative pixel counts."""
-    p = pred.bits if isinstance(pred, BinaryMask) else np.asarray(pred, dtype=bool)
-    r = ref.bits if isinstance(ref, BinaryMask) else np.asarray(ref, dtype=bool)
+    p, r = pred.bits, ref.bits
     if p.shape != r.shape:
         raise MetricError(f"mask shapes differ: {p.shape} vs {r.shape}")
     tp = int(np.count_nonzero(p & r))
@@ -105,11 +102,6 @@ def _scores(tp: int, fp: int, fn: int) -> MaskScores:
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * tp / (2 * tp + fp + fn)
     return MaskScores(iou, precision, recall, f1)
-
-
-def mask_scores(pred: BinaryMask | np.ndarray, ref: BinaryMask | np.ndarray) -> MaskScores:
-    """IoU / precision / recall / F1 of two binary masks."""
-    return _scores(*_confusion(pred, ref))
 
 
 @dataclass
@@ -129,7 +121,8 @@ class MaskScoreAccumulator:
         if self.per_frame is None:
             self.per_frame = []
 
-    def add(self, pred: BinaryMask | np.ndarray, ref: BinaryMask | np.ndarray) -> MaskScores:
+    def add(self, pred: BinaryMask, ref: BinaryMask) -> MaskScores:
+        """Pool one frame's counts and return that frame's scores."""
         tp, fp, fn = _confusion(pred, ref)
         self.tp += tp
         self.fp += fp

@@ -31,6 +31,7 @@ return the grown box with it; no full-frame float array is built.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -204,23 +205,6 @@ class ScenarioConfig:
     @property
     def intrinsics(self) -> Intrinsics:
         return Intrinsics.centered(self.focal_px, self.width, self.height)
-
-
-@dataclass
-class Scenario:
-    """Generated data: observations plus exact ground truth.
-
-    All sequences have config.duration entries. gt_track2d is the
-    projection of gt_track_world through gt_poses, corner-origin px.
-    """
-
-    config: ScenarioConfig
-    masks: list[SoftMask]
-    gt_masks: list[BinaryMask]
-    sensor_log: SensorLog
-    gt_poses: Poses
-    gt_track2d: np.ndarray
-    gt_track_world: np.ndarray
 
 
 # -- paths ---------------------------------------------------------------
@@ -564,25 +548,6 @@ def _simulate(config: ScenarioConfig):
     return log, poses, world, frames()
 
 
-def generate(config: ScenarioConfig) -> Scenario:
-    """Generate a full scenario in memory.
-
-    Suitable for short configs; cmd_simulate streams frames to disk
-    instead (see write_scenario) to keep memory flat on long runs.
-    """
-    log, poses, world, frames = _simulate(config)
-    masks, gt_masks, track2d = (list(c) for c in zip(*frames))
-    return Scenario(
-        config=config,
-        masks=masks,
-        gt_masks=gt_masks,
-        sensor_log=log,
-        gt_poses=poses,
-        gt_track2d=np.array(track2d),
-        gt_track_world=np.column_stack([world, np.zeros(len(world))]),
-    )
-
-
 def _project_centroid(
     world_xy: np.ndarray, pose: CameraPose, intr: Intrinsics
 ) -> tuple[float, float]:
@@ -616,7 +581,7 @@ def write_scenario(config: ScenarioConfig, out_dir) -> None:
         path=out / "gt_track.csv",
     )
     (out / "scenario.json").write_text(
-        io_formats.scenario_config_to_json(config), encoding="utf-8"
+        json.dumps(io_formats.dump(config), indent=2) + "\n", encoding="utf-8"
     )
 
 

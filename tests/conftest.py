@@ -2,10 +2,12 @@
 import json
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from swarmtrack import synth
 from swarmtrack.cli import main as cli_main
 from swarmtrack.geometry import Poses
 
@@ -80,3 +82,18 @@ def poses_of(poses) -> Poses:
     """The Poses of a list of CameraPose."""
     rows = [(p.x, p.y, p.z, p.pitch, p.yaw, p.roll) for p in poses]
     return Poses(np.array(rows, dtype=float).reshape(-1, 6))
+
+
+def simulate(config) -> SimpleNamespace:
+    """A scenario held in memory, from the generator write_scenario writes.
+
+    Fields: sensor_log, gt_poses, world (n, 2) centroids in m, masks
+    (unquantized SoftMask), gt_masks (BinaryMask) and track2d (n, 2)
+    corner-origin px.
+    """
+    log, poses, world, frames = synth._simulate(config)
+    masks, gt_masks, track2d = (list(c) for c in zip(*frames))
+    return SimpleNamespace(
+        sensor_log=log, gt_poses=poses, world=world, masks=masks, gt_masks=gt_masks,
+        track2d=np.array(track2d),
+    )

@@ -216,8 +216,8 @@ class TestTrack:
 
     def test_shapes_overlap_ground_truth(self, track_dir, scenario_dir):
         from swarmtrack.io_formats import read_binary_mask
-        from swarmtrack.metrics import mask_scores
-        s = mask_scores(
+        from swarmtrack.metrics import MaskScoreAccumulator
+        s = MaskScoreAccumulator().add(
             read_binary_mask(track_dir / "shapes" / "000030.pgm"),
             read_binary_mask(scenario_dir / "gt_masks" / "000030.pgm"),
         )

@@ -1,5 +1,6 @@
 """Kalman predict/update algebra, log fusion, and the pose baselines."""
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,7 +10,6 @@ from swarmtrack.fusion import (
     FusionError,
     NoiseConfig,
     SensorLog,
-    SensorRecord,
     _axis_gains,
     _frame_arrays,
     dead_reckoning_poses,
@@ -89,9 +89,11 @@ def _measurement_cov(noise: NoiseConfig) -> np.ndarray:
     return r
 
 
-def kalman_update(
-    state: FusionState, record: SensorRecord, noise: NoiseConfig
-) -> FusionState:
+# One row of a sensor log, as the reference filter consumes it.
+Record = namedtuple("Record", "frame t gps vel pitch yaw roll")
+
+
+def kalman_update(state: FusionState, record: Record, noise: NoiseConfig) -> FusionState:
     """Condition the state on one sensor record (position + velocity)."""
     z = np.array([*record.gps, *record.vel], dtype=float)
     r = _measurement_cov(noise)
@@ -112,7 +114,7 @@ def kalman_update(
     return FusionState(mean, cov)
 
 
-def initial_state(record: SensorRecord, noise: NoiseConfig) -> FusionState:
+def initial_state(record: Record, noise: NoiseConfig) -> FusionState:
     """State anchored at the first record, with measurement-level spread."""
     mean = np.array([*record.gps, *record.vel], dtype=float)
     return FusionState(mean, _measurement_cov(noise))
@@ -122,10 +124,7 @@ def resample_log_to_frames(log, fps, n_frames=None):
     """The log interpolated onto frame timestamps k/fps, one record each."""
     frame_t, z, angles = _frame_arrays(log, fps, n_frames)
     return [
-        SensorRecord(
-            frame=i, t=t, gps=tuple(row[:3]), vel=tuple(row[3:]),
-            pitch=pitch, yaw=yaw, roll=roll,
-        )
+        Record(i, t, tuple(row[:3]), tuple(row[3:]), pitch, yaw, roll)
         for i, (t, row, (pitch, yaw, roll)) in enumerate(
             zip(frame_t.tolist(), z.tolist(), angles.tolist())
         )
@@ -133,9 +132,14 @@ def resample_log_to_frames(log, fps, n_frames=None):
 
 
 def record(frame, t, gps, vel, pitch=0.0, yaw=0.0, roll=0.0):
-    return SensorRecord(
-        frame=frame, t=t, gps=tuple(gps), vel=tuple(vel),
-        pitch=pitch, yaw=yaw, roll=roll,
+    return Record(frame, t, tuple(gps), tuple(vel), pitch, yaw, roll)
+
+
+def log_of(records):
+    """The SensorLog of a non-empty list of Record."""
+    return SensorLog(
+        [r.frame for r in records], [r.t for r in records], [r.gps for r in records],
+        [r.vel for r in records], [(r.pitch, r.yaw, r.roll) for r in records],
     )
 
 
@@ -289,6 +293,8 @@ class TestUpdate:
 
 
 class TestSensorRecordValidation:
+    """A one-record log rejects a non-finite value in any field."""
+
     FIELDS = ["t", "gps0", "gps1", "gps2", "vel0", "vel1", "vel2", "pitch", "yaw", "roll"]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -298,7 +304,7 @@ class TestSensorRecordValidation:
         values[index] = value
         t, gps, vel, (pitch, yaw, roll) = values[0], values[1:4], values[4:7], values[7:]
         with pytest.raises(ValueError, match="non-finite"):
-            record(6, t, gps, vel, pitch=pitch, yaw=yaw, roll=roll)
+            log_of([record(6, t, gps, vel, pitch=pitch, yaw=yaw, roll=roll)])
 
 
 class TestFuseLog:
@@ -309,20 +315,18 @@ class TestFuseLog:
             t = i / fps
             pos = (v[0] * t, v[1] * t, 80.0 + v[2] * t)
             recs.append(record(i, t, pos, v, yaw=yaw))
-        return SensorLog.from_records(recs)
+        return log_of(recs)
 
     def test_noise_free_constant_velocity_log_is_recovered_exactly(self):
         log = self.straight_log()
         poses = fuse_log(log, NOISE, fps=10.0)
         assert len(poses) == len(log)
-        for rec, pose in zip(log, poses):
-            np.testing.assert_allclose(
-                (pose.x, pose.y, pose.z), rec.gps, atol=1e-6
-            )
+        for gps, pose in zip(log.gps, poses):
+            np.testing.assert_allclose((pose.x, pose.y, pose.z), gps, atol=1e-6)
             assert pose.yaw == pytest.approx(33.0, abs=1e-9)
 
     def test_single_record_log_passes_through(self):
-        log = SensorLog.from_records(
+        log = log_of(
             [record(0, 0.0, (5, 6, 70), (1, 0, 0), pitch=2.0, yaw=40.0)]
         )
         poses = fuse_log(log, NOISE, fps=15.0)
@@ -331,11 +335,12 @@ class TestFuseLog:
         assert poses[0].pitch == 2.0 and poses[0].yaw == 40.0
 
     def test_empty_log_rejected(self):
+        empty = np.empty((0, 3))
         with pytest.raises(FusionError, match="empty"):
-            fuse_log(SensorLog.from_records([]), NOISE, fps=10.0)
+            fuse_log(SensorLog([], [], empty, empty, empty), NOISE, fps=10.0)
 
     def test_non_monotone_time_rejected(self):
-        log = SensorLog.from_records([
+        log = log_of([
             record(0, 0.0, (0, 0, 50), (0, 0, 0)),
             record(1, 0.2, (0, 0, 50), (0, 0, 0)),
             record(2, 0.1, (0, 0, 50), (0, 0, 0)),
@@ -344,7 +349,7 @@ class TestFuseLog:
             fuse_log(log, NOISE, fps=10.0)
 
     def test_overflowing_state_rejected(self):
-        log = SensorLog.from_records([
+        log = log_of([
             record(0, 0.0, (1.7e308, 0, 50), (1.7e308, 0, 0)),
             record(1, 0.1, (1.7e308, 0, 50), (1.7e308, 0, 0)),
         ])
@@ -361,7 +366,7 @@ class TestFuseLog:
             rng = np.random.default_rng(seed)
             truth = np.array([v * (i / fps) for i in range(n)])
             truth[:, 2] += 60.0
-            log = SensorLog.from_records([
+            log = log_of([
                 record(
                     i, i / fps,
                     truth[i] + rng.normal(0, NOISE.gps_sigma, 3),
@@ -383,7 +388,7 @@ class TestFuseLog:
 
 class TestResampling:
     def test_interpolates_to_frame_timestamps(self):
-        log = SensorLog.from_records([
+        log = log_of([
             record(0, 0.0, (0, 0, 50), (2, 0, 0)),
             record(1, 1.0, (2, 0, 50), (2, 0, 0)),
             record(2, 2.0, (4, 0, 50), (2, 0, 0)),
@@ -393,7 +398,7 @@ class TestResampling:
         np.testing.assert_allclose([p.x for p in poses], [0, 1, 2, 3, 4])
 
     def test_yaw_unwraps_across_the_seam(self):
-        log = SensorLog.from_records([
+        log = log_of([
             record(0, 0.0, (0, 0, 50), (0, 0, 0), yaw=359.0),
             record(1, 1.0, (0, 0, 50), (0, 0, 0), yaw=1.0),
         ])
@@ -403,16 +408,16 @@ class TestResampling:
 
     @pytest.mark.parametrize("n_frames", [0, -1])
     def test_frame_count_must_be_positive(self, n_frames):
-        log = SensorLog.from_records([record(0, 0.0, (0, 0, 50), (0, 0, 0)),
-                                      record(1, 1.0, (0, 0, 50), (0, 0, 0))])
+        log = log_of([record(0, 0.0, (0, 0, 50), (0, 0, 0)),
+                      record(1, 1.0, (0, 0, 50), (0, 0, 0))])
         with pytest.raises(FusionError, match="frame count must be >= 1"):
             gps_only_poses(log, fps=10.0, n_frames=n_frames)
         with pytest.raises(FusionError, match="frame count must be >= 1"):
             fuse_log(log, NOISE, fps=10.0, n_frames=n_frames)
 
     def test_frame_span_must_fit_log(self):
-        log = SensorLog.from_records([record(0, 0.0, (0, 0, 50), (0, 0, 0)),
-                                      record(1, 1.0, (0, 0, 50), (0, 0, 0))])
+        log = log_of([record(0, 0.0, (0, 0, 50), (0, 0, 0)),
+                      record(1, 1.0, (0, 0, 50), (0, 0, 0))])
         with pytest.raises(FusionError, match="frames"):
             gps_only_poses(log, fps=10.0, n_frames=50)
 
@@ -421,11 +426,11 @@ class TestBaselines:
     def test_gps_only_passes_fixes_through(self):
         log = TestFuseLog.straight_log(n=5)
         poses = gps_only_poses(log, fps=10.0)
-        for rec, pose in zip(log, poses):
-            assert (pose.x, pose.y, pose.z) == rec.gps
+        for gps, pose in zip(log.gps.tolist(), poses):
+            assert [pose.x, pose.y, pose.z] == gps
 
     def test_dead_reckoning_integrates_trapezoidally(self):
-        log = SensorLog.from_records([
+        log = log_of([
             record(0, 0.0, (0, 0, 50), (0.0, 0, 0)),
             record(1, 0.5, (99, 99, 99), (2.0, 0, 0)),
             record(2, 1.0, (99, 99, 99), (4.0, 0, 0)),
@@ -510,7 +515,7 @@ def random_log(rng, n, fps):
     """Irregularly sampled noisy log with attitude crossing the yaw seam."""
     t = np.cumsum(rng.uniform(0.3, 1.7, n)) / fps
     vel = rng.normal(0, 3, 3)
-    return SensorLog.from_records([
+    return log_of([
         record(
             i, float(t[i]),
             rng.normal(vel * t[i] + (0, 0, 60), 2.0),
@@ -581,7 +586,7 @@ class TestFuseLogOracle:
         self.check(log, NoiseConfig(gps_sigma=2.0, imu_vel_sigma=0.05), 10.0, n_frames=17)
 
     def test_one_record_log(self):
-        log = SensorLog.from_records(
+        log = log_of(
             [record(0, 1.5, (5, 6, 70), (1, -2, 0.5), pitch=2.0, yaw=359.0, roll=-1.0)]
         )
         self.check(log, NOISE, 15.0)

@@ -25,6 +25,7 @@ from swarmtrack.geometry import (
 
 INTR = Intrinsics.centered(1000.0, 3840, 2160)
 NADIR = CameraPose(0.0, 0.0, 100.0)
+STILL = CameraMotion((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
 def _project(x, y, z, pose=NADIR):
@@ -128,7 +129,7 @@ def _flow(x, y, motion, z):
 
 class TestInducedFlow:
     def test_zero_motion_zero_flow(self):
-        v = _flow(123.0, -45.0, CameraMotion.zero(), 100.0)
+        v = _flow(123.0, -45.0, STILL, 100.0)
         assert v == (0.0, 0.0)
 
     def test_forward_translation_hand_value(self):
@@ -165,7 +166,7 @@ class TestInducedFlow:
 
     def test_depth_must_be_positive(self):
         with pytest.raises(GeometryError, match="depth"):
-            _flow(0.0, 0.0, CameraMotion.zero(), 0.0)
+            _flow(0.0, 0.0, STILL, 0.0)
 
     def test_flow_field_is_elementwise_over_grids(self):
         motion = CameraMotion((0.4, -0.2, 0.1), (0.002, -0.001, 0.003))

@@ -5,7 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from swarmtrack.fusion import NoiseConfig, SensorLog, SensorRecord
+from swarmtrack.fusion import NoiseConfig, SensorLog
 from swarmtrack.geometry import CameraPose
 from swarmtrack.io_formats import (
     FormatError,
@@ -20,7 +20,6 @@ from swarmtrack.io_formats import (
     read_sensor_log,
     read_trajectory,
     scenario_config_from_json,
-    scenario_config_to_json,
     write_mask,
     write_poses,
     write_report,
@@ -30,49 +29,51 @@ from swarmtrack.io_formats import (
 from swarmtrack.shapes import BinaryMask
 from swarmtrack.synth import ScenarioConfig, write_scenario
 from swarmtrack.tracker import SoftMask, TrackerConfig
-from tests.conftest import poses_of, small_run_config, small_scenario
+from tests.conftest import poses_of, simulate, small_run_config, small_scenario
+
+
+def sample_columns():
+    """frame, t, gps, vel and att of a four-record log, as lists."""
+    n = range(4)
+    return (
+        list(n),
+        [i / 15.0 for i in n],
+        [(1.0 + i * 0.1, -2.0, 60.0 + 0.01 * i) for i in n],
+        [(0.31, -0.02, 0.001 * i) for i in n],
+        [(0.5, 12.0 + i, -0.25) for i in n],
+    )
 
 
 def sample_log():
-    recs = []
-    for i in range(4):
-        recs.append(SensorRecord(
-            frame=i,
-            t=i / 15.0,
-            gps=(1.0 + i * 0.1, -2.0, 60.0 + 0.01 * i),
-            vel=(0.31, -0.02, 0.001 * i),
-            pitch=0.5,
-            yaw=12.0 + i,
-            roll=-0.25,
-        ))
-    return recs
+    return SensorLog(*sample_columns())
 
 
 class TestSensorLog:
     def test_round_trip_is_exact(self, tmp_path):
         path = tmp_path / "sensors.csv"
         log = sample_log()
-        write_sensor_log(SensorLog.from_records(log), path)
+        write_sensor_log(log, path)
         assert read_sensor_log(path) == log
 
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "sensors.csv"
-        write_sensor_log(SensorLog.from_records([]), path)
+        empty = np.empty((0, 3))
+        write_sensor_log(SensorLog([], [], empty, empty, empty), path)
         with pytest.raises(FormatError, match="empty log"):
             read_sensor_log(path)
 
     def test_non_increasing_time_names_the_line(self, tmp_path):
         path = tmp_path / "sensors.csv"
-        log = sample_log()
-        log[2] = SensorRecord(frame=2, t=log[1].t, gps=log[2].gps,
-                              vel=log[2].vel, pitch=0, yaw=0, roll=0)
-        write_sensor_log(SensorLog.from_records(log), path)
+        frame, t, gps, vel, att = sample_columns()
+        t[2] = t[1]
+        att[2] = (0.0, 0.0, 0.0)
+        write_sensor_log(SensorLog(frame, t, gps, vel, att), path)
         with pytest.raises(FormatError, match=r":4: time"):
             read_sensor_log(path)
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "sensors.csv"
-        write_sensor_log(SensorLog.from_records(sample_log()), path)
+        write_sensor_log(sample_log(), path)
         lines = path.read_text().splitlines()
         lines[2] = ",".join(lines[2].split(",")[:-1])
         path.write_text("\n".join(lines) + "\n")
@@ -81,7 +82,7 @@ class TestSensorLog:
 
     def test_non_numeric_field_names_line_and_column(self, tmp_path):
         path = tmp_path / "sensors.csv"
-        write_sensor_log(SensorLog.from_records(sample_log()), path)
+        write_sensor_log(sample_log(), path)
         text = path.read_text().replace("0.31", "fast", 1)
         path.write_text(text)
         with pytest.raises(FormatError, match=r":2: column 'vx_mps'"):
@@ -106,7 +107,7 @@ class TestPoses:
         ]
         path = tmp_path / "poses.csv"
         write_poses(poses_of(poses), fps=15.0, path=path)
-        assert read_poses(path) == poses
+        assert list(read_poses(path)) == poses
 
     def test_frames_must_be_consecutive(self, tmp_path):
         path = tmp_path / "poses.csv"
@@ -272,10 +273,12 @@ class TestMasks:
 
 
 class TestScenarioJson:
-    def test_round_trip_preserves_config(self):
-        config = scenario_config_from_json(json.dumps(small_scenario()))
-        again = scenario_config_from_json(scenario_config_to_json(config))
-        assert again == config
+    def test_round_trip_preserves_config(self, tmp_path):
+        config = scenario_config_from_json(json.dumps(small_scenario(duration=2)))
+        write_scenario(config, tmp_path)
+        text = (tmp_path / "scenario.json").read_text(encoding="utf-8")
+        assert text == json.dumps(dump(config), indent=2) + "\n"
+        assert scenario_config_from_json(text) == config
 
     def test_unknown_key_rejected(self):
         doc = small_scenario()
@@ -412,13 +415,12 @@ class TestScenarioDirectory:
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_written_track_matches_in_memory_generate(self, tmp_path):
-        from swarmtrack.synth import generate
+    def test_written_track_matches_in_memory_simulation(self, tmp_path):
         config = scenario_config_from_json(json.dumps(small_scenario(duration=6)))
         write_scenario(config, tmp_path / "out")
-        scen = generate(config)
+        scen = simulate(config)
         track = read_trajectory(tmp_path / "out" / "gt_track.csv")
-        np.testing.assert_allclose(track["uv"], scen.gt_track2d, atol=1e-12)
+        np.testing.assert_allclose(track["uv"], scen.track2d, atol=1e-12)
         for i in range(6):
             disk = read_mask(tmp_path / "out" / "masks" / f"{i:06d}.pgm")
             np.testing.assert_array_equal(

@@ -16,10 +16,9 @@ from swarmtrack.synth import (
     SwarmPathConfig,
     SwarmShapeConfig,
     degrade_mask,
-    generate,
 )
 from swarmtrack.tracker import SoftMask, nonzero_box, ring_box, sample_bilinear
-from tests.conftest import invoke_cli, write_json
+from tests.conftest import invoke_cli, simulate, write_json
 from tests.test_synth import _full_frame, _support_masks, make_config
 
 SIGMAS = [0.0, 1.0, 8.0, 13.7]
@@ -110,7 +109,7 @@ class TestSimulatePath:
             shape=SwarmShapeConfig(semi_major=3.0, semi_minor=2.0, split_frame=6,
                                    split_speed=1.0),
         )
-        scen = generate(config)
+        scen = simulate(config)
         for soft, gt in zip(scen.masks, scen.gt_masks):
             _assert_box_holds(soft)
             assert soft.values.tobytes() == _full_frame(gt.bits, softness).tobytes()
@@ -125,7 +124,7 @@ class TestSimulatePath:
                 drone=DronePathConfig(waypoints=((dx, dy),), altitude=100.0, speed=1.0),
                 shape=SwarmShapeConfig(semi_major=2.0, semi_minor=2.0),
             )
-            scen = generate(config)
+            scen = simulate(config)
             for soft, gt in zip(scen.masks, scen.gt_masks):
                 _assert_box_holds(soft)
                 starts_or_ends = [s.start == 0 or s.stop == n
@@ -187,7 +186,7 @@ class TestFramewiseBaseline:
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0, 4.0, 13.7])
     def test_matches_reference_on_degraded_scenario_masks(self, sigma):
-        scen = generate(make_config(duration=6, mask_softness=1.5))
+        scen = simulate(make_config(duration=6, mask_softness=1.5))
         gain = synth.make_gain_field(256, 256, 1.0, 60.0, np.random.default_rng(4))
         masks = [degrade_mask(m, blur_sigma=sigma, gain=gain) for m in scen.masks]
         got = framewise_centroid_baseline(masks)
@@ -230,7 +229,7 @@ class TestValidation:
 
 
 def test_scenario_masks_round_trip_through_disk_with_tight_box(tmp_path):
-    scen = generate(make_config(duration=3, mask_softness=1.5))
+    scen = simulate(make_config(duration=3, mask_softness=1.5))
     for i, mask in enumerate(scen.masks):
         path = tmp_path / f"{i:06d}.pgm"
         io_formats.write_mask(mask, path)

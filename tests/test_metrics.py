@@ -10,13 +10,18 @@ from swarmtrack.metrics import (
     MetricError,
     Trajectory2D,
     framewise_centroid_baseline,
-    mask_scores,
     relative_distance_error,
     sdr,
 )
+from swarmtrack.shapes import BinaryMask
 from swarmtrack.synth import generate_marker_run
 from swarmtrack.tracker import SoftMask
 from tests.conftest import traced_peak
+
+
+def frame_scores(pred, ref):
+    """The scores MaskScoreAccumulator.add gives one frame of bool arrays."""
+    return MaskScoreAccumulator().add(BinaryMask(pred), BinaryMask(ref))
 
 
 def traj(points):
@@ -87,7 +92,7 @@ class TestMaskScores:
     def test_identical_masks(self):
         m = np.zeros((6, 6), dtype=bool)
         m[2:4, 2:5] = True
-        s = mask_scores(m, m)
+        s = frame_scores(m, m)
         assert (s.iou, s.precision, s.recall, s.f1) == (1.0, 1.0, 1.0, 1.0)
         assert not s.degenerate
 
@@ -96,27 +101,27 @@ class TestMaskScores:
         b = np.zeros((4, 4), dtype=bool)
         a[0, 0] = True
         b[3, 3] = True
-        s = mask_scores(a, b)
+        s = frame_scores(a, b)
         assert (s.iou, s.precision, s.recall, s.f1) == (0.0, 0.0, 0.0, 0.0)
 
     def test_half_coverage_by_hand(self):
         ref = np.ones((4, 4), dtype=bool)
         pred = np.zeros((4, 4), dtype=bool)
         pred[:, :2] = True  # tp=8, fp=0, fn=8
-        s = mask_scores(pred, ref)
+        s = frame_scores(pred, ref)
         assert s.iou == pytest.approx(0.5)
         assert s.precision == 1.0
         assert s.recall == pytest.approx(0.5)
         assert s.f1 == pytest.approx(2 / 3)
 
     def test_both_empty_is_degenerate_perfect(self):
-        s = mask_scores(np.zeros((3, 3), dtype=bool), np.zeros((3, 3), dtype=bool))
+        s = frame_scores(np.zeros((3, 3), dtype=bool), np.zeros((3, 3), dtype=bool))
         assert s.degenerate
         assert (s.iou, s.precision, s.recall, s.f1) == (1.0, 1.0, 1.0, 1.0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(MetricError, match="differ"):
-            mask_scores(np.zeros((3, 3), dtype=bool), np.zeros((3, 4), dtype=bool))
+            frame_scores(np.zeros((3, 3), dtype=bool), np.zeros((3, 4), dtype=bool))
 
     def test_f1_never_below_iou(self):
         # f1 = 2*iou / (1 + iou), so f1 >= iou always
@@ -124,7 +129,7 @@ class TestMaskScores:
         for _ in range(30):
             a = rng.random((8, 8)) > 0.6
             b = rng.random((8, 8)) > 0.6
-            s = mask_scores(a, b)
+            s = frame_scores(a, b)
             assert s.f1 >= s.iou - 1e-12
 
 
@@ -135,12 +140,12 @@ class TestAccumulator:
         ref_a[0] = True  # 4 positives
         pred_a = np.zeros((2, 4), dtype=bool)
         pred_a[0, :2] = True  # tp=2 fn=2
-        acc.add(pred_a, ref_a)
+        acc.add(BinaryMask(pred_a), BinaryMask(ref_a))
         ref_b = np.zeros((2, 4), dtype=bool)
         ref_b[1, 0] = True
         pred_b = np.zeros((2, 4), dtype=bool)
         pred_b[1, :] = True  # tp=1 fp=3
-        acc.add(pred_b, ref_b)
+        acc.add(BinaryMask(pred_b), BinaryMask(ref_b))
         micro = acc.micro()
         assert micro.iou == pytest.approx(3 / 8)
         assert micro.precision == pytest.approx(3 / 6)
@@ -155,9 +160,9 @@ class TestAccumulator:
     def test_degenerate_frames_score_one_in_macro(self):
         acc = MaskScoreAccumulator()
         empty = np.zeros((3, 3), dtype=bool)
-        acc.add(empty, empty)
+        acc.add(BinaryMask(empty), BinaryMask(empty))
         full = np.ones((3, 3), dtype=bool)
-        acc.add(empty, full)  # recall 0
+        acc.add(BinaryMask(empty), BinaryMask(full))  # recall 0
         macro = acc.macro()
         assert macro.recall == pytest.approx(0.5)
         micro = acc.micro()  # pooled counts ignore the degenerate frame

@@ -1,13 +1,12 @@
-"""Poses and SensorLog: the array forms of pose and sensor-log sequences
-agree with the CameraPose and SensorRecord lists they replace."""
-import dataclasses
+"""Poses and SensorLog: the array forms of pose and sensor-log sequences,
+their validation, equality and CSV form."""
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from swarmtrack.fusion import SensorLog, SensorRecord
+from swarmtrack.fusion import SensorLog
 from swarmtrack.geometry import CameraPose, Poses
 from swarmtrack.io_formats import (
     POSE_HEADER,
@@ -30,17 +29,19 @@ def _pose_rows(n=5):
     return rng.uniform(-100.0, 100.0, (n, 6))
 
 
-def _records(n=5):
+def _log_columns(n=5):
+    """frame (n,) and the (n, 10) [t, gps, vel, pitch, yaw, roll] columns."""
     rng = np.random.default_rng(2)
-    return [
-        SensorRecord(
-            frame=i, t=i / 7.0,
-            gps=tuple(rng.normal(0, 50, 3).tolist()), vel=tuple(rng.normal(0, 2, 3).tolist()),
-            pitch=float(rng.uniform(-5, 5)), yaw=float(rng.uniform(0, 360)),
-            roll=float(rng.uniform(-5, 5)),
-        )
+    rows = [
+        [i / 7.0, *rng.normal(0, 50, 3), *rng.normal(0, 2, 3), rng.uniform(-5, 5),
+         rng.uniform(0, 360), rng.uniform(-5, 5)]
         for i in range(n)
     ]
+    return np.arange(n), np.array(rows).reshape(n, 10)
+
+
+def _log(frame, cols):
+    return SensorLog(frame, cols[:, 0], cols[:, 1:4], cols[:, 4:7], cols[:, 7:])
 
 
 def _message(fn, *args):
@@ -49,13 +50,12 @@ def _message(fn, *args):
     return str(e.value)
 
 
-def _ref_sensor_csv(records):
-    """The sensor-log CSV written record by record."""
+def _ref_sensor_csv(log):
+    """The sensor-log CSV written row by row."""
+    cols = np.column_stack([log.t, log.gps, log.vel, log.att]).tolist()
     lines = [SENSOR_HEADER] + [
-        ",".join([str(r.frame)] + [repr(float(v)) for v in (
-            r.t, *r.gps, *r.vel, r.pitch, r.yaw, r.roll
-        )])
-        for r in records
+        ",".join([str(frame)] + [repr(float(v)) for v in row])
+        for frame, row in zip(log.frame.tolist(), cols)
     ]
     return "\n".join(lines) + "\n"
 
@@ -114,20 +114,33 @@ class TestPosesValidation:
             poses.array[0, 0] = 0.0
 
 
+def _record_message(frame, row):
+    """The non-finite message, worded as the record form of one row."""
+    t, g0, g1, g2, v0, v1, v2, pitch, yaw, roll = row
+    return (
+        f"sensor record has non-finite fields: SensorRecord(frame={frame}, t={t!r}, "
+        f"gps={(g0, g1, g2)!r}, vel={(v0, v1, v2)!r}, pitch={pitch!r}, yaw={yaw!r}, "
+        f"roll={roll!r})"
+    )
+
+
 class TestSensorLogValidation:
     @pytest.mark.parametrize("value", BAD)
     @pytest.mark.parametrize("col", range(10), ids=RECORD_FIELDS)
     def test_non_finite_gives_the_sensor_record_message(self, col, value):
-        cols = np.array([(r.t, *r.gps, *r.vel, r.pitch, r.yaw, r.roll) for r in _records()])
+        _, cols = _log_columns()
         cols[2, col] = value
         cols[4, col] = value
-        frames = [10, 11, 12, 13, 14]
-        want = _message(
-            SensorRecord, 12, cols[2, 0].item(), tuple(cols[2, 1:4].tolist()),
-            tuple(cols[2, 4:7].tolist()), *cols[2, 7:].tolist(),
+        frames = np.array([10, 11, 12, 13, 14])
+        want = _record_message(12, cols[2].tolist())
+        assert _message(_log, frames, cols) == want
+
+    def test_non_finite_message_text(self):
+        log = ([7], [0.5], [(1.0, 2.0, math.nan)], [(0.0, -0.25, 3.0)], [(1.5, 90.0, -2.0)])
+        assert _message(SensorLog, *log) == (
+            "sensor record has non-finite fields: SensorRecord(frame=7, t=0.5, "
+            "gps=(1.0, 2.0, nan), vel=(0.0, -0.25, 3.0), pitch=1.5, yaw=90.0, roll=-2.0)"
         )
-        got = _message(SensorLog, frames, cols[:, 0], cols[:, 1:4], cols[:, 4:7], cols[:, 7:])
-        assert got == want
 
     @pytest.mark.parametrize(
         "shapes",
@@ -140,14 +153,14 @@ class TestSensorLogValidation:
             SensorLog(*(np.zeros(s) for s in shapes))
 
     def test_arrays_are_read_only(self):
-        log = SensorLog.from_records(_records())
+        log = _log(*_log_columns())
         for name in ("frame", "t", "gps", "vel", "att"):
             with pytest.raises(ValueError):
                 getattr(log, name)[0] = 0
 
 
 class TestSequenceProtocol:
-    """len, indexing, iteration and == agree with the list they replace."""
+    """len, indexing, iteration and == of the array forms."""
 
     def test_poses_behave_like_the_camera_pose_list(self):
         rows = _pose_rows(7)
@@ -161,36 +174,28 @@ class TestSequenceProtocol:
         for i in [7, -8]:
             with pytest.raises(IndexError):
                 poses[i]
-        assert poses == ref and ref == poses and poses == Poses(rows)
-        assert poses != ref[:-1] and poses != ref[::-1]
+        assert poses == Poses(rows)
+        assert poses != Poses(rows[:-1]) and poses != Poses(rows[::-1])
         changed = rows.copy()
         changed[4, 5] += 1e-9
-        assert poses != Poses(changed) and Poses(changed) != ref
+        assert poses != Poses(changed)
         assert len(Poses(np.empty((0, 6)))) == 0 and list(Poses(np.empty((0, 6)))) == []
 
-    def test_sensor_log_behaves_like_the_record_list(self):
-        ref = _records(6)
-        log = SensorLog.from_records(ref)
-        assert len(log) == len(ref) == 6
-        assert list(log) == ref
-        for i in [0, 2, 5, -1, -6]:
-            rec = log[i]
-            assert rec == ref[i]
-            assert type(rec.frame) is int and type(rec.t) is float
-            assert type(rec.gps) is tuple and type(rec.vel) is tuple
-        with pytest.raises(IndexError):
-            log[6]
-        assert log == ref and ref == log and log == SensorLog.from_records(ref)
-        assert log != ref[:-1] and log != SensorLog.from_records(ref[1:])
-        changes = {
-            "frame": 99, "t": ref[3].t + 1e-9, "gps": (1.0, 2.0, 3.0), "vel": (1.0, 2.0, 3.0),
-            "pitch": 0.125, "yaw": 0.125, "roll": 0.125,
-        }
-        for name, value in changes.items():
-            other = list(ref)
-            other[3] = dataclasses.replace(ref[3], **{name: value})
-            assert log != other and log != SensorLog.from_records(other), name
-        assert len(SensorLog.from_records([])) == 0
+    def test_sensor_log_equality_compares_every_column(self):
+        frame, cols = _log_columns(6)
+        log = _log(frame, cols)
+        assert len(log) == 6
+        assert log == _log(frame, cols.copy())
+        assert log != _log(frame[:-1], cols[:-1]) and log != _log(frame[1:], cols[1:])
+        changed = frame.copy()
+        changed[3] = 99
+        assert log != _log(changed, cols)
+        for col in range(10):
+            other = cols.copy()
+            other[3, col] += 0.125
+            assert log != _log(frame, other), col
+        empty = np.empty((0, 3))
+        assert len(SensorLog([], [], empty, empty, empty)) == 0
 
     def test_marker_run_arrays_match_their_elements(self):
         run = generate_marker_run(5)
@@ -198,18 +203,15 @@ class TestSequenceProtocol:
         assert np.array_equal(
             poses.array, [[p.x, p.y, p.z, p.pitch, p.yaw, p.roll] for p in poses]
         )
-        assert np.array_equal(log.frame, [r.frame for r in log])
-        assert np.array_equal(log.t, [r.t for r in log])
-        assert np.array_equal(log.gps, [r.gps for r in log])
-        assert np.array_equal(log.vel, [r.vel for r in log])
-        assert np.array_equal(log.att, [(r.pitch, r.yaw, r.roll) for r in log])
+        assert np.array_equal(log.frame, np.arange(len(poses)))
+        assert np.array_equal(log.t, log.frame / run.config.fps)
         assert np.array_equal(log.att, poses.array[:, 3:])
 
 
 # A marker run holds its attitude at 0; the random sets vary every column.
 LOGS = {
     "marker-run": lambda: generate_marker_run(3).sensor_log,
-    "random": lambda: SensorLog.from_records(_records(40)),
+    "random": lambda: _log(*_log_columns(40)),
 }
 POSES = {
     "marker-run": lambda: generate_marker_run(3).gt_poses,
@@ -223,9 +225,9 @@ class TestCsvRoundTrip:
         log = LOGS[source]()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_sensor_log(log, a)
-        assert _first_difference(_bytes_text(a), _ref_sensor_csv(list(log))) is None
+        assert _first_difference(_bytes_text(a), _ref_sensor_csv(log)) is None
         back = read_sensor_log(a)
-        assert back == log and back == list(log)
+        assert back == log
         write_sensor_log(back, b)
         assert _first_difference(_bytes_text(b), _bytes_text(a)) is None
 
@@ -236,7 +238,7 @@ class TestCsvRoundTrip:
         write_poses(poses, 15.0, a)
         assert _first_difference(_bytes_text(a), _ref_pose_csv(list(poses), 15.0)) is None
         back = read_poses(a)
-        assert back == poses and back == list(poses)
+        assert back == poses
         write_poses(back, 15.0, b)
         assert _first_difference(_bytes_text(b), _bytes_text(a)) is None
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from swarmtrack import fusion, geometry, io_formats, synth, tracker
-from tests.conftest import invoke_cli, small_run_config, small_scenario, write_json
+from tests.conftest import invoke_cli, simulate, small_run_config, small_scenario, write_json
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -138,10 +138,11 @@ def test_marker_run_calls_fusion_functions_by_name(monkeypatch):
 
 def test_track_sequence_calls_motion_between_poses_per_frame(monkeypatch):
     calls = _count_calls(monkeypatch, ((tracker, "motion_between_poses"),))
-    scen = synth.generate(io_formats.load(synth.ScenarioConfig, small_scenario(duration=7)))
+    config = io_formats.load(synth.ScenarioConfig, small_scenario(duration=7))
+    scen = simulate(config)
     cfg = tracker.TrackerConfig(n_particles=200, seed=0)
     res = tracker.track_sequence(
-        scen.masks, scen.gt_poses, scen.config.intrinsics, cfg, keep_particles=False
+        scen.masks, scen.gt_poses, config.intrinsics, cfg, keep_particles=False
     )
     assert len(res.lost) == 7
     assert calls == {"motion_between_poses": 6}

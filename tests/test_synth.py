@@ -10,7 +10,7 @@ import pytest
 from scipy import ndimage
 
 from swarmtrack import io_formats, synth
-from swarmtrack.fusion import NoiseConfig, SensorLog, SensorRecord
+from swarmtrack.fusion import NoiseConfig, SensorLog
 from swarmtrack.geometry import (
     CameraPose,
     PixelPoint,
@@ -24,13 +24,12 @@ from swarmtrack.synth import (
     SwarmPathConfig,
     SwarmShapeConfig,
     degrade_mask,
-    generate,
     generate_marker_run,
     make_gain_field,
     soften,
 )
 from swarmtrack.tracker import SoftMask
-from tests.conftest import poses_of, traced_peak
+from tests.conftest import poses_of, simulate, traced_peak
 
 
 def make_config(**overrides):
@@ -53,20 +52,20 @@ def make_config(**overrides):
 class TestRendering:
     def test_disc_radius_matches_projection(self):
         # a 5 m disc seen from 100 m with f=1000 px spans 50 px
-        scen = generate(make_config())
+        scen = simulate(make_config())
         for mask in scen.masks:
             area = mask.values.sum()
             assert math.sqrt(area / math.pi) == pytest.approx(50.0, abs=1.0)
 
     def test_disc_stays_centered(self):
-        scen = generate(make_config())
+        scen = simulate(make_config())
         for mask in scen.masks:
             ys, xs = np.nonzero(mask.values)
             assert abs(xs.mean() - 127.5) <= 0.75
             assert abs(ys.mean() - 127.5) <= 0.75
 
     def test_zero_softness_yields_binary_values(self):
-        scen = generate(make_config(mask_softness=0.0))
+        scen = simulate(make_config(mask_softness=0.0))
         assert set(np.unique(scen.masks[0].values)) <= {0.0, 1.0}
         np.testing.assert_array_equal(
             scen.masks[0].values > 0.5, scen.gt_masks[0].bits
@@ -75,7 +74,7 @@ class TestRendering:
     def test_mask_integral_matches_ellipse_area(self):
         # nadir view scales uniformly by f/z; blur redistributes but
         # does not create or destroy mass away from the image border
-        scen = generate(make_config(
+        scen = simulate(make_config(
             width=320, height=180, focal_px=350.0,
             drone=DronePathConfig(waypoints=((0.0, 0.0),), altitude=60.0, speed=1.0),
             shape=SwarmShapeConfig(semi_major=6.0, semi_minor=4.0),
@@ -86,7 +85,7 @@ class TestRendering:
             assert mask.values.sum() == pytest.approx(expected, rel=0.02)
 
     def test_soft_centroid_matches_gt_track(self):
-        scen = generate(make_config(
+        scen = simulate(make_config(
             width=320, height=180, focal_px=350.0,
             drone=DronePathConfig(waypoints=((0.0, 0.0),), altitude=60.0, speed=1.0),
             shape=SwarmShapeConfig(semi_major=6.0, semi_minor=4.0),
@@ -98,8 +97,8 @@ class TestRendering:
             w = values[ys, xs]
             cx = float(np.dot(w, xs) / w.sum())
             cy = float(np.dot(w, ys) / w.sum())
-            assert cx == pytest.approx(scen.gt_track2d[t, 0], abs=0.5)
-            assert cy == pytest.approx(scen.gt_track2d[t, 1], abs=0.5)
+            assert cx == pytest.approx(scen.track2d[t, 0], abs=0.5)
+            assert cy == pytest.approx(scen.track2d[t, 1], abs=0.5)
 
     def test_soften_preserves_binary_when_zero(self):
         binary = np.zeros((8, 8))
@@ -112,35 +111,35 @@ class TestRendering:
 
 class TestGroundTruth:
     def test_track2d_backprojects_onto_world_track(self):
-        scen = generate(make_config(
+        config = make_config(
             duration=40, fps=15.0, width=320, height=180, focal_px=350.0,
             drone=DronePathConfig(
                 waypoints=((-8.0, 0.0), (8.0, 0.0)), altitude=60.0, speed=2.0
             ),
             swarm=SwarmPathConfig(waypoints=((0.0, 0.0), (10.0, 5.0)), speed=0.8),
             shape=SwarmShapeConfig(semi_major=6.0, semi_minor=4.0),
-        ))
-        intr = scen.config.intrinsics
+        )
+        scen = simulate(config)
+        intr = config.intrinsics
         for t in range(40):
-            u, v = scen.gt_track2d[t]
+            u, v = scen.track2d[t]
             hit = backproject_image_to_ground(
                 PixelPoint(u - intr.cx, v - intr.cy), scen.gt_poses[t], intr
             )
-            assert abs(hit.x - scen.gt_track_world[t, 0]) < 1e-6
-            assert abs(hit.y - scen.gt_track_world[t, 1]) < 1e-6
-            assert scen.gt_track_world[t, 2] == 0.0
+            assert abs(hit.x - scen.world[t, 0]) < 1e-6
+            assert abs(hit.y - scen.world[t, 1]) < 1e-6
 
     def test_sequence_lengths_match_duration(self):
-        scen = generate(make_config(duration=17))
+        scen = simulate(make_config(duration=17))
         assert len(scen.masks) == 17
         assert len(scen.gt_masks) == 17
         assert len(scen.sensor_log) == 17
         assert len(scen.gt_poses) == 17
-        assert scen.gt_track2d.shape == (17, 2)
-        assert scen.gt_track_world.shape == (17, 3)
+        assert scen.track2d.shape == (17, 2)
+        assert scen.world.shape == (17, 2)
 
     def test_split_produces_two_components(self):
-        scen = generate(make_config(
+        scen = simulate(make_config(
             duration=60, fps=15.0, width=320, height=180, focal_px=350.0,
             drone=DronePathConfig(waypoints=((0.0, 0.0),), altitude=60.0, speed=1.0),
             swarm=SwarmPathConfig(waypoints=((0.0, 0.0), (30.0, 0.0)), speed=0.5),
@@ -154,7 +153,7 @@ class TestGroundTruth:
 
     def test_swarm_leaving_frame_names_the_frame(self):
         with pytest.raises(ScenarioError, match=r"frame \d+"):
-            generate(make_config(
+            simulate(make_config(
                 duration=45, fps=15.0, width=320, height=180, focal_px=350.0,
                 drone=DronePathConfig(
                     waypoints=((0.0, 0.0),), altitude=60.0, speed=1.0
@@ -168,42 +167,40 @@ class TestGroundTruth:
 
 class TestSensorLog:
     def test_seed_pins_every_output(self):
-        a = generate(make_config(seed=5))
-        b = generate(make_config(seed=5))
+        a = simulate(make_config(seed=5))
+        b = simulate(make_config(seed=5))
         for ma, mb in zip(a.masks, b.masks):
             np.testing.assert_array_equal(ma.values, mb.values)
         assert a.sensor_log == b.sensor_log
-        np.testing.assert_array_equal(a.gt_track2d, b.gt_track2d)
+        np.testing.assert_array_equal(a.track2d, b.track2d)
 
     def test_zero_noise_scale_gives_exact_log(self):
-        scen = generate(make_config(noise_scale=0.0))
-        for rec, pose in zip(scen.sensor_log, scen.gt_poses):
-            assert rec.gps == (pose.x, pose.y, pose.z)
-            assert rec.vel == (0.0, 0.0, 0.0)  # hovering drone
-            assert rec.yaw == pose.yaw
+        scen = simulate(make_config(noise_scale=0.0))
+        log, poses = scen.sensor_log, scen.gt_poses.array
+        assert np.array_equal(log.gps, poses[:, :3])
+        assert np.array_equal(log.vel, np.zeros((len(log), 3)))  # hovering drone
+        assert np.array_equal(log.att[:, 1], poses[:, 4])
 
     def test_gps_noise_std_matches_config(self):
-        scen = generate(make_config(
+        scen = simulate(make_config(
             duration=3500, fps=15.0, width=32, height=18, focal_px=30.0,
             drone=DronePathConfig(waypoints=((0.0, 0.0),), altitude=60.0, speed=1.0),
             shape=SwarmShapeConfig(semi_major=4.0, semi_minor=3.0),
             seed=12,
         ))
-        gps = np.array([r.gps for r in scen.sensor_log])
-        pos = np.array([[p.x, p.y, p.z] for p in scen.gt_poses])
-        resid = gps - pos
+        resid = scen.sensor_log.gps - scen.gt_poses.array[:, :3]
         for axis in range(3):
             assert abs(resid[:, axis].std() - 0.5) / 0.5 < 0.05
 
     def test_velocity_bias_is_horizontal_with_bounded_magnitude(self):
-        scen = generate(make_config(
+        scen = simulate(make_config(
             duration=3500, fps=15.0, width=32, height=18, focal_px=30.0,
             drone=DronePathConfig(waypoints=((0.0, 0.0),), altitude=60.0, speed=1.0),
             shape=SwarmShapeConfig(semi_major=4.0, semi_minor=3.0),
             imu_vel_bias_sigma=0.1,
             seed=12,
         ))
-        vel = np.array([r.vel for r in scen.sensor_log])  # true velocity is 0
+        vel = scen.sensor_log.vel  # true velocity is 0
         bias_est = vel.mean(axis=0)
         se = 0.2 / math.sqrt(len(vel))
         assert abs(bias_est[2]) < 4 * se
@@ -521,19 +518,14 @@ def _ref_sensor_log(config, poses, vels, rng):
     direction = np.array([math.cos(theta), math.sin(theta), 0.0])
     magnitude = config.imu_vel_bias_sigma * rng.uniform(0.75, 1.25)
     bias = scale * magnitude * direction
-    log = []
+    rows = []
     for frame, (pose, vel) in enumerate(zip(poses, vels)):
         gps_noise = scale * config.noise.gps_sigma * rng.standard_normal(3)
         vel_noise = scale * config.noise.imu_vel_sigma * rng.standard_normal(3)
         gps = pose.position + gps_noise
         v = vel + bias + vel_noise
-        log.append(SensorRecord(
-            frame=frame, t=frame / config.fps,
-            gps=(float(gps[0]), float(gps[1]), float(gps[2])),
-            vel=(float(v[0]), float(v[1]), float(v[2])),
-            pitch=pose.pitch, yaw=pose.yaw, roll=pose.roll,
-        ))
-    return log
+        rows.append((frame, frame / config.fps, gps, v, (pose.pitch, pose.yaw, pose.roll)))
+    return SensorLog(*(list(c) for c in zip(*rows)))
 
 
 def _ref_marker_run(config, n_markers, path_length):
@@ -580,9 +572,9 @@ def _pose_hex(pose):
     return tuple(map(float.hex, (pose.x, pose.y, pose.z, pose.pitch, pose.yaw, pose.roll)))
 
 
-def _record_hex(rec):
-    values = (rec.t, *rec.gps, *rec.vel, rec.pitch, rec.yaw, rec.roll)
-    return (rec.frame, *map(float.hex, values))
+def _log_bytes(log):
+    # The bytes of every column tell -0.0 from 0.0, as == does not.
+    return [getattr(log, name).tobytes() for name in SensorLog.__slots__]
 
 
 def _sighting_hex(sightings):
@@ -593,7 +585,7 @@ def _assert_marker_run_matches(seed, **kwargs):
     run = generate_marker_run(seed, **kwargs)
     markers, sightings, log, poses = _ref_marker_run(run.config, 10, 160.0)
     assert run.markers.tobytes() == markers.tobytes()
-    assert [_record_hex(r) for r in run.sensor_log] == [_record_hex(r) for r in log]
+    assert _log_bytes(run.sensor_log) == _log_bytes(log)
     assert [_pose_hex(p) for p in run.gt_poses] == [_pose_hex(p) for p in poses]
     assert all(type(f) is int for _, f, _, _ in run.sightings)
     assert _sighting_hex(run.sightings) == _sighting_hex(sightings)
@@ -675,7 +667,7 @@ class TestArrayKinematicsOracle:
         log = synth._sensor_log(config, poses, positions, vels, rng)
         ref_poses, ref_vels = _ref_flight(config)
         ref = _ref_sensor_log(config, ref_poses, ref_vels, ref_rng)
-        assert [_record_hex(r) for r in log] == [_record_hex(r) for r in ref]
+        assert _log_bytes(log) == _log_bytes(ref)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_marker_runs_match_reference_over_100_seeds(self):
@@ -718,7 +710,7 @@ class TestArrayKinematicsOracle:
         ])
         ref = tmp_path / "ref"
         ref.mkdir()
-        io_formats.write_sensor_log(SensorLog.from_records(log), ref / "sensors.csv")
+        io_formats.write_sensor_log(log, ref / "sensors.csv")
         io_formats.write_poses(poses_of(poses), config.fps, ref / "gt_poses.csv")
         io_formats.write_trajectory(
             frames=list(range(n)), uv=uv, world=world,

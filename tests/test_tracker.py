@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from swarmtrack.geometry import CameraMotion, CameraPose, Intrinsics
-from swarmtrack.synth import generate
 from swarmtrack.tracker import (
     ParticleSet,
     SoftMask,
@@ -18,12 +17,13 @@ from swarmtrack.tracker import (
     track_sequence,
     update_weights,
 )
-from tests.conftest import small_scenario
+from tests.conftest import simulate, small_scenario
 
 
 INTR_4K = Intrinsics.centered(1000.0, 3840, 2160)
 INTR = Intrinsics.centered(350.0, 320, 180)
 HOVER = CameraPose(0.0, 0.0, 60.0)
+STILL = CameraMotion((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
 def particle_set(xy, weights=None, seed=0):
@@ -80,13 +80,13 @@ class TestInitUniform:
 class TestPredict:
     def test_zero_motion_zero_sigma_is_identity(self):
         ps = particle_set([[10.0, 20.0], [100.0, 50.0]])
-        out = predict(ps, CameraMotion.zero(), INTR, 60.0, sigma=0.0)
+        out = predict(ps, STILL, INTR, 60.0, sigma=0.0)
         np.testing.assert_array_equal(out.xy, ps.xy)
 
     def test_diffusion_std_matches_sigma(self):
         n = 100_000
         ps = particle_set(np.full((n, 2), 100.0), seed=12)
-        out = predict(ps, CameraMotion.zero(), INTR, 60.0, sigma=5.0)
+        out = predict(ps, STILL, INTR, 60.0, sigma=5.0)
         moved = out.xy - 100.0
         assert abs(moved[:, 0].std() - 5.0) / 5.0 < 0.02
         assert abs(moved[:, 1].std() - 5.0) / 5.0 < 0.02
@@ -102,7 +102,7 @@ class TestPredict:
 
     def test_weights_unchanged_by_predict(self):
         ps = particle_set([[5, 5], [9, 9]], weights=[0.25, 0.75])
-        out = predict(ps, CameraMotion.zero(), INTR, 60.0, sigma=1.0)
+        out = predict(ps, STILL, INTR, 60.0, sigma=1.0)
         np.testing.assert_array_equal(out.weights, [0.25, 0.75])
 
 
@@ -245,7 +245,7 @@ class TestTrackSequence:
         )
         from swarmtrack.io_formats import scenario_config_from_json
         import json
-        scen = generate(scenario_config_from_json(json.dumps(cfg_dict)))
+        scen = simulate(scenario_config_from_json(json.dumps(cfg_dict)))
         config = TrackerConfig(n_particles=800, motion_noise_sigma=5.0, seed=2)
         result = track_sequence(scen.masks, scen.gt_poses, INTR, config)
         # image-space track must actually move with the drone
@@ -256,8 +256,7 @@ class TestTrackSequence:
             w = backproject_image_to_ground(
                 PixelPoint(u - INTR.cx, v - INTR.cy), scen.gt_poses[t], INTR
             )
-            err = np.hypot(w.x - scen.gt_track_world[t, 0],
-                           w.y - scen.gt_track_world[t, 1])
+            err = np.hypot(w.x - scen.world[t, 0], w.y - scen.world[t, 1])
             assert err < 1.0
 
     def test_uniform_masks_never_lose_track(self):
