@@ -37,14 +37,10 @@ from .metrics import (
     relative_distance_error,
     sdr,
 )
-from .shapes import (
-    BinaryMask,
-    ShapeError,
-    alpha_shape,
-    default_alpha,
-    rasterize,
-    support_points,
-)
+from .shapes import BinaryMask, ShapeError, alpha_shape, rasterize, support_points
+# Imported only so that perfbench/spans.py finds cli.default_alpha to wrap;
+# it goes with ROADMAP item 2.
+from .shapes import default_alpha  # noqa: F401
 from .synth import ScenarioError
 from .tracker import track_sequence
 
@@ -84,6 +80,17 @@ def _write_provenance(out_dir: Path, effective: dict) -> None:
         json.dumps(effective, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     (out_dir / "version.txt").write_text(__version__ + "\n", encoding="utf-8")
+
+
+def _intrinsics(focal: float, cx: float | None, cy: float | None, width: int, height: int) -> Intrinsics:
+    """Intrinsics whose principal point defaults to the image center; a
+    value Intrinsics rejects is a usage error."""
+    cx = width / 2.0 if cx is None else cx
+    cy = height / 2.0 if cy is None else cy
+    try:
+        return Intrinsics(focal, cx, cy, width, height)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 def _project_track(uv: np.ndarray, poses, intr: Intrinsics) -> np.ndarray:
@@ -167,12 +174,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     n_frames = len(mask_paths)
     first = io_formats.read_mask(mask_paths[0])
     width, height = first.width, first.height
-    cx = cfg.cx if cfg.cx is not None else width / 2.0
-    cy = cfg.cy if cfg.cy is not None else height / 2.0
-    try:
-        intr = Intrinsics(cfg.focal_px, cx, cy, width, height)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    intr = _intrinsics(cfg.focal_px, cfg.cx, cfg.cy, width, height)
     log = io_formats.read_sensor_log(args.sensors)
     poses = fuse_log(
         log, cfg.noise, cfg.fps, n_frames=n_frames,
@@ -198,8 +200,7 @@ def cmd_track(args: argparse.Namespace) -> int:
         else:
             pts = support_points(result.particles[t], result.weights[t])
             try:
-                alpha = cfg.alpha_px if cfg.alpha_px is not None else default_alpha(pts)
-                shape = alpha_shape(pts, alpha)
+                shape = alpha_shape(pts, cfg.alpha_px)
                 mask_bits = rasterize(shape, width, height).bits
             except ShapeError:
                 mask_bits = np.zeros((height, width), dtype=bool)
@@ -241,12 +242,7 @@ def cmd_project(args: argparse.Namespace) -> int:
         raise UsageError(f"--focal must be > 0, got {args.focal}")
     if args.width <= 0 or args.height <= 0:
         raise UsageError("--width/--height must be > 0")
-    cx = args.cx if args.cx is not None else args.width / 2.0
-    cy = args.cy if args.cy is not None else args.height / 2.0
-    try:
-        intr = Intrinsics(args.focal, cx, cy, args.width, args.height)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    intr = _intrinsics(args.focal, args.cx, args.cy, args.width, args.height)
     track = io_formats.read_trajectory(args.trajectory)
     poses = io_formats.read_poses(args.poses)
     frames = track["frame"]
@@ -273,8 +269,8 @@ def cmd_project(args: argparse.Namespace) -> int:
             "trajectory": str(args.trajectory),
             "poses": str(args.poses),
             "focal_px": args.focal,
-            "cx": cx,
-            "cy": cy,
+            "cx": intr.cx,
+            "cy": intr.cy,
             "width": args.width,
             "height": args.height,
         },

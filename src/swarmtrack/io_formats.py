@@ -359,9 +359,10 @@ class RunConfig:
     """The run config of ``track`` (run.json): camera, fusion, filter, outline.
 
     fps is the frame rate of the mask sequence. cx/cy default to the
-    image center and alpha_px to ``shapes.default_alpha`` of each frame's
-    particle cloud; orientation_alpha is the attitude EMA factor of
-    ``fusion.fuse_log`` (1 = pass-through).
+    image center; with alpha_px null, ``shapes.alpha_shape`` derives each
+    frame's alpha from that frame's support points (3x their median
+    nearest-neighbour distance); orientation_alpha is the attitude EMA
+    factor of ``fusion.fuse_log`` (1 = pass-through).
     """
 
     fps: float

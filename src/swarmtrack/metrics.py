@@ -11,7 +11,7 @@ global offset or rotation between coordinate conventions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,13 +41,6 @@ class Trajectory2D:
                 raise MetricError(f"non-finite point at frame {frame}")
             cleaned[int(frame)] = (float(x), float(y))
         object.__setattr__(self, "points", cleaned)
-
-    @property
-    def frames(self) -> list[int]:
-        return list(self.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def sdr(pred: Trajectory2D, ref: Trajectory2D, radius: float) -> float:
@@ -115,11 +108,7 @@ class MaskScoreAccumulator:
     tp: int = 0
     fp: int = 0
     fn: int = 0
-    per_frame: list[MaskScores] | None = None
-
-    def __post_init__(self) -> None:
-        if self.per_frame is None:
-            self.per_frame = []
+    per_frame: list[MaskScores] = field(default_factory=list)
 
     def add(self, pred: BinaryMask, ref: BinaryMask) -> MaskScores:
         """Pool one frame's counts and return that frame's scores."""

@@ -93,14 +93,46 @@ def _dedup(points: np.ndarray) -> np.ndarray:
     return points[keep]
 
 
-def alpha_shape(points: np.ndarray, alpha: float) -> AlphaShape:
+def _nearest_distances(pts: np.ndarray, tri) -> np.ndarray:
+    """Each point's distance to its nearest other point, read off the triangulation.
+
+    A point and its nearest neighbour form a Gabriel edge, and every
+    Delaunay triangulation holds every Gabriel edge (de Berg et al.,
+    *Computational Geometry*, ch. 9), so a vertex's nearest neighbour is
+    at the end of one of its simplex edges. Points in no simplex (qhull's
+    coplanar points) are measured against every point, which also lowers
+    a vertex whose nearest neighbour is one of them. Lengths are
+    ``sqrt(dx*dx + dy*dy)``, as a kd-tree query computes them.
+    """
+    s = tri.simplices
+    a, b = s.ravel(), s[:, [1, 2, 0]].ravel()
+    d = pts[a] - pts[b]
+    length = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    near = np.full(len(pts), np.inf)
+    np.minimum.at(near, a, length)
+    np.minimum.at(near, b, length)
+    left_out = np.flatnonzero(near == np.inf)
+    if left_out.size:
+        d = pts[left_out, None, :] - pts[None, :, :]
+        dist = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
+        dist[np.arange(left_out.size), left_out] = np.inf
+        near[left_out] = dist.min(axis=1)
+        np.minimum(near, dist.min(axis=0), out=near)
+    return near
+
+
+def alpha_shape(points: np.ndarray, alpha: float | None = None) -> AlphaShape:
     """Alpha shape of an (n, 2) point set.
 
     Duplicate points (within 1e-6) are collapsed first. Fewer than 3
     distinct points or a collinear set raise ShapeError; an alpha below
     every circumradius yields an empty shape (the alpha -> 0 limit).
+    With alpha None it is 3x the median nearest-neighbour distance of
+    the distinct points, which scales with cloud density, so sparse
+    and dense clouds both produce a connected outline without hand
+    tuning; the distances come from the same triangulation.
     """
-    if not (math.isfinite(alpha) and alpha > 0):
+    if alpha is not None and not (math.isfinite(alpha) and alpha > 0):
         raise ShapeError(f"alpha must be positive and finite, got {alpha!r}")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -108,26 +140,27 @@ def alpha_shape(points: np.ndarray, alpha: float) -> AlphaShape:
     if not np.all(np.isfinite(pts)):
         raise ShapeError("points contain non-finite coordinates")
     pts = _dedup(pts)
-    empty = AlphaShape(
-        alpha=alpha,
-        triangles=np.empty((0, 3, 2)),
-        boundary=np.empty((0, 2, 2)),
-        area=0.0,
-    )
     if pts.shape[0] < 3:
         raise ShapeError(
             f"need at least 3 distinct points for an alpha shape, got {pts.shape[0]}"
         )
-    from scipy.spatial import Delaunay  # loaded on first use: runs that draw no outline skip it
+    from scipy.spatial import Delaunay, QhullError  # loaded on first use: runs that draw no outline skip it
     try:
         tri = Delaunay(pts)
-    except Exception as exc:
+    except QhullError as exc:
         raise ShapeError("points are collinear; no 2-D triangulation exists") from exc
+    if alpha is None:
+        alpha = 3.0 * float(np.median(_nearest_distances(pts, tri)))
     corners = pts[tri.simplices]
     keep = _circumradius(*corners.transpose(1, 0, 2)) < alpha
     kept = tri.simplices[keep]
     if kept.shape[0] == 0:
-        return empty
+        return AlphaShape(
+            alpha=alpha,
+            triangles=np.empty((0, 3, 2)),
+            boundary=np.empty((0, 2, 2)),
+            area=0.0,
+        )
     tri_coords = corners[keep]
     cross = (
         (tri_coords[:, 1, 0] - tri_coords[:, 0, 0])
@@ -146,21 +179,8 @@ def alpha_shape(points: np.ndarray, alpha: float) -> AlphaShape:
 
 
 def default_alpha(points: np.ndarray) -> float:
-    """3x the median nearest-neighbour distance of the point set.
-
-    Scales with cloud density so sparse and dense clouds both produce
-    a connected outline without hand tuning.
-    """
-    pts = _dedup(np.asarray(points, dtype=float))
-    if pts.shape[0] < 2:
-        raise ShapeError("need at least 2 distinct points for a default alpha")
-    from scipy.spatial import cKDTree  # loaded on first use: runs that draw no outline skip it
-    tree = cKDTree(pts)
-    dist, _ = tree.query(pts, k=2)
-    med = float(np.median(dist[:, 1]))
-    if med <= 0:
-        raise ShapeError("degenerate point set: zero nearest-neighbour spacing")
-    return 3.0 * med
+    """The alpha that ``alpha_shape(points)`` derives when given none."""
+    return alpha_shape(points).alpha
 
 
 def support_points(xy: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -363,7 +363,6 @@ class TrackResult:
     lost: np.ndarray
     particles: list[np.ndarray]
     weights: list[np.ndarray]
-    config: TrackerConfig
 
 
 def track_sequence(
@@ -414,16 +413,10 @@ def track_sequence(
             lost_streak += 1
             if lost_streak >= config.lost_reinit_after:
                 xy = _uniform_cloud(intr.width, intr.height, config.n_particles, ps.rng)
-                ps = ParticleSet(
-                    xy, np.full(config.n_particles, 1.0 / config.n_particles), ps.rng
-                )
                 lost_streak = 0
             else:
-                ps = ParticleSet(
-                    ps.xy.copy(),
-                    np.full(config.n_particles, 1.0 / config.n_particles),
-                    ps.rng,
-                )
+                xy = ps.xy.copy()
+            ps = ParticleSet(xy, np.full(config.n_particles, 1.0 / config.n_particles), ps.rng)
         centroids.append(estimate_centroid(ps))
         lost_flags.append(lost)
         if keep_particles:
@@ -433,11 +426,11 @@ def track_sequence(
             weight_snapshots.append(ps.weights.copy())
         if not lost and config.resample_every > 0 and (t + 1) % config.resample_every == 0:
             ps = resample_roulette(ps)
-        elif not ess_warned and effective_sample_size(ps) < 0.05 * config.n_particles:
+        elif not ess_warned and (ess := effective_sample_size(ps)) < 0.05 * config.n_particles:
             logger.warning(
                 "frame %d: effective sample size %.1f of %d, weights degenerate",
                 t,
-                effective_sample_size(ps),
+                ess,
                 config.n_particles,
             )
             ess_warned = True
@@ -450,5 +443,4 @@ def track_sequence(
         lost=np.array(lost_flags, dtype=bool),
         particles=snapshots,
         weights=weight_snapshots,
-        config=config,
     )

@@ -484,6 +484,28 @@ class TestTrackFaults:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_out_of_memory_in_the_outlines_exits_1_with_one_error_line(
+        self, default_cut, tmp_path, run_cli, monkeypatch
+    ):
+        import scipy.spatial
+
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(scipy.spatial, "Delaunay", exhausted)
+        out = tmp_path / "o"
+        cfg = resources.files("swarmtrack.data").joinpath("default_run.json")
+        with resources.as_file(cfg) as run_cfg:
+            code, _, err = run_cli(
+                "track", "--masks", default_cut / "masks",
+                "--sensors", default_cut / "sensors.csv",
+                "--config", run_cfg, "--out", out,
+            )
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert code == 1 and errors == ["error: track ran out of memory"], err
+        assert "Traceback" not in err
+        assert not (out / "trajectory.csv").exists()
+
 
 class TestProject:
     def test_ground_truth_round_trips(self, scenario_dir, tmp_path):

@@ -3,7 +3,7 @@
 scipy.spatial and scipy.ndimage are imported inside the functions that
 use them, so a marker run, `fuse`, `project` and `eval` start without
 either; `simulate` loads only scipy.ndimage and `track` only
-scipy.spatial (Delaunay and the kd-tree of the outlines). The tracker
+scipy.spatial (the Delaunay triangulation of the outlines). The tracker
 itself converts camera rotations without scipy, so a degradation-study
 pass (read, degrade, track) loads only scipy.ndimage. Each case runs in
 its own subprocess, because the test process itself has long since

@@ -31,8 +31,7 @@ def traj(points):
 class TestTrajectory2D:
     def test_frames_sorted_and_typed(self):
         t = traj({5: (1, 2), 0: (3, 4), 2: (5, 6)})
-        assert t.frames == [0, 2, 5]
-        assert len(t) == 3
+        assert list(t.points) == [0, 2, 5]
         assert t.points[0] == (3.0, 4.0)
 
     def test_negative_frame_rejected(self):

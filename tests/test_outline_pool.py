@@ -16,6 +16,8 @@ from tests.conftest import invoke_cli, small_run_config, small_scenario, write_j
 N_FRAMES = 8
 LOST_FRAME = 2
 SHAPE_ERROR_FRAME = 5
+# A fixed outline alpha, and none: each frame then derives its own.
+ALPHAS = (8.0, None)
 
 
 @pytest.fixture(scope="module")
@@ -23,14 +25,17 @@ def scenario(tmp_path_factory):
     """A short simulated run whose frame 2 mask is all zero (a lost frame)."""
     root = tmp_path_factory.mktemp("outline_pool")
     cfg = write_json(root / "s.json", small_scenario(duration=N_FRAMES))
-    run = write_json(root / "r.json", small_run_config())
+    runs = {
+        alpha: write_json(root / f"r-{alpha}.json", small_run_config(alpha_px=alpha))
+        for alpha in ALPHAS
+    }
     sim = root / "sim"
     assert invoke_cli("simulate", "--config", cfg, "--out", sim) == 0
     empty = sim / "masks" / f"{LOST_FRAME:06d}.pgm"
     mask = io_formats.read_mask(empty)
     w, h = mask.width, mask.height
     empty.write_bytes(f"P5\n{w} {h}\n255\n".encode("ascii") + bytes(w * h))
-    return sim, run
+    return sim, runs
 
 
 def _patch_pool(monkeypatch, cpus):
@@ -62,10 +67,10 @@ def _patch_pool(monkeypatch, cpus):
     return seen
 
 
-def _track(scenario, out):
-    sim, run = scenario
+def _track(scenario, out, alpha=8.0):
+    sim, runs = scenario
     return invoke_cli("track", "--masks", sim / "masks", "--sensors", sim / "sensors.csv",
-                      "--config", run, "--out", out)
+                      "--config", runs[alpha], "--out", out)
 
 
 def _outputs(out: Path) -> dict[str, bytes]:
@@ -73,7 +78,8 @@ def _outputs(out: Path) -> dict[str, bytes]:
     return {f.name: f.read_bytes() for f in files}
 
 
-def test_outputs_do_not_depend_on_the_pool_size(scenario, tmp_path, monkeypatch):
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_outputs_do_not_depend_on_the_pool_size(scenario, tmp_path, monkeypatch, alpha):
     outputs = {}
     interval = sys.getswitchinterval()
     for cpus in (1, 2, 3):
@@ -82,7 +88,7 @@ def test_outputs_do_not_depend_on_the_pool_size(scenario, tmp_path, monkeypatch)
             # Switch threads often, so frames interleave as much as they can.
             sys.setswitchinterval(1e-6)
             try:
-                assert _track(scenario, tmp_path / f"trk{cpus}") == 0
+                assert _track(scenario, tmp_path / f"trk{cpus}", alpha) == 0
             finally:
                 sys.setswitchinterval(interval)
         assert seen["shape_errors"] == 1

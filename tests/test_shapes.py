@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
+from swarmtrack import shapes
 from swarmtrack.shapes import (
     AlphaShape,
     BinaryMask,
     ShapeError,
     _circumradius,
     _dedup,
+    _nearest_distances,
     alpha_shape,
     default_alpha,
     rasterize,
@@ -250,10 +253,15 @@ def _alpha_shape_reference(points, alpha):
     return tri_coords, boundary, area
 
 
+def _nearest_reference(pts):
+    """Each point's distance to its nearest other point, by kd-tree."""
+    dist, _ = cKDTree(pts).query(pts, k=2)
+    return dist[:, 1]
+
+
 def _default_alpha_reference(points):
     pts = _dedup_reference(np.asarray(points, dtype=float))
-    dist, _ = cKDTree(pts).query(pts, k=2)
-    return 3.0 * float(np.median(dist[:, 1]))
+    return 3.0 * float(np.median(_nearest_reference(pts)))
 
 
 def _rasterize_reference(boundary, width, height):
@@ -316,6 +324,8 @@ def _oracle_clouds():
 
 
 ORACLE_CLOUDS = list(_oracle_clouds())
+# The clouds qhull cannot triangulate: every alpha_shape call raises on them.
+UNTRIANGULABLE = {"collinear", "two-distinct"}
 
 
 class TestSortFreeOracle:
@@ -342,9 +352,70 @@ class TestSortFreeOracle:
 
     @pytest.mark.parametrize("name,pts", ORACLE_CLOUDS, ids=[c[0] for c in ORACLE_CLOUDS])
     def test_default_alpha_is_unchanged(self, name, pts):
-        if len(_dedup_reference(pts)) < 2:
-            pytest.skip("fewer than 2 distinct points")
+        if name in UNTRIANGULABLE:
+            with pytest.raises(ShapeError):
+                default_alpha(pts)
+            return
         assert default_alpha(pts) == _default_alpha_reference(pts)
+
+    @pytest.mark.parametrize("name,pts", ORACLE_CLOUDS, ids=[c[0] for c in ORACLE_CLOUDS])
+    def test_derived_alpha_shape_equals_the_kd_tree_alpha_shape(self, name, pts):
+        if name in UNTRIANGULABLE:
+            with pytest.raises(ShapeError):
+                alpha_shape(pts)
+            return
+        got = alpha_shape(pts)
+        expected = alpha_shape(pts, _default_alpha_reference(pts))
+        assert got.alpha == expected.alpha
+        assert got.triangles.tobytes() == expected.triangles.tobytes()
+        assert got.boundary.shape == expected.boundary.shape
+        assert got.boundary.tobytes() == expected.boundary.tobytes()
+        assert got.area == expected.area
+
+    @pytest.mark.parametrize(
+        "name,pts",
+        [c for c in ORACLE_CLOUDS if c[0] not in UNTRIANGULABLE],
+        ids=[c[0] for c in ORACLE_CLOUDS if c[0] not in UNTRIANGULABLE],
+    )
+    def test_nearest_distances_match_the_kd_tree(self, name, pts):
+        distinct = _dedup_reference(pts)
+        got = _nearest_distances(distinct, Delaunay(distinct))
+        assert got.tobytes() == _nearest_reference(distinct).tobytes()
+
+    def test_oracle_clouds_include_points_qhull_leaves_out(self):
+        # The derived alpha measures these against every point; this cloud
+        # is what exercises that branch.
+        pts = _dedup_reference(dict(ORACLE_CLOUDS)["rounding-grid-far"])
+        tri = Delaunay(pts)
+        assert len(tri.coplanar) > 0
+        assert len(np.unique(tri.simplices)) + len(tri.coplanar) == len(pts)
+
+
+class TestOneTriangulation:
+    def test_dedups_and_triangulates_once(self, monkeypatch):
+        calls = {"dedup": 0, "delaunay": 0}
+        real_dedup, real_delaunay = shapes._dedup, scipy.spatial.Delaunay
+
+        def dedup(*args):
+            calls["dedup"] += 1
+            return real_dedup(*args)
+
+        def delaunay(*args):
+            calls["delaunay"] += 1
+            return real_delaunay(*args)
+
+        monkeypatch.setattr(shapes, "_dedup", dedup)
+        monkeypatch.setattr(scipy.spatial, "Delaunay", delaunay)
+        alpha_shape(annulus_cloud())
+        assert calls == {"dedup": 1, "delaunay": 1}
+
+    def test_out_of_memory_is_not_a_shape_error(self, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(scipy.spatial, "Delaunay", exhausted)
+        with pytest.raises(MemoryError):
+            alpha_shape(unit_square_cloud(), alpha=10.0)
 
 
 def _polygon(*vertices):
