@@ -297,7 +297,7 @@ def _find_mask_dir(directory: Path, names: tuple[str, ...]) -> Path | None:
 
 def _parse_radii(text: str) -> list[float]:
     try:
-        radii = [float(tok) for tok in text.split(",") if tok.strip()]
+        radii = [io_formats.parse_number(tok.strip()) for tok in text.split(",")]
     except ValueError:
         raise UsageError(f"--radii must be comma-separated numbers, got {text!r}") from None
     if (not radii or not all(math.isfinite(r) and r > 0 for r in radii)

@@ -40,7 +40,7 @@ import numpy as np
 from .fusion import ORIENTATION_ALPHA, NoiseConfig, SensorLog, check_orientation_alpha
 from .geometry import Poses
 from .shapes import BinaryMask
-from .tracker import SoftMask, TrackerConfig, nonzero_box, ring_box
+from .tracker import SoftMask, TrackerConfig, nonzero_box
 
 
 class FormatError(ValueError):
@@ -60,9 +60,22 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+# The ASCII forms repr writes: float() and int() also take surrounding
+# whitespace, '_' digit separators and non-ASCII digits.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_NUMBER = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?ai:inf|infinity|nan))")
+
+
+def parse_number(text: str) -> float:
+    """float(text) for an ASCII decimal, inf or nan; ValueError for any other text."""
+    if not _NUMBER.fullmatch(text):
+        raise ValueError(f"not a number: {text!r}")
+    return float(text)
+
+
 def _parse_float(text: str, path: Path, line_no: int, col: str) -> float:
     try:
-        v = float(text)
+        v = parse_number(text)
     except ValueError:
         raise FormatError(
             f"{path}:{line_no}: column {col!r}: not a number: {text!r}"
@@ -73,12 +86,11 @@ def _parse_float(text: str, path: Path, line_no: int, col: str) -> float:
 
 
 def _parse_int(text: str, path: Path, line_no: int, col: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
+    if not _INTEGER.fullmatch(text):
         raise FormatError(
             f"{path}:{line_no}: column {col!r}: not an integer: {text!r}"
-        ) from None
+        )
+    return int(text)
 
 
 def _read_csv_rows(path: Path, header: str) -> list[tuple[int, list[str]]]:
@@ -320,14 +332,12 @@ def _read_pgm_bytes(path: Path) -> np.ndarray:
 def read_mask(path: Path | str) -> SoftMask:
     """Read a PGM into a SoftMask with values byte/255, boxed to its nonzero bytes.
 
-    Only the box and its one-pixel ring are divided, straight into the
-    mask's stored block: the ring's bytes are 0 by definition of the
-    nonzero box. Every other value is the 0.0 that byte 0 gives, so the
-    values equal grid / 255.0 bit for bit.
+    Only the box is divided. Every value outside it is the 0.0 that
+    byte 0 gives, so the values equal grid / 255.0 bit for bit.
     """
     grid = _read_pgm_bytes(Path(path))
     box = nonzero_box(grid)
-    return SoftMask._from_block(grid[ring_box(box, grid.shape)[0]] / 255.0, box, grid.shape)
+    return SoftMask.from_box(grid[box] / 255.0, box, grid.shape)
 
 
 def read_binary_mask(path: Path | str) -> BinaryMask:

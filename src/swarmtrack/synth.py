@@ -25,8 +25,8 @@ before any frame is rendered or written.
 
 Each soft mask is stored as its box (``SoftMask.box`` and
 ``SoftMask.inner``): the render window grown by the blur kernel's
-radius. ``soften`` and ``degrade_mask`` filter only that block and
-return the grown box with it; no full-frame float array is built.
+radius. ``soften`` and ``degrade_mask`` filter only that box and hand
+its values to ``SoftMask.from_box``; no full-frame float array is built.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .fusion import NoiseConfig, SensorLog
 from .geometry import CameraPose, Intrinsics, Poses, backproject_pixels
 from .geometry import project_points, rotation_world_to_camera
 from .shapes import BinaryMask
-from .tracker import Box, SoftMask, nonzero_box, ring_box
+from .tracker import Box, SoftMask, nonzero_box
 
 
 class ScenarioError(ValueError):
@@ -410,15 +410,6 @@ def _render_binary(
     return full
 
 
-def _blur_box(support: Box, sigma: float, shape: tuple[int, int]) -> Box:
-    """support grown by the kernel radius int(4 sigma + 0.5), clamped to shape."""
-    radius = int(4.0 * sigma + 0.5) if sigma > 0 else 0
-    return tuple(
-        slice(max(s.start - radius, 0), min(s.stop + radius, n))
-        for s, n in zip(support, shape)
-    )
-
-
 def _blur_support(
     inner: np.ndarray,
     support: Box,
@@ -431,24 +422,22 @@ def _blur_support(
     The frame ``values`` of ``shape`` holds ``inner`` inside ``support``
     and 0.0 elsewhere, with inner >= 0. Only the support grown by the kernel
     radius int(4 sigma + 0.5) and clamped to the frame is filtered, and
-    the result is that box's block; every pixel outside it is exactly 0.
-    Inside the box each pixel sums the same taps in the same order as
-    the full-frame filter: where the box stops short of the frame edge
-    its reflect boundary reads only the zero margin, so the result is
-    byte-identical to the full-frame one for any finite gain >= 0. The
-    first (row-wise) pass runs on the support's columns only, since
-    every other column is zero in and zero out.
+    that box's values go to ``SoftMask.from_box``; every pixel outside it
+    is exactly 0. Inside the box each pixel sums the same taps in the
+    same order as the full-frame filter: where the box stops short of
+    the frame edge its reflect boundary reads only the zero margin, so
+    the result is byte-identical to the full-frame one for any finite
+    gain >= 0. The first (row-wise) pass runs on the support's columns
+    only, since every other column is zero in and zero out.
     """
     if gain is not None and gain.shape != tuple(shape):
         raise ValueError(f"gain field {gain.shape} does not match mask {tuple(shape)}")
     if any(s.start >= s.stop for s in support):
         return SoftMask.from_box(np.zeros((0, 0)), (slice(0, 0), slice(0, 0)), shape)
-    box = _blur_box(support, sigma, shape)
-    # The mask's stored block (the box and a ring of zeros); the last
-    # pass, the gain and the clip write into its box in place.
-    ring, at = ring_box(box, shape)
-    padded = np.zeros((ring[0].stop - ring[0].start, ring[1].stop - ring[1].start))
-    out = padded[at]
+    radius = int(4.0 * sigma + 0.5) if sigma > 0 else 0
+    box = tuple(
+        slice(max(s.start - radius, 0), min(s.stop + radius, n)) for s, n in zip(support, shape)
+    )
     if sigma > 0:
         from scipy import ndimage  # loaded on first use: only rendering blurs
         (rows, cols), (r0, c0) = support, (box[0].start, box[1].start)
@@ -458,13 +447,14 @@ def _blur_support(
         block[:, cols.start - c0 : cols.stop - c0] = ndimage.gaussian_filter1d(
             columns, sigma, axis=0
         )
-        ndimage.gaussian_filter1d(block, sigma, axis=1, output=out)
+        out = ndimage.gaussian_filter1d(block, sigma, axis=1)
     else:
-        out[...] = inner
+        out = inner.astype(float)
+    # out is this call's own array, so the gain and the clip run in place.
     if gain is not None:
         out *= gain[box]
     np.clip(out, 0.0, 1.0, out=out)
-    return SoftMask._from_block(padded, box, shape)
+    return SoftMask.from_box(out, box, shape)
 
 
 def soften(binary: np.ndarray, softness: float, support: Box | None = None) -> SoftMask:

@@ -74,15 +74,9 @@ class TrackerConfig:
 Box = tuple[slice, slice]
 
 
-def ring_box(box: Box, shape: tuple[int, int]) -> tuple[Box, Box]:
-    """The frame box of a soft mask's stored block, and ``box`` inside it.
-
-    The block is ``box`` grown by one pixel on every side, clamped to
-    ``shape``; the second box gives ``box`` in the block's coordinates.
-    """
-    ring = tuple(
-        slice(max(s.start - 1, 0), min(s.stop + 1, n)) for s, n in zip(box, shape)
-    )
+def _ring_box(box: Box, shape: tuple[int, int]) -> tuple[Box, Box]:
+    """``box`` grown by one pixel and clamped to ``shape``, and ``box`` inside that."""
+    ring = tuple(slice(max(s.start - 1, 0), min(s.stop + 1, n)) for s, n in zip(box, shape))
     at = tuple(slice(s.start - r.start, s.stop - r.start) for s, r in zip(box, ring))
     return ring, at
 
@@ -104,47 +98,33 @@ def nonzero_box(values: np.ndarray) -> Box:
 class SoftMask:
     """Per-pixel swarm presence in [0, 1] on a frame of ``shape`` (height, width).
 
-    Only the box is stored. ``box`` is a (rows, cols) pair of step-1
+    Only the box is stored: ``box`` is a (rows, cols) pair of step-1
     slices outside which every value is exactly 0.0, and ``inner`` holds
-    the values inside it. The stored block is the box grown by a
-    one-pixel ring of zeros, clamped to the frame, so that a bilinear
-    read next to the box finds the zeros it would find on the full frame.
+    the values inside it. This class alone builds the stored block: the
+    box grown by a one-pixel ring of zeros and clamped to the frame, so
+    that a bilinear read next to the box finds the full frame's zeros.
 
-    ``SoftMask(values, box=None)`` takes a full-frame array; left out,
-    the box is ``nonzero_box(values)``, which holds every NaN and
-    out-of-range value too. ``SoftMask.from_box(inner, box, shape)`` is
-    the path of producers that already hold the box's values. Both
-    range-check the box only, with the full frame's message.
+    ``SoftMask(values)`` boxes a full-frame array with ``nonzero_box``,
+    which holds every NaN and out-of-range value too; a producer that
+    holds the box's values uses ``SoftMask.from_box(inner, box, shape)``.
+    Both range-check the box only, with the full frame's message.
     ``values`` builds the full frame on demand, as a read-only copy.
     """
 
-    def __init__(self, values, box: Box | None = None) -> None:
+    def __init__(self, values) -> None:
         values = np.asarray(values, dtype=float)
         if values.ndim != 2:
             raise ValueError(f"mask must be 2-D, got shape {values.shape}")
         if values.size == 0:
             raise ValueError("mask must be non-empty")
-        if box is None:
-            box = nonzero_box(values)
+        box = nonzero_box(values)
         self._store(values[box], box, values.shape)
 
     @classmethod
     def from_box(cls, inner: np.ndarray, box: Box, shape: tuple[int, int]) -> SoftMask:
-        """The mask of frame ``shape`` that is ``inner`` inside ``box`` and 0 outside."""
+        """The mask of frame ``shape``: a copy of ``inner`` inside ``box``, 0 outside."""
         mask = cls.__new__(cls)
         mask._store(np.asarray(inner, dtype=float), box, shape)
-        return mask
-
-    @classmethod
-    def _from_block(cls, block: np.ndarray, box: Box, shape: tuple[int, int]) -> SoftMask:
-        """from_box for a producer that wrote the stored block itself.
-
-        ``block`` is float64, covers ``ring_box(box, shape)[0]`` and is
-        zero outside ``box``; it is kept as it is, not copied
-        (``io_formats.read_mask``, ``synth.soften``, ``synth.degrade_mask``).
-        """
-        mask = cls.__new__(cls)
-        mask._keep(block, box, shape)
         return mask
 
     def _store(self, inner: np.ndarray, box: Box, shape: tuple[int, int]) -> None:
@@ -153,18 +133,7 @@ class SoftMask:
             raise ValueError(f"mask box {box} does not fit a {w}x{h} frame")
         if inner.shape != (box[0].stop - box[0].start, box[1].stop - box[1].start):
             raise ValueError(f"mask box {box} does not match values of shape {inner.shape}")
-        ring, at = ring_box(box, shape)
-        block = np.zeros((ring[0].stop - ring[0].start, ring[1].stop - ring[1].start))
-        block[at] = inner
-        self._keep(block, box, shape)
-
-    def _keep(self, block: np.ndarray, box: Box, shape: tuple[int, int]) -> None:
-        h, w = shape
-        ring, at = ring_box(box, shape)
-        block.flags.writeable = False
-        inner = block[at]
-        # NaN propagates through min and max, so finite extremes mean a
-        # finite mask.
+        # NaN propagates through min and max: finite extremes, finite mask.
         lo, hi = (float(inner.min()), float(inner.max())) if inner.size else (0.0, 0.0)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("mask contains non-finite values")
@@ -173,9 +142,13 @@ class SoftMask:
             lo, hi = min(lo, 0.0), max(hi, 0.0)
         if lo < 0.0 or hi > 1.0:
             raise ValueError(f"mask values must lie in [0, 1], got [{lo}, {hi}]")
+        ring, at = _ring_box(box, shape)
+        block = np.zeros((ring[0].stop - ring[0].start, ring[1].stop - ring[1].start))
+        block[at] = inner
+        block.flags.writeable = False
         self.shape = (h, w)
         self.box = box
-        self.inner = inner
+        self.inner = block[at]
         self._ring = ring
         self._block = block
 

@@ -695,9 +695,13 @@ class TestNonFiniteFlags:
             ("eval", ["--radii", "10,nan"], "--radii must be finite, positive and ascending"),
             ("eval", ["--radii", "nan"], "--radii must be finite, positive and ascending"),
             ("eval", ["--radii", "10,inf"], "--radii must be finite, positive and ascending"),
+            ("eval", ["--radii", "10,,20"], "--radii must be comma-separated numbers"),
+            ("eval", ["--radii", "1_0"], "--radii must be comma-separated numbers"),
+            ("eval", ["--radii", "10,\u0662\u0660"], "--radii must be comma-separated numbers"),
         ],
         ids=["fps-nan", "fps-inf", "orientation-alpha-nan", "orientation-alpha-2",
-             "radius-scale-nan", "radii-10-nan", "radii-nan", "radii-10-inf"],
+             "radius-scale-nan", "radii-10-nan", "radii-nan", "radii-10-inf",
+             "radii-empty-field", "radii-digit-separator", "radii-non-ascii-digits"],
     )
     def test_exits_2_with_one_error_line(
         self, scenario_dir, track_dir, tmp_path, run_cli, command, flags, message

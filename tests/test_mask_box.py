@@ -17,7 +17,7 @@ from swarmtrack.synth import (
     SwarmShapeConfig,
     degrade_mask,
 )
-from swarmtrack.tracker import SoftMask, nonzero_box, ring_box, sample_bilinear
+from swarmtrack.tracker import SoftMask, _ring_box, nonzero_box, sample_bilinear
 from tests.conftest import invoke_cli, simulate, write_json
 from tests.test_synth import _full_frame, _support_masks, make_config
 
@@ -142,8 +142,9 @@ class TestDegradeMask:
             gain = rng.uniform(0.2, 3.0, values.shape) if with_gain else None
             expected = _full_frame(_full_frame(values, sigma, gain), sigma, gain)
             h, w = values.shape
-            for box in (None, nonzero_box(values), (slice(0, h), slice(0, w))):
-                once = degrade_mask(SoftMask(values, box), blur_sigma=sigma, gain=gain)
+            for box in (nonzero_box(values), (slice(0, h), slice(0, w))):
+                mask = SoftMask.from_box(values[box], box, values.shape)
+                once = degrade_mask(mask, blur_sigma=sigma, gain=gain)
                 twice = degrade_mask(once, blur_sigma=sigma, gain=gain)
                 _assert_box_holds(once)
                 _assert_box_holds(twice)
@@ -160,8 +161,9 @@ class TestWriteMask:
         rng = np.random.default_rng(int(sigma * 10) + 7)
         for i, values in enumerate(_support_masks(rng)):
             gain = rng.uniform(0.2, 3.0, values.shape)
+            box = nonzero_box(values)
             for j, mask in enumerate((
-                SoftMask(values, nonzero_box(values)),
+                SoftMask.from_box(values[box], box, values.shape),
                 degrade_mask(SoftMask(values), blur_sigma=sigma, gain=gain),
             )):
                 path = tmp_path / f"{i}-{j}.pgm"
@@ -214,11 +216,13 @@ class TestValidation:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.01, 1.01])
     def test_given_box_rejects_bad_value_inside_it(self, bad):
+        # A box wider than the support: its own zeros join the range.
         values = np.zeros((6, 9))
         values[2:4, 3:7] = 0.5
         values[3, 5] = bad
+        box = (slice(1, 5), slice(2, 8))
         with pytest.raises(ValueError) as err:
-            SoftMask(values, (slice(2, 4), slice(3, 7)))
+            SoftMask.from_box(values[box], box, values.shape)
         assert str(err.value) == _full_frame_message(values)
 
     def test_left_out_box_is_the_nonzero_box(self):
@@ -339,25 +343,39 @@ class TestBoxedStorage:
             mask.values = values
         assert mask.inner.tobytes() == values[2:4, 3:6].tobytes()
 
-    def test_producers_hand_over_a_read_only_block_with_a_zero_ring(self, tmp_path):
-        # read_mask and the blur write the stored block themselves; it
-        # must be what SoftMask itself would have built.
+    def test_producer_masks_store_a_read_only_block_with_a_zero_ring(self, tmp_path):
+        # read_mask and the blur hand SoftMask.from_box an array of their
+        # own; the mask keeps a copy, never the producer's array.
         rng = np.random.default_rng(15)
         values = np.zeros((40, 60))
         values[10:20, 15:35] = rng.uniform(0.01, 1.0, (10, 20))
         write_mask(SoftMask(values), tmp_path / "m.pgm")
         read = read_mask(tmp_path / "m.pgm")
         gain = np.full(values.shape, 1.5)
-        for mask in (read, degrade_mask(read), degrade_mask(read, 2.0, gain),
-                     synth.soften(values > 0.5, 1.0)):
-            ring, at = ring_box(mask.box, mask.shape)
+        for mask in (read, degrade_mask(read), degrade_mask(read, 0.0, gain),
+                     degrade_mask(read, 2.0, gain), synth.soften(values > 0.5, 1.0)):
+            ring, at = _ring_box(mask.box, mask.shape)
             assert mask._block.shape == (ring[0].stop - ring[0].start,
                                          ring[1].stop - ring[1].start)
             assert not mask._block.flags.writeable and not mask.inner.flags.writeable
             assert np.shares_memory(mask.inner, mask._block)
+            assert mask is read or not np.shares_memory(mask._block, read._block)
             assert not np.any(_outside(mask._block, at))
             again = SoftMask.from_box(mask.inner, mask.box, mask.shape)
             assert again._block.tobytes() == mask._block.tobytes()
+
+    def test_from_box_copies_its_input(self):
+        inner = np.full((3, 4), 0.5)
+        box = (slice(2, 5), slice(1, 5))
+        mask = SoftMask.from_box(inner, box, (8, 7))
+        before = mask.values.tobytes()
+        assert not np.shares_memory(mask.inner, inner)
+        inner[...] = 0.25
+        assert mask.values.tobytes() == before
+        assert mask.inner.tobytes() == np.full((3, 4), 0.5).tobytes()
+        assert not mask.inner.flags.writeable
+        with pytest.raises(ValueError):
+            mask.inner[0, 0] = 1.0
 
     def test_from_box_equals_full_frame_constructor(self):
         rng = np.random.default_rng(14)

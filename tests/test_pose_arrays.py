@@ -12,10 +12,13 @@ from swarmtrack.io_formats import (
     POSE_HEADER,
     SENSOR_HEADER,
     FormatError,
+    parse_number,
     read_poses,
     read_sensor_log,
+    read_trajectory,
     write_poses,
     write_sensor_log,
+    write_trajectory,
 )
 from swarmtrack.synth import generate_marker_run
 
@@ -289,3 +292,56 @@ class TestReaderMessages:
         with pytest.raises(FormatError) as e:
             read_poses(path)
         assert str(e.value) == message.format(p=path)
+
+
+def _write_csv(kind, path):
+    """A valid file of each CSV kind, and its reader."""
+    run = generate_marker_run(0)
+    if kind == "sensors":
+        write_sensor_log(run.sensor_log, path)
+        return read_sensor_log
+    if kind == "poses":
+        write_poses(run.gt_poses, 15.0, path)
+        return read_poses
+    n = 4
+    write_trajectory(range(n), np.full((n, 2), 12.5), np.full((n, 2), -3.25),
+                     np.zeros(n), path)
+    return read_trajectory
+
+
+# float() and int() accept every one of these; none is a form repr writes.
+COERCED_INTEGERS = ["1_0", "\u0663", " 3", "3 ", "3\t", "\uff13"]
+COERCED_NUMBERS = ["1_0.5", "\u0663.5", " 0.5", "0.5 ", "0.5\t", "\uff11.5", "1e1_0"]
+
+
+class TestNoSilentCoercion:
+    @pytest.mark.parametrize("kind", ["sensors", "poses", "trajectory"])
+    @pytest.mark.parametrize("text", COERCED_INTEGERS)
+    def test_frame_must_be_plain_ascii_digits(self, tmp_path, kind, text):
+        path = tmp_path / f"{kind}.csv"
+        reader = _write_csv(kind, path)
+        _corrupt(path, 3, 0, text)
+        with pytest.raises(FormatError) as e:
+            reader(path)
+        assert str(e.value) == f"{path}:3: column 'frame': not an integer: {text!r}"
+
+    @pytest.mark.parametrize("kind", ["sensors", "poses", "trajectory"])
+    @pytest.mark.parametrize("text", COERCED_NUMBERS)
+    def test_number_must_be_plain_ascii_decimal(self, tmp_path, kind, text):
+        path = tmp_path / f"{kind}.csv"
+        reader = _write_csv(kind, path)
+        column = path.read_text().split("\n")[0].split(",")[2]
+        _corrupt(path, 4, 2, text)
+        with pytest.raises(FormatError) as e:
+            reader(path)
+        assert str(e.value) == f"{path}:4: column {column!r}: not a number: {text!r}"
+
+    def test_every_repr_form_parses_back_exactly(self):
+        rng = np.random.default_rng(5)
+        values = [0.0, -0.0, 1.0, -2.5, 5e-324, 1e-300, 1.7976931348623157e308, 1e16,
+                  *rng.normal(0, 1e3, 50).tolist(), *(10.0 ** rng.uniform(-30, 30, 50)).tolist()]
+        for v in values:
+            assert math.copysign(1, parse_number(repr(v))) == math.copysign(1, v)
+            assert parse_number(repr(v)) == v
+        for text in ("inf", "-inf", "nan", "NaN", "Infinity", "+1", ".5", "5.", "1E5"):
+            assert parse_number(text) == float(text) or math.isnan(float(text))
