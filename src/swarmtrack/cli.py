@@ -63,6 +63,22 @@ def _read_config(cls, path):
         raise UsageError(str(e)) from None
 
 
+def _flag_type(parse):
+    """An argparse ``type`` from an io_formats parser: the ASCII forms a
+    file takes, with the parser's message on any other text."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+
+    return convert
+
+
+_number, _integer = _flag_type(io_formats.parse_number), _flag_type(io_formats.parse_integer)
+
+
 def usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the platform
     has one, else the machine's count; at least 1."""
@@ -517,13 +533,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuse", help="fuse a sensor log into per-frame poses")
     p.add_argument("--sensors", required=True, help="sensor log CSV")
-    p.add_argument("--fps", type=float, required=True, help="frame rate")
+    p.add_argument("--fps", type=_number, required=True, help="frame rate")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--n-frames", type=int, default=None, help="frame count (default: full span)")
-    p.add_argument("--gps-sigma", type=float, default=NoiseConfig.gps_sigma, help="GPS noise std, m")
-    p.add_argument("--imu-vel-sigma", type=float, default=NoiseConfig.imu_vel_sigma, help="IMU velocity noise std, m/s")
-    p.add_argument("--process-accel-sigma", type=float, default=NoiseConfig.process_accel_sigma, help="process accel std, m/s^2")
-    p.add_argument("--orientation-alpha", type=float, default=ORIENTATION_ALPHA, help="attitude EMA factor (1 = pass-through)")
+    p.add_argument("--n-frames", type=_integer, default=None, help="frame count (default: full span)")
+    p.add_argument("--gps-sigma", type=_number, default=NoiseConfig.gps_sigma, help="GPS noise std, m")
+    p.add_argument("--imu-vel-sigma", type=_number, default=NoiseConfig.imu_vel_sigma, help="IMU velocity noise std, m/s")
+    p.add_argument("--process-accel-sigma", type=_number, default=NoiseConfig.process_accel_sigma, help="process accel std, m/s^2")
+    p.add_argument("--orientation-alpha", type=_number, default=ORIENTATION_ALPHA, help="attitude EMA factor (1 = pass-through)")
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("track", help="run the particle filter over a mask directory")
@@ -537,11 +553,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="backproject an image trajectory to world frame")
     p.add_argument("--trajectory", required=True, help="trajectory CSV")
     p.add_argument("--poses", required=True, help="pose CSV")
-    p.add_argument("--focal", type=float, required=True, help="focal length, px")
-    p.add_argument("--width", type=int, required=True, help="image width, px")
-    p.add_argument("--height", type=int, required=True, help="image height, px")
-    p.add_argument("--cx", type=float, default=None, help="principal point x (default: width/2)")
-    p.add_argument("--cy", type=float, default=None, help="principal point y (default: height/2)")
+    p.add_argument("--focal", type=_number, required=True, help="focal length, px")
+    p.add_argument("--width", type=_integer, required=True, help="image width, px")
+    p.add_argument("--height", type=_integer, required=True, help="image height, px")
+    p.add_argument("--cx", type=_number, default=None, help="principal point x (default: width/2)")
+    p.add_argument("--cy", type=_number, default=None, help="principal point y (default: height/2)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_project)
 
@@ -550,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True, help="ground truth directory (gt_track.csv, gt_masks/)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--radii", default="10,20,30", help="SDR radii in px (comma-separated, ascending)")
-    p.add_argument("--radius-scale", type=float, default=1.0, help="multiply radii (resolution rescale)")
+    p.add_argument("--radius-scale", type=_number, default=1.0, help="multiply radii (resolution rescale)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("selftest", help="run a tiny end-to-end pipeline check")

@@ -25,6 +25,15 @@ positive definite (else ``FusionError``), and the mean of every step
 is checked finite. The tests check ``fuse_log`` against a step-by-step
 run of the full 6-state filter kept there as the reference. The fused
 poses and both baselines come back as one ``geometry.Poses`` array.
+
+Gain schedule: once a step leaves the covariance exactly as it found
+it, every later gain is that step's. The gains up to that fixed point
+are kept for later calls of any length with the same (dt, noise), so a
+batch of logs that share them pays for the recursion once per process.
+One schedule is kept, the last one that settled, and it is only as long
+as its recursion took to settle (642 gains with the bundled noise at
+15 fps, however many frames are fused). A recursion that has not
+settled within a call's frames, or that fails, keeps nothing.
 """
 
 from __future__ import annotations
@@ -195,6 +204,11 @@ def _smooth_angles(angles: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
+# The last settled gain schedule: ((dt, noise), its gains up to the
+# fixed point). See the module docstring.
+_schedule = None
+
+
 def _axis_gains(
     n: int, dt: float, noise: NoiseConfig
 ) -> list[tuple[float, float, float, float]]:
@@ -206,8 +220,15 @@ def _axis_gains(
     R = diag(gps_sigma^2, imu_vel_sigma^2) in Joseph form, as the
     6-state reference does on each axis block. The gain depends only
     on the covariance, so once a step leaves (p00, p01, p11) exactly as
-    it found it, every later gain is the last one.
+    it found it, every later gain is the last one; those gains are kept
+    as ``_schedule`` for the next call with the same (dt, noise).
     """
+    global _schedule
+    key = (dt, noise)
+    kept = _schedule
+    if kept is not None and kept[0] == key:
+        gains = kept[1]
+        return gains[: n - 1] + gains[-1:] * (n - 1 - len(gains))
     rg = noise.gps_sigma**2
     rv = noise.imu_vel_sigma**2
     s2 = noise.process_accel_sigma**2
@@ -249,8 +270,8 @@ def _axis_gains(
             raise FusionError("covariance is not positive definite")
         gains.append((k00, k01, k10, k11))
         if (p00, p01, p11) == before:
-            gains += [gains[-1]] * (n - 1 - len(gains))
-            break
+            _schedule = (key, gains)
+            return gains[: n - 1] + gains[-1:] * (n - 1 - len(gains))
     return gains
 
 
@@ -276,21 +297,22 @@ def fuse_log(
     # Mean recursion of each axis with the shared gains: predict
     # [x; v] -> [x + dt v; v], then add K times the innovation.
     columns = z.T.tolist()
-    pos, vel = [], []
+    pos, last_vel = [], []
     for axis in range(3):
         zx, zv = columns[axis], columns[axis + 3]
         x, v = zx[0], zv[0]
-        xs, vs = [x], [v]
+        xs = [x]
         for (k00, k01, k10, k11), mx, mv in zip(gains, zx[1:], zv[1:]):
             x = x + dt * v
             ix, iv = mx - x, mv - v
             x, v = x + (k00 * ix + k01 * iv), v + (k10 * ix + k11 * iv)
             xs.append(x)
-            vs.append(v)
         pos.append(xs)
-        vel.append(vs)
+        last_vel.append(v)
     pos = np.array(pos).T
-    if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
+    # With dt > 0 a non-finite velocity makes the next position
+    # non-finite, so the positions and the last velocity cover them all.
+    if not (np.all(np.isfinite(pos)) and all(map(math.isfinite, last_vel))):
         raise FusionError("fusion state has non-finite entries")
     return _poses(pos, angles)
 

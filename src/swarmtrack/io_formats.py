@@ -73,6 +73,13 @@ def parse_number(text: str) -> float:
     return float(text)
 
 
+def parse_integer(text: str) -> int:
+    """int(text) for ASCII digits with an optional sign; ValueError for any other text."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_float(text: str, path: Path, line_no: int, col: str) -> float:
     try:
         v = parse_number(text)
@@ -86,19 +93,28 @@ def _parse_float(text: str, path: Path, line_no: int, col: str) -> float:
 
 
 def _parse_int(text: str, path: Path, line_no: int, col: str) -> int:
-    if not _INTEGER.fullmatch(text):
+    try:
+        return parse_integer(text)
+    except ValueError:
         raise FormatError(
             f"{path}:{line_no}: column {col!r}: not an integer: {text!r}"
-        )
-    return int(text)
+        ) from None
 
 
 def _read_csv_rows(path: Path, header: str) -> list[tuple[int, list[str]]]:
-    """Lines split on commas, header validated; returns (line_no, fields)."""
+    """Lines split on commas, header validated; returns (line_no, fields).
+
+    Lines end with LF alone: the file is read without newline
+    translation, and a carriage return anywhere is an error.
+    """
     try:
-        text = path.read_text(encoding="utf-8")
+        with path.open(encoding="utf-8", newline="") as f:
+            text = f.read()
     except FileNotFoundError:
         raise FormatError(f"{path}: no such file") from None
+    if "\r" in text:
+        line_no = text.count("\n", 0, text.index("\r")) + 1
+        raise FormatError(f"{path}:{line_no}: carriage return; lines must end with LF alone")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

@@ -645,6 +645,29 @@ class MarkerRun:
     gt_poses: Poses
 
 
+def _marker_layout(
+    path: _Polyline, path_length: float, n: int, half_swath: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Ground markers (n, 3): jittered positions alternating sides of the
+    flight line, offset along the local path normal, inside the footprint.
+
+    Each marker takes one row of ``rng.random((n, 2))``: its arc jitter in
+    [-2, 2) m and its offset scale in [0.6, 1), computed as
+    ``uniform(low, high)`` computes them, so the layout and the stream
+    after it are those of one ``uniform`` pair per marker.
+    """
+    arcs = np.linspace(0.1 * path_length, 0.9 * path_length, n)
+    side = np.tile([-1.0, 1.0], (n + 1) // 2)[:n]
+    u = rng.random((n, 2))
+    s = arcs + (-2.0 + 4.0 * u[:, 0])
+    base = path.point_at(s)
+    d = path.direction_at(s)
+    offset = side * (0.6 + (1.0 - 0.6) * u[:, 1]) * half_swath
+    return np.column_stack(
+        [base[:, 0] - offset * d[:, 1], base[:, 1] + offset * d[:, 0], np.zeros(n)]
+    )
+
+
 def generate_marker_run(seed: int, width: int = 960, height: int = 540) -> MarkerRun:
     """L-shaped survey pass over ten jittered markers along both legs.
 
@@ -682,20 +705,8 @@ def generate_marker_run(seed: int, width: int = 960, height: int = 540) -> Marke
         seed=seed,
     )
     drone_path = _Polyline(config.drone.waypoints)
-    # Markers: jittered positions alternating sides of the flight line,
-    # offset along the local path normal, inside the footprint.
     half_swath = 0.75 * (height / 2.0) / focal_px * altitude
-    arcs = np.linspace(0.1 * path_length, 0.9 * path_length, n_markers)
-    side = np.tile([-1.0, 1.0], (n_markers + 1) // 2)[:n_markers]
-    rows = []
-    for k in range(n_markers):
-        s = float(arcs[k]) + float(rng.uniform(-2.0, 2.0))
-        base = drone_path.point_at(s)
-        d = drone_path.direction_at(s)
-        normal = np.array([-d[1], d[0]])
-        offset = side[k] * float(rng.uniform(0.6, 1.0)) * half_swath
-        rows.append([base[0] + offset * normal[0], base[1] + offset * normal[1], 0.0])
-    markers = np.asarray(rows)
+    markers = _marker_layout(drone_path, path_length, n_markers, half_swath, rng)
     poses, positions, vels = _drone_states(
         config.drone, drone_path, np.arange(duration) / fps
     )

@@ -718,6 +718,35 @@ class TestNonFiniteFlags:
         assert not out.exists()
 
 
+class TestNumericFlagText:
+    """Numeric flags take the ASCII forms the file readers take; float()
+    and int() would also take each of these."""
+
+    @pytest.mark.parametrize(
+        "text", ["1_0", " 5", "\u0663"], ids=["digit-separator", "padded", "non-ascii-digit"]
+    )
+    @pytest.mark.parametrize(
+        "command, flag, kind",
+        [("eval", "--radius-scale", "a number"), ("fuse", "--fps", "a number"),
+         ("fuse", "--n-frames", "an integer")],
+        ids=["radius-scale", "fps", "n-frames"],
+    )
+    def test_exits_2_with_one_error_line(
+        self, scenario_dir, track_dir, tmp_path, run_cli, command, flag, kind, text
+    ):
+        out = tmp_path / "o"
+        if command == "fuse":
+            inputs = ["--sensors", scenario_dir / "sensors.csv", "--fps", "15"]
+        else:
+            inputs = ["--pred", track_dir, "--gt", scenario_dir]
+        code, _, err = run_cli(command, *inputs, "--out", out, flag, text)
+        errors = [ln for ln in err.splitlines() if "error:" in ln]
+        assert code == 2 and len(errors) == 1, err
+        assert errors[0].endswith(f"error: argument {flag}: not {kind}: {text!r}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 def _fuse_stderr(scenario_dir: Path, out: Path, *flags: str) -> str:
     """Standard error of ``fuse`` in a fresh interpreter: in process the
     test runner's own log handler would turn basicConfig into a no-op."""

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from swarmtrack import fusion
 from swarmtrack.fusion import (
     FusionError,
     NoiseConfig,
@@ -653,3 +654,65 @@ class TestGainFixedPoint:
         gains, repeated = reference_axis_gains(810, 1.0 / 15.0, NoiseConfig())
         assert repeated == 642
         assert gains[640] != gains[641] and len(set(gains[641:])) == 1
+
+
+class TestGainScheduleMemo:
+    """fuse_log keeps the last settled gain schedule; what a call gets never
+    depends on what earlier calls kept."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(fusion, "_schedule", None)
+
+    @pytest.mark.parametrize("fps", [15.0, 30.0])
+    @pytest.mark.parametrize("descending", [True, False], ids=["5000-first", "1-first"])
+    def test_either_call_order_gives_the_full_recursion(self, fps, descending):
+        want, repeated = reference_axis_gains(5000, 1.0 / fps, NOISE)
+        ns = sorted({1, 2, 810, 5000, repeated - 1, repeated, repeated + 1}, reverse=descending)
+        for n in ns:
+            got = _axis_gains(n, 1.0 / fps, NOISE)
+            assert np.array(got).tobytes() == np.array(want[: n - 1]).reshape(-1, 4).tobytes(), n
+        assert fusion._schedule[0] == (1.0 / fps, NOISE)
+
+    def test_bundled_noise_keeps_only_the_gains_up_to_the_fixed_point(self):
+        gains = _axis_gains(5000, 1.0 / 15.0, NOISE)
+        key, kept = fusion._schedule
+        assert key == (1.0 / 15.0, NOISE) and kept == gains[:642]
+        # A later call of any length is served from what was kept.
+        fusion._schedule = (key, [(1.0, 2.0, 3.0, 4.0), (5.0, 6.0, 7.0, 8.0)])
+        assert _axis_gains(5, 1.0 / 15.0, NOISE) == [(1.0, 2.0, 3.0, 4.0)] + [(5.0, 6.0, 7.0, 8.0)] * 3
+        assert _axis_gains(2, 1.0 / 15.0, NOISE) == [(1.0, 2.0, 3.0, 4.0)]
+
+    @pytest.mark.parametrize(
+        "n, noise",
+        [(5000, NoiseConfig(0.5, 0.05, 2.0)), (642, NOISE), (75, NOISE)],
+        ids=["slow-noise", "bundled-one-step-short", "pipeline-length"],
+    )
+    def test_unsettled_schedule_is_not_kept(self, n, noise):
+        assert len(_axis_gains(n, 1.0 / 15.0, noise)) == n - 1
+        assert fusion._schedule is None
+
+    def test_raising_recursion_keeps_nothing(self):
+        # q00 = s2 dt^4 / 4 overflows, so the first step's S is not finite.
+        noise = NoiseConfig(0.5, 0.2, 1e150)
+        for _ in range(2):
+            with pytest.raises(FusionError, match="singular innovation covariance"):
+                _axis_gains(100, 100.0, noise)
+        assert fusion._schedule is None
+
+    def test_only_the_last_settled_schedule_is_kept(self):
+        for fps in (15.0, 30.0, 15.0):
+            want, _ = reference_axis_gains(2000, 1.0 / fps, NOISE)
+            got = _axis_gains(2000, 1.0 / fps, NOISE)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert fusion._schedule[0] == (1.0 / fps, NOISE)
+
+    def test_fuse_log_is_the_same_with_the_memo_cold_or_warm(self):
+        run = generate_marker_run(4)
+        cfg = run.config
+        cold = fuse_log(run.sensor_log, cfg.noise, cfg.fps, cfg.duration)
+        assert fusion._schedule[0] == (1.0 / cfg.fps, cfg.noise)
+        warm = fuse_log(run.sensor_log, cfg.noise, cfg.fps, cfg.duration)
+        short = fuse_log(run.sensor_log, cfg.noise, cfg.fps, 100)
+        assert warm.array.tobytes() == cold.array.tobytes()
+        assert short.array.tobytes() == cold.array[:100].tobytes()

@@ -336,6 +336,25 @@ class TestNoSilentCoercion:
             reader(path)
         assert str(e.value) == f"{path}:4: column {column!r}: not a number: {text!r}"
 
+    @pytest.mark.parametrize("kind", ["sensors", "poses", "trajectory"])
+    def test_crlf_line_endings_rejected(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.csv"
+        reader = _write_csv(kind, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        with pytest.raises(FormatError) as e:
+            reader(path)
+        assert str(e.value) == f"{path}:1: carriage return; lines must end with LF alone"
+
+    @pytest.mark.parametrize("kind", ["sensors", "poses", "trajectory"])
+    def test_carriage_return_in_a_field_names_its_line(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.csv"
+        reader = _write_csv(kind, path)
+        _corrupt(path, 3, 0, "3\r")
+        assert path.read_bytes().count(b"\r") == 1
+        with pytest.raises(FormatError) as e:
+            reader(path)
+        assert str(e.value) == f"{path}:3: carriage return; lines must end with LF alone"
+
     def test_every_repr_form_parses_back_exactly(self):
         rng = np.random.default_rng(5)
         values = [0.0, -0.0, 1.0, -2.5, 5e-324, 1e-300, 1.7976931348623157e308, 1e16,

@@ -528,6 +528,21 @@ def _ref_sensor_log(config, poses, vels, rng):
     return SensorLog(*(list(c) for c in zip(*rows)))
 
 
+def _ref_marker_layout(path, path_length, n_markers, half_swath, rng):
+    """The marker layout drawn marker by marker, one uniform() pair each."""
+    arcs = np.linspace(0.1 * path_length, 0.9 * path_length, n_markers)
+    side = np.tile([-1.0, 1.0], (n_markers + 1) // 2)[:n_markers]
+    rows = []
+    for k in range(n_markers):
+        s = float(arcs[k]) + float(rng.uniform(-2.0, 2.0))
+        base = _ref_point_at(path, s)
+        d = _ref_direction_at(path, s)
+        normal = np.array([-d[1], d[0]])
+        offset = side[k] * float(rng.uniform(0.6, 1.0)) * half_swath
+        rows.append([base[0] + offset * normal[0], base[1] + offset * normal[1], 0.0])
+    return np.asarray(rows)
+
+
 def _ref_marker_run(config, n_markers, path_length):
     """Markers, sightings, log and poses of a marker run, frame by frame.
 
@@ -539,17 +554,7 @@ def _ref_marker_run(config, n_markers, path_length):
     width, height = config.width, config.height
     path = synth._Polyline(config.drone.waypoints)
     half_swath = 0.75 * (height / 2.0) / focal_px * altitude
-    arcs = np.linspace(0.1 * path_length, 0.9 * path_length, n_markers)
-    side = np.tile([-1.0, 1.0], (n_markers + 1) // 2)[:n_markers]
-    rows = []
-    for k in range(n_markers):
-        s = float(arcs[k]) + float(rng.uniform(-2.0, 2.0))
-        base = _ref_point_at(path, s)
-        d = _ref_direction_at(path, s)
-        normal = np.array([-d[1], d[0]])
-        offset = side[k] * float(rng.uniform(0.6, 1.0)) * half_swath
-        rows.append([base[0] + offset * normal[0], base[1] + offset * normal[1], 0.0])
-    markers = np.asarray(rows)
+    markers = _ref_marker_layout(path, path_length, n_markers, half_swath, rng)
     poses, vels = _ref_flight(config)
     log = _ref_sensor_log(config, poses, vels, rng)
     intr = config.intrinsics
@@ -669,6 +674,16 @@ class TestArrayKinematicsOracle:
         ref = _ref_sensor_log(config, ref_poses, ref_vels, ref_rng)
         assert _log_bytes(log) == _log_bytes(ref)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_marker_layout_matches_per_marker_loop_over_200_seeds(self, monkeypatch):
+        runs = [generate_marker_run(seed) for seed in range(200)]
+        monkeypatch.setattr(synth, "_marker_layout", _ref_marker_layout)
+        for seed, run in enumerate(runs):
+            ref = generate_marker_run(seed)
+            assert run.markers.tobytes() == ref.markers.tobytes(), seed
+            assert _sighting_hex(run.sightings) == _sighting_hex(ref.sightings), seed
+            assert _log_bytes(run.sensor_log) == _log_bytes(ref.sensor_log), seed
+            assert run.gt_poses.array.tobytes() == ref.gt_poses.array.tobytes(), seed
 
     def test_marker_runs_match_reference_over_100_seeds(self):
         for seed in range(100):
