@@ -227,6 +227,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     # order and the pool cancels the frames not yet started.
     with ThreadPoolExecutor(max_workers=min(usable_cpus(), n_frames)) as pool:
         list(pool.map(write_outline, range(n_frames)))
+    io_formats.remove_frames_from(shapes_dir, n_frames)
     io_formats.write_trajectory(
         frames=list(range(n_frames)),
         uv=result.centroids,

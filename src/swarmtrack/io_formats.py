@@ -336,13 +336,16 @@ def _read_pgm_bytes(path: Path) -> np.ndarray:
         raise FormatError(f"{path}: maxval {maxval}, this format requires 255")
     if w <= 0 or h <= 0:
         raise FormatError(f"{path}: bad dimensions {w}x{h}")
-    payload = raw[pos : pos + w * h]
-    if len(payload) != w * h:
+    extra = len(raw) - pos - w * h
+    if extra < 0:
         raise FormatError(
             f"{path}: byte {pos}: payload truncated, "
-            f"expected {w * h} bytes, got {len(payload)}"
+            f"expected {w * h} bytes, got {len(raw) - pos}"
         )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
+    if extra > 0:
+        raise FormatError(f"{path}: byte {pos + w * h}: {extra} bytes after the payload")
+    # A view of raw: the payload is not copied.
+    return np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=pos).reshape(h, w)
 
 
 def read_mask(path: Path | str) -> SoftMask:
@@ -375,6 +378,21 @@ def mask_sequence_paths(directory: Path | str) -> list[Path]:
                 f"{directory}: expected frame file {i:06d}.pgm, found {p.name}"
             )
     return paths
+
+
+def remove_frames_from(directory: Path, n: int) -> None:
+    """Delete the contiguous run of %06d.pgm files from frame n upward.
+
+    A rerun that writes n frames into a directory holding more would
+    otherwise leave the old tail beside them. With nothing stale this
+    costs one failed unlink.
+    """
+    while True:
+        try:
+            (directory / f"{n:06d}.pgm").unlink()
+        except FileNotFoundError:
+            return
+        n += 1
 
 
 # -- config JSON -----------------------------------------------------------

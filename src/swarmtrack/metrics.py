@@ -216,8 +216,9 @@ def framewise_centroid_baseline(masks) -> Trajectory2D:
     n = 0
     for i, mask in enumerate(masks):
         sub = mask.inner
-        ys, xs = np.nonzero(sub >= 0.5)
-        w = sub[ys, xs]
+        hit = sub >= 0.5
+        ys, xs = np.nonzero(hit)
+        w = sub[hit]
         ys, xs = ys + mask.box[0].start, xs + mask.box[1].start
         total = w.sum()
         if total > 0:

@@ -427,8 +427,10 @@ def _blur_support(
     same order as the full-frame filter: where the box stops short of
     the frame edge its reflect boundary reads only the zero margin, so
     the result is byte-identical to the full-frame one for any finite
-    gain >= 0. The first (row-wise) pass runs on the support's columns
-    only, since every other column is zero in and zero out.
+    gain >= 0. Both passes run in place in one zeroed box array, as
+    ``gaussian_filter`` chains them: the first (row-wise) pass on the
+    band of the support's columns only, since every other column is
+    zero in and zero out, then the second over the whole box.
     """
     if gain is not None and gain.shape != tuple(shape):
         raise ValueError(f"gain field {gain.shape} does not match mask {tuple(shape)}")
@@ -441,13 +443,11 @@ def _blur_support(
     if sigma > 0:
         from scipy import ndimage  # loaded on first use: only rendering blurs
         (rows, cols), (r0, c0) = support, (box[0].start, box[1].start)
-        columns = np.zeros((box[0].stop - r0, cols.stop - cols.start))
-        columns[rows.start - r0 : rows.stop - r0] = inner
-        block = np.zeros((box[0].stop - r0, box[1].stop - c0))
-        block[:, cols.start - c0 : cols.stop - c0] = ndimage.gaussian_filter1d(
-            columns, sigma, axis=0
-        )
-        out = ndimage.gaussian_filter1d(block, sigma, axis=1)
+        out = np.zeros((box[0].stop - r0, box[1].stop - c0))
+        band = out[:, cols.start - c0 : cols.stop - c0]
+        band[rows.start - r0 : rows.stop - r0] = inner
+        ndimage.gaussian_filter1d(band, sigma, axis=0, output=band)
+        ndimage.gaussian_filter1d(out, sigma, axis=1, output=out)
     else:
         out = inner.astype(float)
     # out is this call's own array, so the gain and the clip run in place.
@@ -551,6 +551,7 @@ def write_scenario(config: ScenarioConfig, out_dir) -> None:
     Layout: masks/%06d.pgm, gt_masks/%06d.pgm, sensors.csv,
     gt_poses.csv, gt_track.csv, scenario.json. Byte-identical for a
     given config (noise is drawn in frame order before rendering).
+    Frames left in masks/ and gt_masks/ by a longer earlier run are deleted.
     """
     out = Path(out_dir)
     log, poses, world, frames = _simulate(config)
@@ -561,6 +562,8 @@ def write_scenario(config: ScenarioConfig, out_dir) -> None:
         io_formats.write_mask(soft, out / "masks" / f"{frame:06d}.pgm")
         io_formats.write_mask(binary, out / "gt_masks" / f"{frame:06d}.pgm")
         track2d.append(uv)
+    for kind in ("masks", "gt_masks"):
+        io_formats.remove_frames_from(out / kind, config.duration)
     io_formats.write_sensor_log(log, out / "sensors.csv")
     io_formats.write_poses(poses, config.fps, out / "gt_poses.csv")
     io_formats.write_trajectory(

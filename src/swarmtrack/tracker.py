@@ -297,14 +297,20 @@ def resample_roulette(ps: ParticleSet) -> ParticleSet:
     """Roulette-wheel resampling: n independent inverse-CDF draws.
 
     Deliberately not systematic or stratified resampling; draws use
-    independent uniforms against the weight CDF.
+    independent uniforms against the weight CDF. The draws are searched
+    in sorted order, which keeps the bisection's branches predictable;
+    each draw still gets the index searchsorted gives it alone, since
+    for 0 <= u < 1 the test cdf > u is monotone over the whole CDF,
+    the guarded top included.
     """
     n = ps.xy.shape[0]
     cdf = np.cumsum(ps.weights)
     cdf[-1] = 1.0  # guard against cumulative roundoff at the top
     u = ps.rng.random(n)
-    idx = np.searchsorted(cdf, u, side="right")
-    xy = ps.xy[idx].copy()
+    order = np.argsort(u)
+    idx = np.empty(n, dtype=np.intp)
+    idx[order] = np.searchsorted(cdf, u[order], side="right")
+    xy = ps.xy[idx]
     w = np.full(n, 1.0 / n)
     return ParticleSet(xy, w, ps.rng)
 

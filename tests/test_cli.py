@@ -65,6 +65,19 @@ class TestSimulate:
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_shorter_rerun_into_same_out_leaves_no_stale_frames(self, tmp_path):
+        out = tmp_path / "sim"
+        for duration in (30, 20):
+            cfg = write_json(tmp_path / f"s{duration}.json", small_scenario(duration=duration))
+            assert invoke_cli("simulate", "--config", cfg, "--out", out) == 0
+        for kind in ("masks", "gt_masks"):
+            assert len(list((out / kind).glob("*.pgm"))) == 20, kind
+        run = write_json(tmp_path / "run.json", small_run_config())
+        assert invoke_cli(
+            "track", "--masks", out / "masks", "--sensors", out / "sensors.csv",
+            "--config", run, "--out", tmp_path / "track",
+        ) == 0
+
     def test_constraint_violation_exits_2_naming_field(self, tmp_path, run_cli):
         doc = small_scenario()
         doc["drone"]["altitude"] = 0.0
@@ -222,6 +235,20 @@ class TestTrack:
             read_binary_mask(scenario_dir / "gt_masks" / "000030.pgm"),
         )
         assert s.iou > 0.3
+
+    def test_shorter_rerun_into_same_out_leaves_no_stale_shapes(self, scenario_dir, tmp_path):
+        short = tmp_path / "short"
+        scen = write_json(tmp_path / "s.json", small_scenario(duration=20))
+        assert invoke_cli("simulate", "--config", scen, "--out", short) == 0
+        cfg = write_json(tmp_path / "run.json", small_run_config())
+        out = tmp_path / "track"
+        for sim in (scenario_dir, short):
+            assert invoke_cli(
+                "track", "--masks", sim / "masks", "--sensors", sim / "sensors.csv",
+                "--config", cfg, "--out", out,
+            ) == 0
+        assert len(list((out / "shapes").glob("*.pgm"))) == 20
+        assert invoke_cli("eval", "--pred", out, "--gt", short, "--out", tmp_path / "eval") == 0
 
     def test_rerun_is_byte_identical(self, scenario_dir, tmp_path):
         cfg = write_json(tmp_path / "run.json", small_run_config())
@@ -399,6 +426,9 @@ def _break_input(fault: str, masks: Path, sensors: Path, tmp: Path) -> Path:
     header, *rows = sensors.read_text().splitlines()
     if fault == "truncated-pgm":
         frame20.write_bytes(frame20.read_bytes()[:3000])
+    elif fault == "oversize-pgm":
+        raw = frame20.read_bytes()
+        frame20.write_bytes(raw + raw[-640:])
     elif fault == "small-mask":
         grid = io_formats.quantize_mask(read_mask(frame20).values[::2, ::2])
         frame20.write_bytes(b"P5\n320 180\n255\n" + grid.tobytes())
@@ -437,6 +467,7 @@ class TestTrackFaults:
         "fault, message",
         [
             ("truncated-pgm", "000020.pgm: byte 15: payload truncated"),
+            ("oversize-pgm", "000020.pgm: byte 230415: 640 bytes after the payload"),
             ("small-mask", "frame 20: mask is 320x180, intrinsics say 640x360"),
             ("missing-mask", "expected frame file 000020.pgm, found 000021.pgm"),
             ("nan-gps", "sensors.csv:22: column 'gps_x_m': non-finite value"),

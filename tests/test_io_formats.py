@@ -19,6 +19,7 @@ from swarmtrack.io_formats import (
     read_poses,
     read_sensor_log,
     read_trajectory,
+    remove_frames_from,
     scenario_config_from_json,
     write_mask,
     write_poses,
@@ -247,6 +248,16 @@ class TestMasks:
         with pytest.raises(FormatError, match="truncated"):
             read_mask(path)
 
+    @pytest.mark.parametrize("extra", [1, 4])  # 4: a 4x5 payload under a 4x4 header
+    def test_payload_longer_than_header_rejected(self, tmp_path, extra):
+        path = tmp_path / "o.pgm"
+        path.write_bytes(b"P5\n4 4\n255\n" + bytes(range(16 + extra)))
+        with pytest.raises(FormatError) as err:
+            read_mask(path)
+        assert str(err.value) == f"{path}: byte 27: {extra} bytes after the payload"
+        with pytest.raises(FormatError, match=f"{extra} bytes after the payload"):
+            read_binary_mask(path)
+
     def test_unsupported_maxval_rejected(self, tmp_path):
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\n1 1\n99\n\x00")
@@ -264,6 +275,16 @@ class TestMasks:
             write_mask(SoftMask(np.full((2, 2), i / 255.0)), tmp_path / f"{i:06d}.pgm")
         seq = [read_mask(p) for p in mask_sequence_paths(tmp_path)]
         assert [m.values[0, 0] for m in seq] == [0.0, 1 / 255, 2 / 255]
+
+    def test_remove_frames_from_deletes_the_contiguous_tail(self, tmp_path):
+        for i in (0, 1, 2, 3, 4, 6):
+            write_mask(SoftMask(np.zeros((2, 2))), tmp_path / f"{i:06d}.pgm")
+        remove_frames_from(tmp_path, 2)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "000000.pgm", "000001.pgm", "000006.pgm"
+        ]
+        remove_frames_from(tmp_path, 2)  # nothing stale: a no-op
+        assert len(list(tmp_path.iterdir())) == 3
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(FormatError, match="no .pgm"):

@@ -365,6 +365,59 @@ class TestWindowedBlur:
             assert soften(binary, sigma).values.tobytes() == _full_frame(binary, sigma).tobytes()
 
 
+def _two_array_blur_support(inner, support, shape, sigma, gain=None):
+    """Reference: the row-wise pass on a zeroed copy of the support's
+    columns, pasted into a zeroed box, then the column-wise pass into a
+    new array."""
+    radius = int(4.0 * sigma + 0.5) if sigma > 0 else 0
+    box = tuple(
+        slice(max(s.start - radius, 0), min(s.stop + radius, n)) for s, n in zip(support, shape)
+    )
+    if sigma > 0:
+        (rows, cols), (r0, c0) = support, (box[0].start, box[1].start)
+        columns = np.zeros((box[0].stop - r0, cols.stop - cols.start))
+        columns[rows.start - r0 : rows.stop - r0] = inner
+        block = np.zeros((box[0].stop - r0, box[1].stop - c0))
+        block[:, cols.start - c0 : cols.stop - c0] = ndimage.gaussian_filter1d(
+            columns, sigma, axis=0
+        )
+        out = ndimage.gaussian_filter1d(block, sigma, axis=1)
+    else:
+        out = inner.astype(float)
+    if gain is not None:
+        out *= gain[box]
+    np.clip(out, 0.0, 1.0, out=out)
+    return SoftMask.from_box(out, box, shape)
+
+
+def _edge_supports(h, w, rng):
+    """Supports touching each frame edge and corner, one inside, and the whole frame."""
+    sh, sw = int(rng.integers(3, h // 3)), int(rng.integers(3, w // 3))
+    for r0 in (0, (h - sh) // 2, h - sh):
+        for c0 in (0, (w - sw) // 2, w - sw):
+            yield (slice(r0, r0 + sh), slice(c0, c0 + sw))
+    yield (slice(0, h), slice(0, w))
+
+
+class TestOneBufferBlur:
+    """_blur_support's in-place passes give the two-array version's box
+    and values byte for byte."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0, 1.5, 2.5, 4.0, 8.0])
+    @pytest.mark.parametrize("with_gain", [False, True])
+    def test_matches_two_array_version(self, sigma, with_gain):
+        rng = np.random.default_rng(int(sigma * 10) + 100 * with_gain)
+        for h, w in ((60, 90), (37, 23)):
+            gain = rng.uniform(0.2, 3.0, (h, w)) if with_gain else None
+            for support in _edge_supports(h, w, rng):
+                size = (support[0].stop - support[0].start, support[1].stop - support[1].start)
+                for inner in (rng.uniform(0.0, 1.0, size), rng.random(size) < 0.5):
+                    got = synth._blur_support(inner, support, (h, w), sigma, gain)
+                    want = _two_array_blur_support(inner, support, (h, w), sigma, gain)
+                    assert got.box == want.box
+                    assert got.inner.tobytes() == want.inner.tobytes()
+
+
 class TestMarkerRuns:
     def test_all_markers_sighted_in_bounds(self):
         run = generate_marker_run(seed=0)

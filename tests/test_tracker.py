@@ -1,8 +1,14 @@
 """Particle filter: init, predict, weighting, resampling, sequence loop."""
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
+from swarmtrack import synth
+from swarmtrack import tracker as tracker_module
 from swarmtrack.geometry import CameraMotion, CameraPose, Intrinsics
+from swarmtrack.io_formats import scenario_config_from_json
 from swarmtrack.tracker import (
     ParticleSet,
     SoftMask,
@@ -209,6 +215,112 @@ class TestResample:
         assert effective_sample_size(out) == pytest.approx(1.0)
 
 
+def _reference_resample_roulette(ps):
+    """The unsorted search: every draw bisects the weight CDF on its own."""
+    n = ps.xy.shape[0]
+    cdf = np.cumsum(ps.weights)
+    cdf[-1] = 1.0
+    idx = np.searchsorted(cdf, ps.rng.random(n), side="right")
+    return ParticleSet(ps.xy[idx].copy(), np.full(n, 1.0 / n), ps.rng)
+
+
+class _FixedDraws:
+    """Stands in for the generator: random(n) returns the given draws."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+def _drawn_indices(weights, rng):
+    """The particle index resample_roulette picks for each draw, in draw order."""
+    n = len(weights)
+    xy = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
+    return resample_roulette(ParticleSet(xy, weights, rng)).xy[:, 0].astype(np.intp)
+
+
+def _guarded_cdf(weights):
+    cdf = np.cumsum(weights)
+    cdf[-1] = 1.0
+    return cdf
+
+
+def _roundoff_over_one(n):
+    """n weights, the last zero, whose running sum passes 1.0 before the end."""
+    for seed in range(1000):
+        w = np.random.default_rng(seed).random(n - 1)
+        w = np.append(w / w.sum(), 0.0)
+        if np.cumsum(w)[-2] > 1.0:
+            return w
+    raise AssertionError(f"no seed gives a running sum over 1.0 at n={n}")
+
+
+def _adversarial_weights(n):
+    """Weight vectors whose CDF has flat runs, a roundoff top, or one mass."""
+    cases = {"uniform": np.full(n, 1.0 / n)}
+    for k in sorted({0, n // 2, n - 1}):
+        one = np.zeros(n)
+        one[k] = 1.0
+        cases[f"all on {k}"] = one
+    if n >= 3:
+        k = max(1, n // 3)
+        head = np.zeros(n)
+        head[:k] = 1.0 / k
+        cases["zero tail"] = head
+        tail = np.zeros(n)
+        tail[-k:] = 1.0 / k
+        cases["zero head"] = tail
+        holes = np.random.default_rng(n).random(n)
+        holes[1::3] = 0.0  # flat runs: ties in the CDF
+        cases["zero holes"] = holes / holes.sum()
+        cases["roundoff top"] = _roundoff_over_one(n)
+    return cases
+
+
+class TestSortedDrawSearch:
+    """Searching the draws in sorted order picks, for every draw, the index
+    np.searchsorted(cdf, u, side="right") gives it alone."""
+
+    @pytest.mark.parametrize("n", [1, 2, 1000, 100_000])
+    def test_generator_draws_match_unsorted_search(self, n):
+        for name, w in _adversarial_weights(n).items():
+            got = _drawn_indices(w, np.random.default_rng(n))
+            want = np.searchsorted(
+                _guarded_cdf(w), np.random.default_rng(n).random(n), side="right"
+            )
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+    @pytest.mark.parametrize("n", [2, 1000, 100_000])
+    def test_draws_on_cdf_steps_and_repeated_draws_match(self, n):
+        for name, w in _adversarial_weights(n).items():
+            cdf = _guarded_cdf(w)
+            edges = cdf[cdf < 1.0]
+            pool = np.concatenate(
+                [edges, np.nextafter(edges, 0.0), [0.0, np.nextafter(1.0, 0.0), 0.5]]
+            )
+            # Every CDF step, just below it, both ends, and repeats of each.
+            u = np.random.default_rng(n).choice(pool, size=n)
+            u[: min(n, pool.size)] = pool[:n]
+            got = _drawn_indices(w, _FixedDraws(u))
+            np.testing.assert_array_equal(
+                got, np.searchsorted(cdf, u, side="right"), err_msg=name
+            )
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_matches_reference_resampler_and_leaves_the_same_stream(self, n):
+        rng = np.random.default_rng(31)
+        xy = rng.uniform(0, 100, (n, 2))
+        for w in _adversarial_weights(n).values():
+            a = resample_roulette(ParticleSet(xy, w, np.random.default_rng(9)))
+            b = _reference_resample_roulette(ParticleSet(xy, w, np.random.default_rng(9)))
+            assert a.xy.tobytes() == b.xy.tobytes()
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.rng.random() == b.rng.random()
+
+
 class TestCentroid:
     def test_point_mass(self):
         ps = particle_set([[7.0, 9.0], [1.0, 1.0]], weights=[1.0, 0.0])
@@ -318,6 +430,33 @@ class TestTrackSequence:
         masks = [SoftMask(np.zeros((90, 160)))]
         with pytest.raises(ValueError, match="mask is"):
             track_sequence(masks, [HOVER], INTR, TrackerConfig(n_particles=16))
+
+
+class TestSortedSearchInTheLoop:
+    @pytest.fixture(scope="class")
+    def degraded(self):
+        """The bundled degradation scenario's first 50 frames, blurred and dimmed."""
+        doc = json.loads(
+            resources.files("swarmtrack.data").joinpath("degradation_scenario.json").read_text()
+        )
+        doc["duration"] = 50
+        config = scenario_config_from_json(json.dumps(doc))
+        scen = simulate(config)
+        gain = synth.make_gain_field(
+            config.width, config.height, 1.0, 150.0, np.random.default_rng(0)
+        )
+        masks = [synth.degrade_mask(m, blur_sigma=4.0, gain=gain) for m in scen.masks]
+        return masks, scen.gt_poses, config.intrinsics
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_track_sequence_matches_unsorted_search(self, degraded, seed, monkeypatch):
+        masks, poses, intr = degraded
+        config = TrackerConfig(n_particles=1000, motion_noise_sigma=6.0, seed=seed)
+        got = track_sequence(masks, poses, intr, config, keep_particles=False)
+        monkeypatch.setattr(tracker_module, "resample_roulette", _reference_resample_roulette)
+        want = track_sequence(masks, poses, intr, config, keep_particles=False)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        np.testing.assert_array_equal(got.lost, want.lost)
 
 
 class TestConfigValidation:
