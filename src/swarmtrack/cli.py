@@ -191,10 +191,10 @@ def cmd_track(args: argparse.Namespace) -> int:
     first = io_formats.read_mask(mask_paths[0])
     width, height = first.width, first.height
     intr = _intrinsics(cfg.focal_px, cfg.cx, cfg.cy, width, height)
-    log = io_formats.read_sensor_log(args.sensors)
+    # The log (and the frame arrays it keeps) is freed once fused.
     poses = fuse_log(
-        log, cfg.noise, cfg.fps, n_frames=n_frames,
-        orientation_alpha=cfg.orientation_alpha,
+        io_formats.read_sensor_log(args.sensors), cfg.noise, cfg.fps,
+        n_frames=n_frames, orientation_alpha=cfg.orientation_alpha,
     )
     logger.info(
         "tracking %d frames (%dx%d, %d particles)",

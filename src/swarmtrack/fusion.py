@@ -27,13 +27,25 @@ run of the full 6-state filter kept there as the reference. The fused
 poses and both baselines come back as one ``geometry.Poses`` array.
 
 Gain schedule: once a step leaves the covariance exactly as it found
-it, every later gain is that step's. The gains up to that fixed point
-are kept for later calls of any length with the same (dt, noise), so a
+it, every later gain is that step's; once it leaves it exactly as it
+was one step earlier, the recursion is in a 2-cycle and every later
+gain repeats the last two in turn. Either way the rest of the schedule
+is a pure function of the gains so far. The gains up to that point are
+kept for later calls of any length with the same (dt, noise), so a
 batch of logs that share them pays for the recursion once per process.
 One schedule is kept, the last one that settled, and it is only as long
 as its recursion took to settle (642 gains with the bundled noise at
-15 fps, however many frames are fused). A recursion that has not
-settled within a call's frames, or that fails, keeps nothing.
+15 fps, 134 in a 2-cycle at 3 fps, however many frames are fused). A
+recursion that has not settled within a call's frames, or that fails,
+keeps nothing.
+
+Frame arrays: a ``SensorLog`` keeps the frame-aligned arrays of its
+last (fps, n_frames), so ``fuse_log`` and both baselines on one log
+interpolate and unwrap it once. A log's columns are read-only views
+whose bases are read-only, so the log cannot change under what it
+kept, and the arrays are stored only after every check of the call has
+passed and are handed out read-only. Kept on the log, they are freed
+with it.
 """
 
 from __future__ import annotations
@@ -79,15 +91,22 @@ class NoiseConfig:
                 )
 
 
+# The columns of a SensorLog, in constructor order.
+_COLUMNS = ("frame", "t", "gps", "vel", "att")
+
+
 class SensorLog:
     """The drone log as read-only arrays, one row per record.
 
     ``frame`` (n,) ints, ``t`` (n,) s, ``gps`` (n, 3) m, ``vel`` (n, 3)
     m/s and ``att`` (n, 3) [pitch, yaw, roll] deg; every value is
-    finite; ``==`` compares element-wise.
+    finite; ``==`` compares element-wise. Each column is a view of a
+    read-only base, so it cannot be made writeable again. The log also
+    keeps its last frame-aligned arrays (see ``_frame_arrays``), which
+    ``==`` ignores.
     """
 
-    __slots__ = ("frame", "t", "gps", "vel", "att")
+    __slots__ = (*_COLUMNS, "_frames")
 
     def __init__(self, frame, t, gps, vel, att) -> None:
         frame = np.array(frame, dtype=np.int64)
@@ -105,7 +124,8 @@ class SensorLog:
         arrays = (frame, t, gps, vel, att)
         for a in arrays:
             a.flags.writeable = False
-        self.frame, self.t, self.gps, self.vel, self.att = arrays
+        self.frame, self.t, self.gps, self.vel, self.att = (a.view() for a in arrays)
+        self._frames = None
         bad = ~(
             np.isfinite(t)
             & np.isfinite(gps).all(axis=1)
@@ -113,13 +133,13 @@ class SensorLog:
             & np.isfinite(att).all(axis=1)
         )
         if bad.any():
-            # Worded as the record form of the first bad row.
+            # Names the first bad row (0-based) and its fields.
             i = int(np.argmax(bad))
             pitch, yaw, roll = att[i].tolist()
             raise ValueError(
-                f"sensor record has non-finite fields: SensorRecord(frame={int(frame[i])!r}, "
+                f"sensor log row {i} has non-finite fields: frame={int(frame[i])!r}, "
                 f"t={float(t[i])!r}, gps={tuple(gps[i].tolist())!r}, "
-                f"vel={tuple(vel[i].tolist())!r}, pitch={pitch!r}, yaw={yaw!r}, roll={roll!r})"
+                f"vel={tuple(vel[i].tolist())!r}, pitch={pitch!r}, yaw={yaw!r}, roll={roll!r}"
             )
 
     def __len__(self) -> int:
@@ -128,7 +148,7 @@ class SensorLog:
     def __eq__(self, other) -> bool:
         if isinstance(other, SensorLog):
             return all(
-                np.array_equal(getattr(self, n), getattr(other, n)) for n in self.__slots__
+                np.array_equal(getattr(self, n), getattr(other, n)) for n in _COLUMNS
             )
         return NotImplemented
 
@@ -146,12 +166,22 @@ def _frame_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Interpolate the log's columns onto frame timestamps k/fps.
 
-    Returns ``(frame_t (n,), z (n, 6) = [gps; vel], angles (n, 3) =
-    [pitch, yaw, roll])``. Frames run from the first log timestamp up to
-    the last (or ``n_frames`` if given, which must be >= 1 and stay
-    within the log's time span). Attitude angles are unwrapped before
-    interpolation so a 359 -> 1 deg yaw step does not sweep through 180.
+    Returns read-only ``(frame_t (n,), z (n, 6) = [gps; vel], angles
+    (n, 3) = [pitch, yaw, roll])``. Frames run from the first log
+    timestamp up to the last (or ``n_frames`` if given, which must be
+    >= 1 and stay within the log's time span). Attitude angles are
+    unwrapped before interpolation so a 359 -> 1 deg yaw step does not
+    sweep through 180, and the frame-rate angles are unwrapped again
+    (frames sparser than the log can still step past 180 deg).
+
+    The log keeps the arrays of its last ``(fps, n_frames)``, stored
+    only once every check has passed, and a call with that pair returns
+    them (see the module docstring).
     """
+    key = (fps, n_frames)
+    kept = log._frames
+    if kept is not None and kept[0] == key:
+        return kept[1]
     if not log:
         raise FusionError("sensor log is empty")
     t = log.t
@@ -175,7 +205,12 @@ def _frame_arrays(
         )
     columns = (*log.gps.T, *log.vel.T, *_unwrap_deg(log.att).T)
     interp = np.stack([np.interp(frame_t, t, c) for c in columns], axis=1)
-    return frame_t, interp[:, :6], interp[:, 6:]
+    angles = _unwrap_deg(interp[:, 6:])
+    for a in (frame_t, interp, angles):
+        a.flags.writeable = False
+    arrays = (frame_t.view(), interp[:, :6], angles.view())
+    log._frames = (key, arrays)
+    return arrays
 
 
 # The attitude EMA factor's default: 1 passes the logged attitude through.
@@ -194,19 +229,28 @@ def check_orientation_alpha(alpha: float, name: str = "orientation_alpha") -> No
 def _smooth_angles(angles: np.ndarray, alpha: float) -> np.ndarray:
     """EMA over unwrapped attitude angles (n, 3); alpha=1 is pass-through."""
     check_orientation_alpha(alpha)
-    raw = _unwrap_deg(angles)
     if alpha == 1.0:
-        return raw
-    out = np.empty_like(raw)
-    out[0] = raw[0]
-    for i in range(1, len(raw)):
-        out[i] = alpha * raw[i] + (1 - alpha) * out[i - 1]
+        return angles
+    out = np.empty_like(angles)
+    out[0] = angles[0]
+    for i in range(1, len(angles)):
+        out[i] = alpha * angles[i] + (1 - alpha) * out[i - 1]
     return out
 
 
 # The last settled gain schedule: ((dt, noise), its gains up to the
-# fixed point). See the module docstring.
+# point where the covariance repeats, the period of that repetition).
+# See the module docstring.
 _schedule = None
+
+
+def _padded(gains: list, period: int, n: int) -> list:
+    """The first n - 1 gains of a schedule whose last ``period`` gains
+    repeat forever."""
+    extra = n - 1 - len(gains)
+    if extra <= 0:
+        return gains[: n - 1]
+    return gains + (gains[-period:] * (extra // period + 1))[:extra]
 
 
 def _axis_gains(
@@ -220,15 +264,16 @@ def _axis_gains(
     R = diag(gps_sigma^2, imu_vel_sigma^2) in Joseph form, as the
     6-state reference does on each axis block. The gain depends only
     on the covariance, so once a step leaves (p00, p01, p11) exactly as
-    it found it, every later gain is the last one; those gains are kept
-    as ``_schedule`` for the next call with the same (dt, noise).
+    it found it, every later gain is the last one, and once it leaves
+    them as they were one step earlier, the last two gains alternate;
+    those gains are kept as ``_schedule`` for the next call with the
+    same (dt, noise).
     """
     global _schedule
     key = (dt, noise)
     kept = _schedule
     if kept is not None and kept[0] == key:
-        gains = kept[1]
-        return gains[: n - 1] + gains[-1:] * (n - 1 - len(gains))
+        return _padded(kept[1], kept[2], n)
     rg = noise.gps_sigma**2
     rv = noise.imu_vel_sigma**2
     s2 = noise.process_accel_sigma**2
@@ -236,6 +281,7 @@ def _axis_gains(
     # Symmetric covariance [[p00, p01], [p01, p11]], starting at R.
     p00, p01, p11 = rg, 0.0, rv
     gains = []
+    earlier = None  # the covariance before the previous step
     for _ in range(1, n):
         before = (p00, p01, p11)
         # Predict: F P F' + Q.
@@ -269,9 +315,12 @@ def _axis_gains(
         if not (p00 > 0 and c > 0 and math.isfinite(p00 + c)):
             raise FusionError("covariance is not positive definite")
         gains.append((k00, k01, k10, k11))
-        if (p00, p01, p11) == before:
-            _schedule = (key, gains)
-            return gains[: n - 1] + gains[-1:] * (n - 1 - len(gains))
+        after = (p00, p01, p11)
+        if after == before or after == earlier:
+            period = 1 if after == before else 2
+            _schedule = (key, gains, period)
+            return _padded(gains, period, n)
+        earlier = before
     return gains
 
 
@@ -322,7 +371,7 @@ def gps_only_poses(
 ) -> Poses:
     """Raw GPS positions per frame, attitude passed through. Baseline."""
     _, z, angles = _frame_arrays(log, fps, n_frames)
-    return _poses(z[:, :3], _smooth_angles(angles, 1.0))
+    return _poses(z[:, :3], angles)
 
 
 def dead_reckoning_poses(
@@ -336,7 +385,7 @@ def dead_reckoning_poses(
     # accumulated in frame order from the first fix.
     steps = 0.5 * (vel[:-1] + vel[1:]) * dt
     pos = np.cumsum(np.vstack([z[:1, :3], steps]), axis=0)
-    return _poses(pos, _smooth_angles(angles, 1.0))
+    return _poses(pos, angles)
 
 
 def _poses(positions: np.ndarray, angles: np.ndarray) -> Poses:

@@ -31,13 +31,24 @@ equals it bit for bit, without loading scipy.spatial.
 A pose sequence (one pose per video frame) is a ``Poses``: one
 read-only (n, 6) array checked finite once. ``CameraPose`` is the
 scalar form of one row, built only when a caller indexes or iterates.
+
+Attitude matrices are built once per attitude: ``rotation_camera_to_world``
+keeps the last two it built, keyed on the exact float64 bits of (roll,
+pitch, yaw), so a run of poses at one attitude (a marker survey's fixed
+gimbal) and the consecutive pose pairs of ``motion_between_poses`` reuse
+them. The matrix is a pure function of those bits, so a reused one is
+the one a rebuild would give, bit for bit; ``functools.lru_cache`` keeps
+the memo consistent across threads. Callers get a read-only view whose
+base is read-only too, so no caller can change a kept matrix.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,7 +159,8 @@ class Poses:
         if bad.any():
             CameraPose(*a[np.argmax(bad)].tolist())  # raises, naming the row
         a.flags.writeable = False
-        self.array = a
+        # A view of a read-only base cannot be made writeable again.
+        self.array = a.view()
 
     def __len__(self) -> int:
         return len(self.array)
@@ -207,15 +219,37 @@ def _rot_z(rad: float) -> np.ndarray:
 _NADIR_AXES = np.diag([1.0, -1.0, -1.0])
 
 
-def rotation_camera_to_world(pose: CameraPose) -> np.ndarray:
-    """3x3 matrix taking camera-frame vectors to world-frame vectors."""
+# An attitude (roll, pitch, yaw) as the bytes of three float64s: the
+# memo key, so an entry is reused only for the very floats it was built
+# from (keyed on values, 0.0 and -0.0 would share one).
+_ATTITUDE = struct.Struct("3d")
+
+
+@lru_cache(maxsize=2)
+def _attitude_matrix(key: bytes) -> np.ndarray:
+    """Read-only camera-to-world matrix of the attitude packed in ``key``.
+
+    Two entries: ``motion_between_poses`` over a sequence needs the
+    previous frame's matrix and this one's.
+    """
+    roll, pitch, yaw = _ATTITUDE.unpack(key)
     # Compass yaw is clockwise from above, hence the sign flip on Rz.
     att = (
-        _rot_x(math.radians(pose.roll))
-        @ _rot_y(math.radians(pose.pitch))
-        @ _rot_z(-math.radians(pose.yaw))
+        _rot_x(math.radians(roll))
+        @ _rot_y(math.radians(pitch))
+        @ _rot_z(-math.radians(yaw))
     )
-    return att @ _NADIR_AXES
+    m = att @ _NADIR_AXES
+    m.flags.writeable = False
+    return m
+
+
+def rotation_camera_to_world(pose: CameraPose) -> np.ndarray:
+    """3x3 matrix taking camera-frame vectors to world-frame vectors.
+
+    A read-only view of the memoized matrix (see the module docstring).
+    """
+    return _attitude_matrix(_ATTITUDE.pack(pose.roll, pose.pitch, pose.yaw)).view()
 
 
 def rotation_world_to_camera(pose: CameraPose) -> np.ndarray:

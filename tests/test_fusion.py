@@ -1,4 +1,5 @@
 """Kalman predict/update algebra, log fusion, and the pose baselines."""
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -121,14 +122,28 @@ def initial_state(record: Record, noise: NoiseConfig) -> FusionState:
     return FusionState(mean, _measurement_cov(noise))
 
 
+def unwrap_deg(values):
+    """Degree angles unwrapped along axis 0."""
+    return np.degrees(np.unwrap(np.radians(np.asarray(values)), axis=0))
+
+
+def frame_columns(log, fps, n_frames=None):
+    """Frame times k/fps and the log's columns interpolated onto them:
+    (n, 9) = [gps; vel; attitude], the attitude unwrapped first."""
+    t = log.t
+    if n_frames is None:
+        n_frames = int(math.floor((t[-1] - t[0]) * fps + 1e-9)) + 1
+    frame_t = t[0] + np.arange(n_frames) / fps
+    columns = (*log.gps.T, *log.vel.T, *unwrap_deg(log.att).T)
+    return frame_t, np.stack([np.interp(frame_t, t, c) for c in columns], axis=1)
+
+
 def resample_log_to_frames(log, fps, n_frames=None):
     """The log interpolated onto frame timestamps k/fps, one record each."""
-    frame_t, z, angles = _frame_arrays(log, fps, n_frames)
+    frame_t, cols = frame_columns(log, fps, n_frames)
     return [
-        Record(i, t, tuple(row[:3]), tuple(row[3:]), pitch, yaw, roll)
-        for i, (t, row, (pitch, yaw, roll)) in enumerate(
-            zip(frame_t.tolist(), z.tolist(), angles.tolist())
-        )
+        Record(i, t, tuple(row[:3]), tuple(row[3:6]), *row[6:])
+        for i, (t, row) in enumerate(zip(frame_t.tolist(), cols.tolist()))
     ]
 
 
@@ -462,12 +477,9 @@ class TestBaselines:
 
 def reference_angles(frames, alpha):
     """Record-based attitude reference: unwrap each angle, then the EMA."""
-    def unwrap(values):
-        return np.degrees(np.unwrap(np.radians(np.array(values))))
-
     raw = np.stack(
-        [unwrap([r.pitch for r in frames]), unwrap([r.yaw for r in frames]),
-         unwrap([r.roll for r in frames])],
+        [unwrap_deg([r.pitch for r in frames]), unwrap_deg([r.yaw for r in frames]),
+         unwrap_deg([r.roll for r in frames])],
         axis=1,
     )
     if alpha == 1.0:
@@ -594,16 +606,17 @@ class TestFuseLogOracle:
         self.check(log, NOISE, 15.0, n_frames=1, alpha=0.3)
 
 
-def reference_axis_gains(n, dt, noise):
+def reference_axis_gains(n, dt, noise, period=1):
     """Every step of the per-axis gain recursion, with no early stop, and
-    the first step after which the covariance state repeated (or None)."""
+    the first step after which the covariance state equals the one
+    ``period`` steps earlier (or None)."""
     rg, rv = noise.gps_sigma**2, noise.imu_vel_sigma**2
     s2 = noise.process_accel_sigma**2
     q00, q01, q11 = s2 * dt**4 / 4.0, s2 * dt**3 / 2.0, s2 * dt**2
     p00, p01, p11 = rg, 0.0, rv
     gains, repeated = [], None
+    history = [(p00, p01, p11)]
     for step in range(1, n):
-        before = (p00, p01, p11)
         p00, p01, p11 = (
             p00 + dt * (p01 + p01) + dt * dt * p11 + q00,
             p01 + dt * p11 + q01,
@@ -623,8 +636,9 @@ def reference_axis_gains(n, dt, noise):
         p11 = b10 * a10 + b11 * a11 + k10 * k10 * rg + k11 * k11 * rv
         p01 = 0.5 * (c01 + c10)
         gains.append((k00, k01, k10, k11))
-        if repeated is None and (p00, p01, p11) == before:
+        if repeated is None and len(history) >= period and (p00, p01, p11) == history[-period]:
             repeated = step
+        history.append((p00, p01, p11))
     return gains, repeated
 
 
@@ -641,7 +655,8 @@ class TestGainFixedPoint:
     def test_equals_full_recursion(self, sigmas, fps, repeats):
         noise = NoiseConfig(*sigmas)
         want, repeated = reference_axis_gains(5000, 1.0 / fps, noise)
-        # The stop is taken on the bundled noise and never on the slow one.
+        # The bundled noise reaches a fixed point; the slow one never does
+        # (it ends in a 2-cycle, see TestGainCycle).
         assert (repeated is not None) == repeats
         for n in (1, 2, 810, 5000) + ((repeated, repeated + 1, repeated + 2) if repeats else ()):
             got = _axis_gains(n, 1.0 / fps, noise)
@@ -676,16 +691,22 @@ class TestGainScheduleMemo:
 
     def test_bundled_noise_keeps_only_the_gains_up_to_the_fixed_point(self):
         gains = _axis_gains(5000, 1.0 / 15.0, NOISE)
-        key, kept = fusion._schedule
-        assert key == (1.0 / 15.0, NOISE) and kept == gains[:642]
+        key, kept, period = fusion._schedule
+        assert key == (1.0 / 15.0, NOISE) and kept == gains[:642] and period == 1
         # A later call of any length is served from what was kept.
-        fusion._schedule = (key, [(1.0, 2.0, 3.0, 4.0), (5.0, 6.0, 7.0, 8.0)])
+        fusion._schedule = (key, [(1.0, 2.0, 3.0, 4.0), (5.0, 6.0, 7.0, 8.0)], 1)
         assert _axis_gains(5, 1.0 / 15.0, NOISE) == [(1.0, 2.0, 3.0, 4.0)] + [(5.0, 6.0, 7.0, 8.0)] * 3
         assert _axis_gains(2, 1.0 / 15.0, NOISE) == [(1.0, 2.0, 3.0, 4.0)]
+        # A 2-cycle alternates its last two gains.
+        a, b, c = (1.0, 2.0, 3.0, 4.0), (5.0, 6.0, 7.0, 8.0), (9.0, 10.0, 11.0, 12.0)
+        fusion._schedule = (key, [a, b, c], 2)
+        assert _axis_gains(8, 1.0 / 15.0, NOISE) == [a, b, c, b, c, b, c]
+        assert _axis_gains(3, 1.0 / 15.0, NOISE) == [a, b]
 
+    # The slow noise settles in a 2-cycle only at step 2517.
     @pytest.mark.parametrize(
         "n, noise",
-        [(5000, NoiseConfig(0.5, 0.05, 2.0)), (642, NOISE), (75, NOISE)],
+        [(2000, NoiseConfig(0.5, 0.05, 2.0)), (642, NOISE), (75, NOISE)],
         ids=["slow-noise", "bundled-one-step-short", "pipeline-length"],
     )
     def test_unsettled_schedule_is_not_kept(self, n, noise):
@@ -716,3 +737,175 @@ class TestGainScheduleMemo:
         short = fuse_log(run.sensor_log, cfg.noise, cfg.fps, 100)
         assert warm.array.tobytes() == cold.array.tobytes()
         assert short.array.tobytes() == cold.array[:100].tobytes()
+
+
+class TestGainCycle:
+    """At 3, 14, 29 and 33 fps the bundled noise never reaches a fixed point:
+    the covariance enters an exact 2-cycle. The memo keeps the gains up to
+    it and alternates the last two, bit for bit the full recursion."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(fusion, "_schedule", None)
+
+    @pytest.mark.parametrize(
+        "noise, fps, step",
+        [(NOISE, 3.0, 134), (NOISE, 14.0, 610), (NOISE, 29.0, 1229), (NOISE, 33.0, 1390),
+         (NoiseConfig(0.5, 0.05, 2.0), 15.0, 2517)],
+        ids=["3fps", "14fps", "29fps", "33fps", "slow-15fps"],
+    )
+    def test_cold_and_warm_equal_the_full_recursion_around_the_cycle(self, noise, fps, step):
+        dt = 1.0 / fps
+        want, fixed = reference_axis_gains(step + 12, dt, noise)
+        _, cycled = reference_axis_gains(step + 12, dt, noise, period=2)
+        assert fixed is None and cycled == step
+        for n in range(step - 2, step + 12):
+            fusion._schedule = None
+            cold = _axis_gains(n, dt, noise)
+            warm = _axis_gains(n, dt, noise)
+            expected = np.array(want[: n - 1]).tobytes()
+            assert np.array(cold).tobytes() == expected, n
+            assert np.array(warm).tobytes() == expected, n
+            # The cycle is detected at `step`, so shorter calls keep nothing.
+            assert (fusion._schedule is None) == (n - 1 < step), n
+        key, kept, period = fusion._schedule
+        assert key == (dt, noise) and len(kept) == step and period == 2
+
+    def test_a_long_call_from_the_cycle_memo(self):
+        want, _ = reference_axis_gains(5000, 1.0 / 3.0, NOISE)
+        _axis_gains(200, 1.0 / 3.0, NOISE)
+        got = _axis_gains(5000, 1.0 / 3.0, NOISE)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("fps, step", [(25.0, 1039), (30000 / 1001, 1240), (60000 / 1001, 2452)])
+    def test_video_rates_reach_a_fixed_point(self, fps, step):
+        _, fixed = reference_axis_gains(step + 2, 1.0 / fps, NOISE)
+        assert fixed == step
+        _axis_gains(step + 2, 1.0 / fps, NOISE)
+        assert fusion._schedule[2] == 1 and len(fusion._schedule[1]) == step
+
+
+def parent_pose_arrays(log, noise, fps, n_frames):
+    """(fused, GPS-only, dead reckoning) (n, 6) arrays as fuse_log and the
+    baselines computed them before a log kept its frame arrays: every call
+    interpolates the log and unwraps the frame-rate attitude itself."""
+    _, cols = frame_columns(log, fps, n_frames)
+    z, angles = cols[:, :6], unwrap_deg(cols[:, 6:])
+    dt = 1.0 / fps
+    gains = _axis_gains(len(z), dt, noise)
+    columns = z.T.tolist()
+    pos = []
+    for axis in range(3):
+        zx, zv = columns[axis], columns[axis + 3]
+        x, v = zx[0], zv[0]
+        xs = [x]
+        for (k00, k01, k10, k11), mx, mv in zip(gains, zx[1:], zv[1:]):
+            x = x + dt * v
+            ix, iv = mx - x, mv - v
+            x, v = x + (k00 * ix + k01 * iv), v + (k10 * ix + k11 * iv)
+            xs.append(x)
+        pos.append(xs)
+    vel = z[:, 3:]
+    steps = 0.5 * (vel[:-1] + vel[1:]) * dt
+    reckoned = np.cumsum(np.vstack([z[:1, :3], steps]), axis=0)
+    return tuple(
+        np.hstack([p, angles]) for p in (np.array(pos).T, z[:, :3], reckoned)
+    )
+
+
+BUILDERS = {
+    "fused": lambda log, cfg: fuse_log(log, cfg.noise, cfg.fps, cfg.duration),
+    "gps": lambda log, cfg: gps_only_poses(log, cfg.fps, cfg.duration),
+    "dr": lambda log, cfg: dead_reckoning_poses(log, cfg.fps, cfg.duration),
+}
+ORDERS = list(itertools.permutations(BUILDERS))
+
+
+def copy_of(log):
+    return SensorLog(log.frame, log.t, log.gps, log.vel, log.att)
+
+
+class TestFrameArrayCache:
+    """A SensorLog keeps the frame arrays of its last (fps, n_frames); every
+    pose set is the same, bit for bit, whichever call filled them."""
+
+    @pytest.fixture
+    def count_interp(self, monkeypatch):
+        calls = []
+        interp = np.interp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return interp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "interp", counted)
+        return calls
+
+    def test_300_marker_seeds_in_every_order_equal_the_parent(self):
+        for seed in range(300):
+            run = generate_marker_run(seed)
+            cfg = run.config
+            want = dict(zip(BUILDERS, parent_pose_arrays(
+                run.sensor_log, cfg.noise, cfg.fps, cfg.duration)))
+            # Each seed starts cold with the first builder of one order and
+            # then runs every builder warm in the reverse of the next order.
+            log = copy_of(run.sensor_log)
+            first = ORDERS[seed % len(ORDERS)]
+            second = ORDERS[(seed + 1) % len(ORDERS)][::-1]
+            for name in (*first, *second):
+                got = BUILDERS[name](log, cfg).array
+                assert got.tobytes() == want[name].tobytes(), (seed, name)
+
+    def test_one_interpolation_per_key(self, count_interp):
+        run = generate_marker_run(2)
+        cfg = run.config
+        log = copy_of(run.sensor_log)
+        count_interp.clear()  # the run's own path interpolation
+        for name in ("fused", "gps", "dr", "fused"):
+            BUILDERS[name](log, cfg)
+        assert len(count_interp) == 9  # three gps, three vel, three attitude
+        gps_only_poses(log, cfg.fps, 100)
+        assert len(count_interp) == 18
+        short = gps_only_poses(log, cfg.fps, 100)
+        assert len(count_interp) == 18
+        # Only the last key is kept.
+        again = BUILDERS["gps"](log, cfg)
+        assert len(count_interp) == 27
+        assert short.array.tobytes() == again.array[:100].tobytes()
+        gps_only_poses(log, cfg.fps * 0.5, 100)
+        assert len(count_interp) == 36
+
+    def test_a_failing_call_keeps_nothing(self):
+        run = generate_marker_run(3)
+        cfg = run.config
+        log = copy_of(run.sensor_log)
+        for fps, n in ((cfg.fps, cfg.duration + 1), (math.nan, 5), (-1.0, 5), (cfg.fps, 0)):
+            with pytest.raises(FusionError):
+                gps_only_poses(log, fps, n)
+            assert log._frames is None
+        kept = _frame_arrays(log, cfg.fps, 10)
+        with pytest.raises(FusionError):
+            gps_only_poses(log, cfg.fps, cfg.duration + 1)
+        assert log._frames[1] is kept
+
+    def test_bad_timestamps_keep_nothing(self):
+        log = SensorLog([0, 1], [1.0, 1.0], np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(FusionError, match="strictly increase"):
+            _frame_arrays(log, 10.0, None)
+        assert log._frames is None
+
+    def test_kept_arrays_and_log_columns_cannot_be_made_writeable(self):
+        run = generate_marker_run(1)
+        log = copy_of(run.sensor_log)
+        arrays = _frame_arrays(log, run.config.fps, None)
+        columns = [getattr(log, name) for name in ("frame", "t", "gps", "vel", "att")]
+        for a in (*arrays, *columns):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flags.writeable = True
+
+    def test_equality_ignores_the_kept_arrays(self):
+        run = generate_marker_run(1)
+        warm, cold = copy_of(run.sensor_log), copy_of(run.sensor_log)
+        _frame_arrays(warm, run.config.fps, None)
+        assert warm == cold and cold == warm

@@ -1,12 +1,14 @@
 """Projection, ground-plane backprojection, flow model, pose differencing."""
 import itertools
 import math
+import sys
+import threading
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from swarmtrack import fusion, io_formats, synth
+from swarmtrack import fusion, geometry, io_formats, synth
 from swarmtrack.geometry import (
     CameraMotion,
     CameraPose,
@@ -345,3 +347,91 @@ class TestValidation:
     def test_motion_rejects_wrong_arity(self):
         with pytest.raises(ValueError):
             CameraMotion((1.0, 2.0), (0.0, 0.0, 0.0))
+
+
+def uncached_rotation(roll, pitch, yaw):
+    """Camera-to-world matrix built from scratch: roll, pitch, compass yaw."""
+    att = (
+        geometry._rot_x(math.radians(roll))
+        @ geometry._rot_y(math.radians(pitch))
+        @ geometry._rot_z(-math.radians(yaw))
+    )
+    return att @ geometry._NADIR_AXES
+
+
+def attitudes():
+    """(roll, pitch, yaw) triples: random, signed zeros, yaw at the seams."""
+    rng = np.random.default_rng(21)
+    out = [tuple(a) for a in rng.uniform(-30.0, 30.0, (40, 3)).tolist()]
+    out += [tuple(a) for a in rng.uniform(-720.0, 720.0, (20, 3)).tolist()]
+    out += list(itertools.product((0.0, -0.0), repeat=3))
+    out += [(0.0, 0.0, yaw) for yaw in (180.0, -180.0, 360.0, -360.0, 179.999, 540.0)]
+    out += [(2.5, -1.0, yaw) for yaw in (180.0, -180.0, 360.0, 0.0, -0.0)]
+    return out
+
+
+class TestAttitudeMemo:
+    """rotation_camera_to_world keeps its last two matrices, keyed on the
+    exact bits of (roll, pitch, yaw): a kept one is the one a rebuild
+    gives, and callers cannot change it."""
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_equals_the_uncached_product(self, stride):
+        atts = attitudes()
+        # Revisit each attitude at once and `stride` steps later, so the
+        # two kept entries are hit and evicted in every pattern.
+        sequence = [atts[(i // 2 + (i % 2) * stride) % len(atts)] for i in range(4 * len(atts))]
+        for roll, pitch, yaw in sequence:
+            pose = CameraPose(1.0, 2.0, 30.0, pitch=pitch, yaw=yaw, roll=roll)
+            want = uncached_rotation(roll, pitch, yaw)
+            assert rotation_camera_to_world(pose).tobytes() == want.tobytes()
+            assert rotation_world_to_camera(pose).tobytes() == want.T.tobytes()
+
+    def test_signed_zeros_are_separate_entries(self):
+        geometry._attitude_matrix.cache_clear()
+        for yaw in (0.0, -0.0, 0.0, -0.0):
+            rotation_camera_to_world(CameraPose(0.0, 0.0, 10.0, yaw=yaw))
+        info = geometry._attitude_matrix.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (2, 2, 2)
+
+    def test_integer_and_float_attitudes_share_an_entry(self):
+        geometry._attitude_matrix.cache_clear()
+        a = rotation_camera_to_world(CameraPose(0, 0, 10, pitch=3, yaw=90, roll=-1))
+        b = rotation_camera_to_world(CameraPose(0.0, 0.0, 10.0, pitch=3.0, yaw=90.0, roll=-1.0))
+        assert a.tobytes() == b.tobytes() == uncached_rotation(-1.0, 3.0, 90.0).tobytes()
+        assert geometry._attitude_matrix.cache_info().misses == 1
+
+    def test_matrices_cannot_be_made_writeable(self):
+        pose = CameraPose(0.0, 0.0, 10.0, pitch=4.0, yaw=33.0, roll=-2.0)
+        for m in (rotation_camera_to_world(pose), rotation_world_to_camera(pose)):
+            with pytest.raises(ValueError):
+                m[0, 0] = 5.0
+            with pytest.raises(ValueError):
+                m.flags.writeable = True
+        assert rotation_camera_to_world(pose).tobytes() == uncached_rotation(-2.0, 4.0, 33.0).tobytes()
+
+    def test_two_threads_alternating_attitudes_get_their_own_matrices(self):
+        pairs = [((1.0, 2.0, 3.0), (-4.0, 5.0, 181.0)), ((0.0, -0.0, 90.0), (7.0, -8.0, -359.0))]
+        want = {att: uncached_rotation(*att).tobytes() for pair in pairs for att in pair}
+        start = threading.Barrier(2)
+        wrong = []
+
+        def work(pair):
+            start.wait()
+            for i in range(3000):
+                roll, pitch, yaw = att = pair[i % 2]
+                pose = CameraPose(0.0, 0.0, 10.0, pitch=pitch, yaw=yaw, roll=roll)
+                if rotation_camera_to_world(pose).tobytes() != want[att]:
+                    wrong.append(att)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(pair,)) for pair in pairs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []

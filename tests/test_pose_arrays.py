@@ -115,15 +115,17 @@ class TestPosesValidation:
         assert poses.array[0, 0] != 1e6
         with pytest.raises(ValueError):
             poses.array[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            poses.array.flags.writeable = True
 
 
-def _record_message(frame, row):
-    """The non-finite message, worded as the record form of one row."""
+def _row_message(i, frame, row):
+    """The non-finite message, naming row ``i`` and its fields."""
     t, g0, g1, g2, v0, v1, v2, pitch, yaw, roll = row
     return (
-        f"sensor record has non-finite fields: SensorRecord(frame={frame}, t={t!r}, "
+        f"sensor log row {i} has non-finite fields: frame={frame}, t={t!r}, "
         f"gps={(g0, g1, g2)!r}, vel={(v0, v1, v2)!r}, pitch={pitch!r}, yaw={yaw!r}, "
-        f"roll={roll!r})"
+        f"roll={roll!r}"
     )
 
 
@@ -135,14 +137,14 @@ class TestSensorLogValidation:
         cols[2, col] = value
         cols[4, col] = value
         frames = np.array([10, 11, 12, 13, 14])
-        want = _record_message(12, cols[2].tolist())
+        want = _row_message(2, 12, cols[2].tolist())
         assert _message(_log, frames, cols) == want
 
     def test_non_finite_message_text(self):
         log = ([7], [0.5], [(1.0, 2.0, math.nan)], [(0.0, -0.25, 3.0)], [(1.5, 90.0, -2.0)])
         assert _message(SensorLog, *log) == (
-            "sensor record has non-finite fields: SensorRecord(frame=7, t=0.5, "
-            "gps=(1.0, 2.0, nan), vel=(0.0, -0.25, 3.0), pitch=1.5, yaw=90.0, roll=-2.0)"
+            "sensor log row 0 has non-finite fields: frame=7, t=0.5, "
+            "gps=(1.0, 2.0, nan), vel=(0.0, -0.25, 3.0), pitch=1.5, yaw=90.0, roll=-2.0"
         )
 
     @pytest.mark.parametrize(
@@ -160,6 +162,8 @@ class TestSensorLogValidation:
         for name in ("frame", "t", "gps", "vel", "att"):
             with pytest.raises(ValueError):
                 getattr(log, name)[0] = 0
+            with pytest.raises(ValueError):
+                getattr(log, name).flags.writeable = True
 
 
 class TestSequenceProtocol:

@@ -1,6 +1,12 @@
-"""Only tracker.py knows how a SoftMask stores its values: the box plus a
+"""Where things may happen, checked on the package's syntax trees.
+
+Only tracker.py knows how a SoftMask stores its values: the box plus a
 one-pixel ring of zeros. Every other package module builds a mask from
-its box with SoftMask.from_box and reads ``box`` and ``inner``."""
+its box with SoftMask.from_box and reads ``box`` and ``inner``.
+
+Attitude matrices are built only by geometry's memoized builder, and a
+sensor log's columns are interpolated only by fusion's cached
+frame-array builder, so no caller pays for them twice."""
 import ast
 from pathlib import Path
 
@@ -38,3 +44,63 @@ def test_the_parse_sees_the_storage_names_in_tracker():
 )
 def test_no_other_module_names_the_mask_storage(module):
     assert not _names(PACKAGE / module) & STORAGE_NAMES
+
+
+# Work that is done once and kept: each name may only be called inside its
+# memoized builder, module -> function.
+ROTATIONS = {"_rot_x", "_rot_y", "_rot_z"}
+ATTITUDE_BUILDER = ("geometry.py", "_attitude_matrix")
+FRAME_BUILDER = ("fusion.py", "_frame_arrays")
+# Attributes that hold a sensor log or its columns.
+LOG_NAMES = {"gps", "vel", "att", "sensor_log"}
+
+
+def _calls(path):
+    """(called name, enclosing top-level function or None, call node) of
+    every call in a module."""
+    out = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                out.append((name, owner, node))
+    return out
+
+
+def _mentions_log(call):
+    return any(
+        isinstance(n, ast.Attribute) and n.attr in LOG_NAMES
+        or isinstance(n, ast.Name) and n.id in LOG_NAMES
+        for arg in (*call.args, *(k.value for k in call.keywords))
+        for n in ast.walk(arg)
+    )
+
+
+def test_the_parse_sees_the_builders():
+    geometry = _calls(PACKAGE / ATTITUDE_BUILDER[0])
+    assert {name for name, owner, _ in geometry if owner == ATTITUDE_BUILDER[1]} >= ROTATIONS
+    fusion = _calls(PACKAGE / FRAME_BUILDER[0])
+    assert ("interp", FRAME_BUILDER[1]) in {(name, owner) for name, owner, _ in fusion}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_attitude_matrices_are_built_only_by_the_memo(module):
+    outside = [
+        (name, owner) for name, owner, _ in _calls(PACKAGE / module)
+        if name in ROTATIONS and (module, owner) != ATTITUDE_BUILDER
+    ]
+    assert outside == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_log_columns_are_interpolated_only_by_the_frame_array_builder(module):
+    # fusion.py interpolates nothing else; elsewhere (synth's paths) an
+    # interpolation may not name a sensor log or its columns.
+    outside = [
+        owner for name, owner, call in _calls(PACKAGE / module)
+        if name == "interp" and (module, owner) != FRAME_BUILDER
+        and (module == FRAME_BUILDER[0] or _mentions_log(call))
+    ]
+    assert outside == []

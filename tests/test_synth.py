@@ -632,7 +632,7 @@ def _pose_hex(pose):
 
 def _log_bytes(log):
     # The bytes of every column tell -0.0 from 0.0, as == does not.
-    return [getattr(log, name).tobytes() for name in SensorLog.__slots__]
+    return [getattr(log, name).tobytes() for name in ("frame", "t", "gps", "vel", "att")]
 
 
 def _sighting_hex(sightings):
