@@ -45,7 +45,14 @@ interpolate and unwrap it once. A log's columns are read-only views
 whose bases are read-only, so the log cannot change under what it
 kept, and the arrays are stored only after every check of the call has
 passed and are handed out read-only. Kept on the log, they are freed
-with it.
+with it. When the frame times equal the log's first n_frames
+timestamps element for element (a log of one record per frame stamped
+t0 + k/fps, as every simulated log and its CSV round trip is), the
+frame arrays are the log's own rows: ``np.interp`` at x == xp[j]
+returns fp[j], so interpolating would change no bit. An unwrap whose
+radian steps all stay below pi in magnitude corrects nothing, so it
+only turns -0.0 into +0.0 after the first row and skips
+``np.unwrap``; a step of pi or more still goes through ``np.unwrap``.
 """
 
 from __future__ import annotations
@@ -126,13 +133,13 @@ class SensorLog:
             a.flags.writeable = False
         self.frame, self.t, self.gps, self.vel, self.att = (a.view() for a in arrays)
         self._frames = None
-        bad = ~(
-            np.isfinite(t)
-            & np.isfinite(gps).all(axis=1)
-            & np.isfinite(vel).all(axis=1)
-            & np.isfinite(att).all(axis=1)
-        )
-        if bad.any():
+        if not all(np.isfinite(a).all() for a in (t, gps, vel, att)):
+            bad = ~(
+                np.isfinite(t)
+                & np.isfinite(gps).all(axis=1)
+                & np.isfinite(vel).all(axis=1)
+                & np.isfinite(att).all(axis=1)
+            )
             # Names the first bad row (0-based) and its fields.
             i = int(np.argmax(bad))
             pitch, yaw, roll = att[i].tolist()
@@ -157,8 +164,19 @@ class SensorLog:
 
 
 def _unwrap_deg(values: np.ndarray) -> np.ndarray:
-    """Unwrap degree angles along axis 0."""
-    return np.degrees(np.unwrap(np.radians(values), axis=0))
+    """Unwrap degree angles along axis 0, bit for bit as
+    ``np.degrees(np.unwrap(np.radians(values), axis=0))``.
+
+    When no radian step reaches pi, ``np.unwrap`` corrects nothing: it
+    adds a cumulative correction of +0.0 to rows 1.., which only turns
+    -0.0 into +0.0. That is all this does then; otherwise it calls
+    ``np.unwrap``.
+    """
+    r = np.radians(values)
+    if not (np.abs(np.diff(r, axis=0)) < math.pi).all():
+        return np.degrees(np.unwrap(r, axis=0))
+    r[1:] += 0.0
+    return np.degrees(r, out=r)
 
 
 def _frame_arrays(
@@ -172,7 +190,8 @@ def _frame_arrays(
     >= 1 and stay within the log's time span). Attitude angles are
     unwrapped before interpolation so a 359 -> 1 deg yaw step does not
     sweep through 180, and the frame-rate angles are unwrapped again
-    (frames sparser than the log can still step past 180 deg).
+    (frames sparser than the log can still step past 180 deg). Frame
+    times equal to the log's own timestamps take its rows as they are.
 
     The log keeps the arrays of its last ``(fps, n_frames)``, stored
     only once every check has passed, and a call with that pair returns
@@ -203,8 +222,13 @@ def _frame_arrays(
             f"{n_frames} frames at {fps} fps need {frame_t[-1]:.3f}s of log "
             f"but it ends at {t[-1]:.3f}s"
         )
-    columns = (*log.gps.T, *log.vel.T, *_unwrap_deg(log.att).T)
-    interp = np.stack([np.interp(frame_t, t, c) for c in columns], axis=1)
+    att = _unwrap_deg(log.att)
+    if n_frames <= len(t) and np.array_equal(frame_t, t[:n_frames]):
+        # np.interp at x == xp[j] returns fp[j]: the log's own rows.
+        interp = np.hstack([log.gps[:n_frames], log.vel[:n_frames], att[:n_frames]])
+    else:
+        columns = (*log.gps.T, *log.vel.T, *att.T)
+        interp = np.stack([np.interp(frame_t, t, c) for c in columns], axis=1)
     angles = _unwrap_deg(interp[:, 6:])
     for a in (frame_t, interp, angles):
         a.flags.writeable = False
@@ -231,11 +255,18 @@ def _smooth_angles(angles: np.ndarray, alpha: float) -> np.ndarray:
     check_orientation_alpha(alpha)
     if alpha == 1.0:
         return angles
-    out = np.empty_like(angles)
-    out[0] = angles[0]
-    for i in range(1, len(angles)):
-        out[i] = alpha * angles[i] + (1 - alpha) * out[i - 1]
-    return out
+    # Per column on Python floats: the float64 products and sum of
+    # alpha * angles[i] + (1 - alpha) * out[i - 1], in that order.
+    a, b = float(alpha), float(1 - alpha)
+    out = []
+    for column in angles.T.tolist():
+        y = column[0]
+        ys = [y]
+        for x in column[1:]:
+            y = a * x + b * y
+            ys.append(y)
+        out.append(ys)
+    return np.array(out).T
 
 
 # The last settled gain schedule: ((dt, noise), its gains up to the

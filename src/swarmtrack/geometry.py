@@ -155,8 +155,8 @@ class Poses:
         a = np.array(array, dtype=float)
         if a.ndim != 2 or a.shape[1] != 6:
             raise ValueError(f"expected an (n, 6) pose array, got shape {a.shape}")
-        bad = ~np.isfinite(a).all(axis=1)
-        if bad.any():
+        if not np.isfinite(a).all():
+            bad = ~np.isfinite(a).all(axis=1)
             CameraPose(*a[np.argmax(bad)].tolist())  # raises, naming the row
         a.flags.writeable = False
         # A view of a read-only base cannot be made writeable again.

@@ -221,6 +221,8 @@ class _Polyline:
         self.pts = np.concatenate([pts[:1], pts[1:][keep]]) if len(pts) > 1 else pts
         seg = np.diff(self.pts, axis=0)
         self.seg_len = np.hypot(seg[:, 0], seg[:, 1])
+        # Each segment's unit heading, divided once per segment.
+        self.heading = seg / self.seg_len[:, None]
         self.cum = np.concatenate([[0.0], np.cumsum(self.seg_len)])
         self.length = float(self.cum[-1])
 
@@ -236,7 +238,7 @@ class _Polyline:
             return np.tile([1.0, 0.0], np.shape(s) + (1,))
         i = np.searchsorted(self.cum, s, side="right") - 1
         i = np.clip(i, 0, len(self.seg_len) - 1)
-        return (self.pts[i + 1] - self.pts[i]) / np.expand_dims(self.seg_len[i], -1)
+        return np.take(self.heading, i, axis=0)
 
 
 def _drone_states(
@@ -716,8 +718,18 @@ def generate_marker_run(seed: int, width: int = 960, height: int = 540) -> Marke
     log = _sensor_log(config, poses, positions, vels, rng)
     intr = config.intrinsics
     # Fixed yaw and a nadir gimbal: one rotation serves every frame, and
-    # every marker lies at depth `altitude` in front of the camera.
-    cam = (markers[None] - positions[:, None]) @ rotation_world_to_camera(poses[0]).T
+    # every marker lies at depth `altitude` in front of the camera. The
+    # (frame, marker, axis) offsets are filled one axis at a time, as a
+    # broadcast over the length-3 axis would run its inner loop 3 long.
+    offsets = np.empty((duration, n_markers, 3))
+    for k in range(3):
+        np.subtract(markers[:, k], positions[:, k, None], out=offsets[:, :, k])
+    cam = offsets @ rotation_world_to_camera(poses[0]).T
+    # Freed here, as the broadcast's temporary was: kept to the end of the
+    # call, the 194 KB block shifts the heap so that, depending on the
+    # process's earlier allocations, glibc trims and re-faults its top
+    # (63 page faults, about 100 us) on every run.
+    del offsets
     depth = cam[..., 2]
     x = intr.f * cam[..., 0] / depth
     y = intr.f * cam[..., 1] / depth

@@ -789,8 +789,7 @@ def parent_pose_arrays(log, noise, fps, n_frames):
     """(fused, GPS-only, dead reckoning) (n, 6) arrays as fuse_log and the
     baselines computed them before a log kept its frame arrays: every call
     interpolates the log and unwraps the frame-rate attitude itself."""
-    _, cols = frame_columns(log, fps, n_frames)
-    z, angles = cols[:, :6], unwrap_deg(cols[:, 6:])
+    _, z, angles = interpolated_frame_arrays(log, fps, n_frames)
     dt = 1.0 / fps
     gains = _axis_gains(len(z), dt, noise)
     columns = z.T.tolist()
@@ -825,21 +824,169 @@ def copy_of(log):
     return SensorLog(log.frame, log.t, log.gps, log.vel, log.att)
 
 
+def late_copy_of(log):
+    """The log with every timestamp one ulp late: off the frame times from
+    the second frame on, so its frame arrays are interpolated."""
+    return SensorLog(log.frame, np.nextafter(log.t, np.inf), log.gps, log.vel, log.att)
+
+
+def counter(monkeypatch, module, name):
+    """A list that grows by one on every call of ``module.name``."""
+    calls = []
+    wrapped = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.fixture
+def count_interp(monkeypatch):
+    return counter(monkeypatch, np, "interp")
+
+
+@pytest.fixture
+def count_unwrap(monkeypatch):
+    return counter(monkeypatch, np, "unwrap")
+
+
+class TestUnwrapDeg:
+    """``_unwrap_deg`` equals the numpy unwrap bit for bit, -0.0 included,
+    and calls ``np.unwrap`` only when some radian step reaches pi."""
+
+    def check(self, values, count_unwrap, wraps):
+        values = np.array(values, dtype=float)
+        count_unwrap.clear()
+        got = fusion._unwrap_deg(values)
+        assert len(count_unwrap) == int(wraps)
+        want = np.degrees(np.unwrap(np.radians(values), axis=0))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_walks_without_a_wrap(self, seed, count_unwrap):
+        rng = np.random.default_rng(seed)
+        walk = rng.uniform(-90, 90, 3) + np.cumsum(rng.normal(0, 5, (500, 3)), axis=0)
+        self.check(walk, count_unwrap, wraps=False)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_walks_across_the_seam(self, seed, count_unwrap):
+        rng = np.random.default_rng(seed)
+        walk = np.cumsum(rng.normal(0, 8, (500, 3)), axis=0)
+        # Logged in [0, 360) and in [-180, 180): both step by ~360 deg.
+        self.check(walk % 360.0, count_unwrap, wraps=True)
+        self.check((walk + 180.0) % 360.0 - 180.0, count_unwrap, wraps=True)
+
+    @pytest.mark.parametrize("step", [180.0, -180.0])
+    def test_a_step_of_exactly_180_deg_takes_np_unwrap(self, step, count_unwrap):
+        assert np.radians(180.0) == math.pi
+        self.check([[0.0, 10.0, 20.0], [step, 10.0, 20.0]], count_unwrap, wraps=True)
+        below = math.nextafter(step, 0.0)
+        self.check([[0.0, 10.0, 20.0], [below, 10.0, 20.0]], count_unwrap, wraps=False)
+
+    def test_negative_zeros(self, count_unwrap):
+        values = [[-0.0, 0.0, -0.0], [-0.0, -0.0, 0.0], [1.0, -0.0, -0.0], [-0.0, 0.0, -0.0]]
+        self.check(values, count_unwrap, wraps=False)
+        assert math.copysign(1.0, fusion._unwrap_deg(np.array(values))[0, 0]) == -1.0
+
+    @pytest.mark.parametrize("row", [[1.0, 359.0, -0.0], [-0.0, -0.0, -0.0]])
+    def test_a_single_row(self, row, count_unwrap):
+        self.check([row], count_unwrap, wraps=False)
+
+
+def interpolated_frame_arrays(log, fps, n_frames):
+    """What ``_frame_arrays`` returned before it knew frame-aligned logs:
+    nine np.interp calls onto the frame times, then the frame-rate unwrap."""
+    frame_t, cols = frame_columns(log, fps, n_frames)
+    return frame_t, cols[:, :6], unwrap_deg(cols[:, 6:])
+
+
+def frame_log(rng, n, fps, t0=0.0):
+    """A noisy log of one record per frame stamped t0 + k/fps."""
+    t = t0 + np.arange(n) / fps
+    return SensorLog(
+        np.arange(n), t, rng.normal(0, 50, (n, 3)), rng.normal(0, 3, (n, 3)),
+        np.cumsum(rng.normal(0, 4, (n, 3)), axis=0) % 360.0,
+    )
+
+
+class TestFrameAlignedArrays:
+    """On a log with one record per frame time, ``_frame_arrays`` takes the
+    log's own rows; the arrays equal the interpolated ones bit for bit."""
+
+    def check(self, log, fps, n_frames, count_interp, aligned=True):
+        count_interp.clear()
+        got = _frame_arrays(copy_of(log), fps, n_frames)
+        assert len(count_interp) == (0 if aligned else 9)
+        want = interpolated_frame_arrays(log, fps, n_frames)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_marker_runs(self, seed, count_interp):
+        run = generate_marker_run(seed)
+        for n_frames in (run.config.duration, None, 1, 100):
+            self.check(run.sensor_log, run.config.fps, n_frames, count_interp)
+
+    @pytest.mark.parametrize("fps", [1.0, 3.0, 15.0, 29.97, 30000 / 1001, 60.0])
+    def test_synthetic_logs(self, fps, count_interp):
+        log = frame_log(np.random.default_rng(int(fps * 100)), 400, fps)
+        for n_frames in (400, None, 7):
+            self.check(log, fps, n_frames, count_interp)
+
+    def test_a_csv_round_trip(self, tmp_path, count_interp):
+        from swarmtrack.io_formats import read_sensor_log, write_sensor_log
+
+        run = generate_marker_run(4)
+        write_sensor_log(run.sensor_log, tmp_path / "log.csv")
+        log = read_sensor_log(tmp_path / "log.csv")
+        assert log == run.sensor_log
+        self.check(log, run.config.fps, run.config.duration, count_interp)
+
+    @pytest.mark.parametrize("t0", [0.5, 12.34, -3.0, 1e6])
+    def test_a_log_that_does_not_start_at_zero(self, t0, count_interp):
+        fps = 15.0
+        log = frame_log(np.random.default_rng(7), 200, fps, t0)
+        self.check(log, fps, None, count_interp)
+        # Stamped (20 + k)/fps, the log is aligned only if t[0] + k/fps
+        # rounds the same way for every k; the arrays are equal either way.
+        t = np.arange(20, 220) / fps
+        shifted = SensorLog(np.arange(20, 220), t, log.gps, log.vel, log.att)
+        aligned = np.array_equal(t[0] + np.arange(200) / fps, t)
+        self.check(shifted, fps, 200, count_interp, aligned=aligned)
+
+    def test_negative_zeros_in_gps_and_attitude(self, count_interp):
+        n, fps = 50, 10.0
+        gps = np.zeros((n, 3))
+        gps[::2, 0] = -0.0
+        gps[1::3, 2] = -0.0
+        att = np.zeros((n, 3))
+        att[:, 1] = -0.0
+        att[::4, 2] = -0.0
+        t = np.arange(n) / fps
+        log = SensorLog(np.arange(n), t, gps, np.zeros((n, 3)), att)
+        self.check(log, fps, None, count_interp)
+        got = _frame_arrays(copy_of(log), fps, None)
+        assert np.signbit(got[1][::2, 0]).all()
+        # A first stamp of -0.0 gives a frame time of +0.0, equal to it.
+        t[0] = -0.0
+        self.check(SensorLog(np.arange(n), t, gps, gps, att), fps, None, count_interp)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_log_one_ulp_off_the_frames_is_interpolated(self, seed, count_interp):
+        run = generate_marker_run(seed)
+        late = late_copy_of(run.sensor_log)
+        self.check(late, run.config.fps, run.config.duration, count_interp, aligned=False)
+        log = frame_log(np.random.default_rng(seed), 100, 15.0, t0=2.0)
+        early = SensorLog(log.frame, np.nextafter(log.t, -np.inf), log.gps, log.vel, log.att)
+        self.check(early, 15.0, 99, count_interp, aligned=False)
+
+
 class TestFrameArrayCache:
     """A SensorLog keeps the frame arrays of its last (fps, n_frames); every
     pose set is the same, bit for bit, whichever call filled them."""
-
-    @pytest.fixture
-    def count_interp(self, monkeypatch):
-        calls = []
-        interp = np.interp
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return interp(*args, **kwargs)
-
-        monkeypatch.setattr(np, "interp", counted)
-        return calls
 
     def test_300_marker_seeds_in_every_order_equal_the_parent(self):
         for seed in range(300):
@@ -857,9 +1004,10 @@ class TestFrameArrayCache:
                 assert got.tobytes() == want[name].tobytes(), (seed, name)
 
     def test_one_interpolation_per_key(self, count_interp):
+        # One ulp late, the log is interpolated: nine np.interp per build.
         run = generate_marker_run(2)
         cfg = run.config
-        log = copy_of(run.sensor_log)
+        log = late_copy_of(run.sensor_log)
         count_interp.clear()  # the run's own path interpolation
         for name in ("fused", "gps", "dr", "fused"):
             BUILDERS[name](log, cfg)
@@ -874,6 +1022,29 @@ class TestFrameArrayCache:
         assert short.array.tobytes() == again.array[:100].tobytes()
         gps_only_poses(log, cfg.fps * 0.5, 100)
         assert len(count_interp) == 36
+
+    def test_one_build_per_key_on_a_frame_aligned_log(self, count_interp, monkeypatch):
+        # A build unwraps twice (the log, then the frame-rate attitude) and
+        # a frame-aligned log is never interpolated.
+        unwraps = counter(monkeypatch, fusion, "_unwrap_deg")
+        run = generate_marker_run(2)
+        cfg = run.config
+        log = copy_of(run.sensor_log)
+        count_interp.clear()  # the run's own path interpolation
+        for name in ("fused", "gps", "dr", "fused"):
+            BUILDERS[name](log, cfg)
+        assert len(unwraps) == 2
+        gps_only_poses(log, cfg.fps, 100)
+        assert len(unwraps) == 4
+        short = gps_only_poses(log, cfg.fps, 100)
+        assert len(unwraps) == 4
+        # Only the last key is kept.
+        again = BUILDERS["gps"](log, cfg)
+        assert len(unwraps) == 6
+        assert short.array.tobytes() == again.array[:100].tobytes()
+        gps_only_poses(log, cfg.fps * 0.5, 100)
+        assert len(unwraps) == 8
+        assert len(count_interp) == 9  # only the half-rate frames fall between records
 
     def test_a_failing_call_keeps_nothing(self):
         run = generate_marker_run(3)
