@@ -189,7 +189,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     mask_paths = io_formats.mask_sequence_paths(args.masks)
     n_frames = len(mask_paths)
     first = io_formats.read_mask(mask_paths[0])
-    width, height = first.width, first.height
+    height, width = first.shape
     intr = _intrinsics(cfg.focal_px, cfg.cx, cfg.cy, width, height)
     # The log (and the frame arrays it keeps) is freed once fused.
     poses = fuse_log(
@@ -312,7 +312,8 @@ def _find_mask_dir(directory: Path, names: tuple[str, ...]) -> Path | None:
     return None
 
 
-def _parse_radii(text: str) -> list[float]:
+def _parse_radii(text: str) -> dict[str, float]:
+    """The radii of --radii by their report keys."""
     try:
         radii = [io_formats.parse_number(tok.strip()) for tok in text.split(",")]
     except ValueError:
@@ -320,7 +321,16 @@ def _parse_radii(text: str) -> list[float]:
     if (not radii or not all(math.isfinite(r) and r > 0 for r in radii)
             or sorted(radii) != radii):
         raise UsageError(f"--radii must be finite, positive and ascending, got {text!r}")
-    return radii
+    keys: dict[str, float] = {}
+    for r in radii:
+        # One key per radius; the schema's keys take no exponent, which :g writes.
+        key = f"radius_{r:g}"
+        if key in keys:
+            raise UsageError(f"--radii: {keys[key]!r} and {r!r} give one report key, {key!r}")
+        if "e" in key:
+            raise UsageError(f"--radii: {r!r} gives the report key {key!r}, not radius_<decimal>")
+        keys[key] = r
+    return keys
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -345,9 +355,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     sdr_scores = {}
     prev = None
     monotone = True
-    for r in radii:
+    for key, r in radii.items():
         value = sdr(pred_traj, gt_traj, r * args.radius_scale)
-        sdr_scores[f"radius_{r:g}"] = value
+        sdr_scores[key] = value
         if prev is not None and value < prev:
             monotone = False
         prev = value
@@ -422,7 +432,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "command": "eval",
             "pred": str(pred_dir),
             "gt": str(gt_dir),
-            "radii": radii,
+            "radii": list(radii.values()),
             "radius_scale": args.radius_scale,
         },
     )

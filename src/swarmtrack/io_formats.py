@@ -55,11 +55,6 @@ POSE_HEADER = "frame,t_s,x_m,y_m,z_m,pitch_deg,yaw_deg,roll_deg"
 TRAJECTORY_HEADER = "frame,u_px,v_px,world_x_m,world_y_m,lost_flag"
 
 
-def _fmt(value: float) -> str:
-    """Exact decimal text for a float; repr round-trips in every parser."""
-    return repr(float(value))
-
-
 # The ASCII forms repr writes: float() and int() also take surrounding
 # whitespace, '_' digit separators and non-ASCII digits.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -101,12 +96,13 @@ def _parse_int(text: str, path: Path, line_no: int, col: str) -> int:
         ) from None
 
 
-def _read_csv_rows(path: Path, header: str) -> list[tuple[int, list[str]]]:
-    """Lines split on commas, header validated; returns (line_no, fields).
-
-    Lines end with LF alone: the file is read without newline
-    translation, and a carriage return anywhere is an error.
-    """
+def _read_table(path: Path, header: str, empty: str, n_numbers: int):
+    """Yield each data row of a CSV table as (line_no, frame, numbers, rest):
+    the integer in the first column, the n_numbers finite floats after it
+    and the text of the other columns. Every table is read by this one
+    codec, and each reader checks its own rules per row, so a file reports
+    its first fault. Lines end with LF alone (the file is read without
+    newline translation); a file with no data row fails with ``empty``."""
     try:
         with path.open(encoding="utf-8", newline="") as f:
             text = f.read()
@@ -124,48 +120,53 @@ def _read_csv_rows(path: Path, header: str) -> list[tuple[int, list[str]]]:
         raise FormatError(
             f"{path}:1: bad header {lines[0]!r}, expected {header!r}"
         )
-    n_cols = len(header.split(","))
-    rows = []
-    for i, line in enumerate(lines[1:], start=2):
+    if len(lines) == 1:
+        raise FormatError(f"{path}: {empty}")
+    cols = header.split(",")
+    number_cols = cols[1 : n_numbers + 1]
+    for line_no, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
-        if len(fields) != n_cols:
+        if len(fields) != len(cols):
             raise FormatError(
-                f"{path}:{i}: expected {n_cols} columns, got {len(fields)}"
+                f"{path}:{line_no}: expected {len(cols)} columns, got {len(fields)}"
             )
-        rows.append((i, fields))
-    return rows
+        frame = _parse_int(fields[0], path, line_no, cols[0])
+        numbers = []
+        for text, col in zip(fields[1:], number_cols):
+            numbers.append(_parse_float(text, path, line_no, col))
+        yield line_no, frame, numbers, fields[n_numbers + 1 :]
+
+
+def _write_table(path: Path, header: str, frames, numbers: np.ndarray, flags=None) -> None:
+    """Write a CSV table: per row the frame as an integer, the exact repr of
+    each float in that row of ``numbers``, then its flag, if any, as 0 or 1."""
+    tails = [",1" if f else ",0" for f in flags] if flags is not None else [""] * len(frames)
+    rows = zip(frames, numbers.tolist(), tails)
+    lines = ["%d,%s%s" % (frame, ",".join(map(repr, row)), tail) for frame, row, tail in rows]
+    path.write_text("\n".join([header, *lines, ""]), encoding="utf-8")
 
 
 # -- sensor log ----------------------------------------------------------
 
 
 def write_sensor_log(log: SensorLog, path: Path | str) -> None:
-    path = Path(path)
-    lines = [SENSOR_HEADER]
-    values = np.column_stack([log.t, log.gps, log.vel, log.att]).tolist()
-    for frame, row in zip(log.frame.tolist(), values):
-        lines.append(",".join([str(frame), *map(_fmt, row)]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    numbers = np.column_stack([log.t, log.gps, log.vel, log.att])
+    _write_table(Path(path), SENSOR_HEADER, log.frame.tolist(), numbers)
 
 
 def read_sensor_log(path: Path | str) -> SensorLog:
     """Parse a sensor-log CSV; validates monotone time and row count."""
     path = Path(path)
-    rows = _read_csv_rows(path, SENSOR_HEADER)
-    if not rows:
-        raise FormatError(f"{path}: empty log (header only)")
-    cols = SENSOR_HEADER.split(",")
     frames, values = [], []
-    prev_t: float | None = None
-    for line_no, fields in rows:
-        frames.append(_parse_int(fields[0], path, line_no, cols[0]))
-        row = [_parse_float(fields[k], path, line_no, cols[k]) for k in range(1, 11)]
+    prev_t = -math.inf
+    for line_no, frame, row, _ in _read_table(path, SENSOR_HEADER, "empty log (header only)", 10):
         t = row[0]
-        if prev_t is not None and t <= prev_t:
+        if t <= prev_t:
             raise FormatError(
                 f"{path}:{line_no}: time {t} does not increase over previous {prev_t}"
             )
         prev_t = t
+        frames.append(frame)
         values.append(row)
     a = np.array(values)
     return SensorLog(frames, a[:, 0], a[:, 1:4], a[:, 4:7], a[:, 7:])
@@ -176,27 +177,20 @@ def read_sensor_log(path: Path | str) -> SensorLog:
 
 def write_poses(poses: Poses, fps: float, path: Path | str) -> None:
     """Pose per frame at t = frame/fps."""
-    path = Path(path)
-    lines = [POSE_HEADER]
-    for i, row in enumerate(poses.array.tolist()):
-        lines.append(",".join([str(i), _fmt(i / fps), *map(_fmt, row)]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    frames = range(len(poses))
+    numbers = np.column_stack([np.array(frames) / fps, poses.array])
+    _write_table(Path(path), POSE_HEADER, frames, numbers)
 
 
 def read_poses(path: Path | str) -> Poses:
     path = Path(path)
-    rows = _read_csv_rows(path, POSE_HEADER)
-    if not rows:
-        raise FormatError(f"{path}: no poses (header only)")
-    cols = POSE_HEADER.split(",")
+    rows = _read_table(path, POSE_HEADER, "no poses (header only)", 7)
     values = []
-    for expected, (line_no, fields) in enumerate(rows):
-        frame = _parse_int(fields[0], path, line_no, cols[0])
+    for expected, (line_no, frame, v, _) in enumerate(rows):
         if frame != expected:
             raise FormatError(
                 f"{path}:{line_no}: frame {frame}, expected consecutive {expected}"
             )
-        v = [_parse_float(fields[k], path, line_no, cols[k]) for k in range(1, 8)]
         values.append(v[1:])
     return Poses(values)
 
@@ -212,7 +206,6 @@ def write_trajectory(
     path: Path | str,
 ) -> None:
     """Write a trajectory CSV; uv is (n, 2) px, world (n, 2) m."""
-    path = Path(path)
     uv = np.asarray(uv, dtype=float)
     world = np.asarray(world, dtype=float)
     lost = np.asarray(lost)
@@ -222,58 +215,35 @@ def write_trajectory(
             f"inconsistent trajectory arrays: {n} frames, uv {uv.shape}, "
             f"world {world.shape}, lost {lost.shape}"
         )
-    lines = [TRAJECTORY_HEADER]
-    for i in range(n):
-        lines.append(
-            ",".join(
-                [
-                    str(int(frames[i])),
-                    _fmt(uv[i, 0]),
-                    _fmt(uv[i, 1]),
-                    _fmt(world[i, 0]),
-                    _fmt(world[i, 1]),
-                    str(int(bool(lost[i]))),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(Path(path), TRAJECTORY_HEADER, frames, np.hstack([uv, world]), lost.tolist())
 
 
 def read_trajectory(path: Path | str) -> dict[str, np.ndarray]:
     """Read a trajectory CSV into arrays keyed frame/uv/world/lost."""
     path = Path(path)
-    rows = _read_csv_rows(path, TRAJECTORY_HEADER)
-    if not rows:
-        raise FormatError(f"{path}: empty trajectory (header only)")
-    cols = TRAJECTORY_HEADER.split(",")
-    frames, uv, world, lost = [], [], [], []
-    prev_frame: int | None = None
-    for line_no, fields in rows:
-        frame = _parse_int(fields[0], path, line_no, cols[0])
+    rows = _read_table(path, TRAJECTORY_HEADER, "empty trajectory (header only)", 4)
+    frames, numbers, lost = [], [], []
+    prev_frame = -1
+    for line_no, frame, row, (flag,) in rows:
         if frame < 0:
             raise FormatError(f"{path}:{line_no}: frame {frame} is negative")
-        if prev_frame is not None and frame <= prev_frame:
+        if frame <= prev_frame:
             raise FormatError(
                 f"{path}:{line_no}: frame {frame} does not increase over {prev_frame}"
             )
         prev_frame = frame
-        u = _parse_float(fields[1], path, line_no, cols[1])
-        v = _parse_float(fields[2], path, line_no, cols[2])
-        wx = _parse_float(fields[3], path, line_no, cols[3])
-        wy = _parse_float(fields[4], path, line_no, cols[4])
-        flag = fields[5]
         if flag not in ("0", "1"):
             raise FormatError(
                 f"{path}:{line_no}: lost_flag must be 0 or 1, got {flag!r}"
             )
         frames.append(frame)
-        uv.append((u, v))
-        world.append((wx, wy))
+        numbers.append(row)
         lost.append(flag == "1")
+    a = np.array(numbers, dtype=float)
     return {
         "frame": np.array(frames, dtype=int),
-        "uv": np.array(uv, dtype=float),
-        "world": np.array(world, dtype=float),
+        "uv": a[:, :2],
+        "world": a[:, 2:],
         "lost": np.array(lost, dtype=bool),
     }
 
@@ -356,7 +326,7 @@ def read_mask(path: Path | str) -> SoftMask:
     """
     grid = _read_pgm_bytes(Path(path))
     box = nonzero_box(grid)
-    return SoftMask.from_box(grid[box] / 255.0, box, grid.shape)
+    return SoftMask(grid[box] / 255.0, box, grid.shape)
 
 
 def read_binary_mask(path: Path | str) -> BinaryMask:

@@ -213,7 +213,6 @@ def framewise_centroid_baseline(masks) -> Trajectory2D:
     """
     points: dict[int, tuple[float, float]] = {}
     last: tuple[float, float] | None = None
-    n = 0
     for i, mask in enumerate(masks):
         sub = mask.inner
         hit = sub >= 0.5
@@ -224,9 +223,8 @@ def framewise_centroid_baseline(masks) -> Trajectory2D:
         if total > 0:
             last = (float(np.dot(w, xs) / total), float(np.dot(w, ys) / total))
         elif last is None:
-            last = ((mask.width - 1) / 2.0, (mask.height - 1) / 2.0)
+            last = ((mask.shape[1] - 1) / 2.0, (mask.shape[0] - 1) / 2.0)
         points[i] = last
-        n += 1
-    if n == 0:
+    if not points:
         raise MetricError("no masks supplied")
     return Trajectory2D(points)

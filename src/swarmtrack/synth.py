@@ -25,8 +25,8 @@ before any frame is rendered or written.
 
 Each soft mask is stored as its box (``SoftMask.box`` and
 ``SoftMask.inner``): the render window grown by the blur kernel's
-radius. ``soften`` and ``degrade_mask`` filter only that box and hand
-its values to ``SoftMask.from_box``; no full-frame float array is built.
+radius. ``soften`` and ``degrade_mask`` filter only that box and build
+``SoftMask(inner, box, shape)`` from it; no full-frame array is built.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .fusion import NoiseConfig, SensorLog
 from .geometry import CameraPose, Intrinsics, Poses, backproject_pixels
 from .geometry import project_points, rotation_world_to_camera
 from .shapes import BinaryMask
-from .tracker import Box, SoftMask, nonzero_box
+from .tracker import Box, SoftMask
 
 
 class ScenarioError(ValueError):
@@ -424,7 +424,7 @@ def _blur_support(
     The frame ``values`` of ``shape`` holds ``inner`` inside ``support``
     and 0.0 elsewhere, with inner >= 0. Only the support grown by the kernel
     radius int(4 sigma + 0.5) and clamped to the frame is filtered, and
-    that box's values go to ``SoftMask.from_box``; every pixel outside it
+    that box's values go to ``SoftMask(inner, box, shape)``; every pixel outside it
     is exactly 0. Inside the box each pixel sums the same taps in the
     same order as the full-frame filter: where the box stops short of
     the frame edge its reflect boundary reads only the zero margin, so
@@ -437,7 +437,7 @@ def _blur_support(
     if gain is not None and gain.shape != tuple(shape):
         raise ValueError(f"gain field {gain.shape} does not match mask {tuple(shape)}")
     if any(s.start >= s.stop for s in support):
-        return SoftMask.from_box(np.zeros((0, 0)), (slice(0, 0), slice(0, 0)), shape)
+        return SoftMask(np.zeros((0, 0)), (slice(0, 0), slice(0, 0)), shape)
     radius = int(4.0 * sigma + 0.5) if sigma > 0 else 0
     box = tuple(
         slice(max(s.start - radius, 0), min(s.stop + radius, n)) for s, n in zip(support, shape)
@@ -456,16 +456,12 @@ def _blur_support(
     if gain is not None:
         out *= gain[box]
     np.clip(out, 0.0, 1.0, out=out)
-    return SoftMask.from_box(out, box, shape)
+    return SoftMask(out, box, shape)
 
 
-def soften(binary: np.ndarray, softness: float, support: Box | None = None) -> SoftMask:
-    """Blur a binary interior into a soft mask; softness 0 passes through.
-
-    support, when given, is a box holding every True pixel.
-    """
-    if support is None:
-        support = nonzero_box(binary)
+def soften(binary: np.ndarray, softness: float, support: Box) -> SoftMask:
+    """Blur a binary interior, all of it inside the box ``support`` (the
+    render window), into a soft mask; softness 0 passes through."""
     return _blur_support(binary[support], support, binary.shape, softness)
 
 

@@ -98,36 +98,16 @@ def nonzero_box(values: np.ndarray) -> Box:
 class SoftMask:
     """Per-pixel swarm presence in [0, 1] on a frame of ``shape`` (height, width).
 
-    Only the box is stored: ``box`` is a (rows, cols) pair of step-1
-    slices outside which every value is exactly 0.0, and ``inner`` holds
-    the values inside it. This class alone builds the stored block: the
-    box grown by a one-pixel ring of zeros and clamped to the frame, so
-    that a bilinear read next to the box finds the full frame's zeros.
-
-    ``SoftMask(values)`` boxes a full-frame array with ``nonzero_box``,
-    which holds every NaN and out-of-range value too; a producer that
-    holds the box's values uses ``SoftMask.from_box(inner, box, shape)``.
-    Both range-check the box only, with the full frame's message.
-    ``values`` builds the full frame on demand, as a read-only copy.
+    ``SoftMask(inner, box, shape)`` holds a read-only copy of ``inner``
+    inside ``box``, a (rows, cols) pair of step-1 slices, and exactly 0.0
+    outside it. This class alone builds the stored block: the box grown
+    by a one-pixel ring of zeros and clamped to the frame, so that a
+    bilinear read next to the box finds the full frame's zeros. The range
+    check reads the box only, with the full frame's message.
     """
 
-    def __init__(self, values) -> None:
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError(f"mask must be 2-D, got shape {values.shape}")
-        if values.size == 0:
-            raise ValueError("mask must be non-empty")
-        box = nonzero_box(values)
-        self._store(values[box], box, values.shape)
-
-    @classmethod
-    def from_box(cls, inner: np.ndarray, box: Box, shape: tuple[int, int]) -> SoftMask:
-        """The mask of frame ``shape``: a copy of ``inner`` inside ``box``, 0 outside."""
-        mask = cls.__new__(cls)
-        mask._store(np.asarray(inner, dtype=float), box, shape)
-        return mask
-
-    def _store(self, inner: np.ndarray, box: Box, shape: tuple[int, int]) -> None:
+    def __init__(self, inner: np.ndarray, box: Box, shape: tuple[int, int]) -> None:
+        inner = np.asarray(inner, dtype=float)
         h, w = shape
         if not all(0 <= s.start <= s.stop <= n for s, n in zip(box, shape)):
             raise ValueError(f"mask box {box} does not fit a {w}x{h} frame")
@@ -151,21 +131,6 @@ class SoftMask:
         self.inner = block[at]
         self._ring = ring
         self._block = block
-
-    @property
-    def values(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        out[self._ring] = self._block
-        out.flags.writeable = False
-        return out
-
-    @property
-    def width(self) -> int:
-        return self.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.shape[0]
 
 
 @dataclass
@@ -373,9 +338,9 @@ def track_sequence(
             raise ValueError(
                 f"mask sequence has more frames than the {len(poses)} poses"
             )
-        if mask.width != intr.width or mask.height != intr.height:
+        if mask.shape != (intr.height, intr.width):
             raise ValueError(
-                f"frame {t}: mask is {mask.width}x{mask.height}, intrinsics "
+                f"frame {t}: mask is {mask.shape[1]}x{mask.shape[0]}, intrinsics "
                 f"say {intr.width}x{intr.height}"
             )
         pose = poses[t]

@@ -1,4 +1,5 @@
-"""Shared test helpers: in-process CLI runner and small scenario configs."""
+"""Shared test helpers: in-process CLI runner, small scenario configs and
+full-frame soft masks."""
 import json
 import tracemalloc
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from swarmtrack import synth
 from swarmtrack.cli import main as cli_main
 from swarmtrack.geometry import Poses
+from swarmtrack.tracker import SoftMask, nonzero_box
 
 
 def invoke_cli(*argv) -> int:
@@ -97,3 +99,19 @@ def simulate(config) -> SimpleNamespace:
         sensor_log=log, gt_poses=poses, world=world, masks=masks, gt_masks=gt_masks,
         track2d=np.array(track2d),
     )
+
+
+def soft_mask(values) -> SoftMask:
+    """The SoftMask of a full-frame array, boxed to its nonzeros by
+    nonzero_box (which holds every NaN and out-of-range value too)."""
+    values = np.asarray(values, dtype=float)
+    box = nonzero_box(values)
+    return SoftMask(values[box], box, values.shape)
+
+
+def frame_values(mask: SoftMask) -> np.ndarray:
+    """The full frame a mask stands for, rebuilt from the block it stores
+    (its box and the zero ring around it), 0.0 elsewhere."""
+    out = np.zeros(mask.shape)
+    out[mask._ring] = mask._block
+    return out

@@ -41,14 +41,13 @@ from swarmtrack.shapes import alpha_shape, default_alpha
 from swarmtrack.synth import degrade_mask, generate_marker_run, make_gain_field
 from swarmtrack.tracker import (
     ParticleSet,
-    SoftMask,
     TrackerConfig,
     predict,
     track_sequence,
     update_weights,
     resample_roulette,
 )
-from tests.conftest import invoke_cli, small_run_config, small_scenario, write_json
+from tests.conftest import invoke_cli, small_run_config, small_scenario, soft_mask, write_json
 
 
 def bundled(name):
@@ -156,7 +155,7 @@ def test_predict_update_matches_discrete_bayes_posterior():
     t0 = time.perf_counter()
     intr = Intrinsics(100.0, 2.0, 2.0, 5, 5)
     values = np.random.default_rng(42).uniform(0.1, 1.0, (5, 5))
-    mask = SoftMask(values)
+    mask = soft_mask(values)
 
     grid = np.array(
         [(float(u), float(v)) for v in range(5) for u in range(5)]

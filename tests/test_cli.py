@@ -14,7 +14,13 @@ import pytest
 import swarmtrack
 from swarmtrack import io_formats
 from swarmtrack.io_formats import read_mask, read_poses, read_trajectory
-from tests.conftest import invoke_cli, small_run_config, small_scenario, write_json
+from tests.conftest import (
+    frame_values,
+    invoke_cli,
+    small_run_config,
+    small_scenario,
+    write_json,
+)
 
 
 @pytest.fixture(scope="module")
@@ -430,7 +436,7 @@ def _break_input(fault: str, masks: Path, sensors: Path, tmp: Path) -> Path:
         raw = frame20.read_bytes()
         frame20.write_bytes(raw + raw[-640:])
     elif fault == "small-mask":
-        grid = io_formats.quantize_mask(read_mask(frame20).values[::2, ::2])
+        grid = io_formats.quantize_mask(frame_values(read_mask(frame20))[::2, ::2])
         frame20.write_bytes(b"P5\n320 180\n255\n" + grid.tobytes())
     elif fault == "missing-mask":
         frame20.unlink()
@@ -684,6 +690,21 @@ class TestEval:
             "--out", tmp_path / "o", "--radii", "ten,20",
         )
         assert code == 2 and "comma-separated" in err
+
+    @pytest.mark.parametrize("radii, key", [
+        ("0.5,0.5000001,30", "radius_0.5"),  # two radii, one key
+        ("0.00001", "radius_1e-05"),  # not of the schema's form
+        ("10,1000000", "radius_1e+06"),
+    ])
+    def test_radii_without_a_key_each_exit_2(self, scenario_dir, tmp_path, run_cli, radii, key):
+        out = tmp_path / "o"
+        code, _, err = run_cli(
+            "eval", "--pred", scenario_dir, "--gt", scenario_dir,
+            "--out", out, "--radii", radii,
+        )
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert code == 2 and len(errors) == 1 and repr(key) in errors[0], err
+        assert not out.exists()
 
     def test_out_of_memory_exits_1_with_one_error_line(
         self, scenario_dir, tmp_path, run_cli, monkeypatch

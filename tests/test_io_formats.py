@@ -1,5 +1,6 @@
 """File formats: CSV logs, PGM masks, config JSON, reports."""
 import json
+import time
 from importlib import resources
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from swarmtrack.fusion import NoiseConfig, SensorLog
 from swarmtrack.geometry import CameraPose
 from swarmtrack.io_formats import (
+    SENSOR_HEADER,
     FormatError,
     RunConfig,
     dump,
@@ -29,8 +31,15 @@ from swarmtrack.io_formats import (
 )
 from swarmtrack.shapes import BinaryMask
 from swarmtrack.synth import ScenarioConfig, write_scenario
-from swarmtrack.tracker import SoftMask, TrackerConfig
-from tests.conftest import poses_of, simulate, small_run_config, small_scenario
+from swarmtrack.tracker import TrackerConfig
+from tests.conftest import (
+    frame_values,
+    poses_of,
+    simulate,
+    small_run_config,
+    small_scenario,
+    soft_mask,
+)
 
 
 def sample_columns():
@@ -172,13 +181,114 @@ class TestTrajectory:
             )
 
 
+def _two_faults(path, bad_field):
+    """Line 2 of a CSV gets the text 'x' in field bad_field and line 3
+    loses its last field: two faults, the earlier on line 2."""
+    header, first, second, *rest = path.read_text().splitlines()
+    fields = first.split(",")
+    fields[bad_field] = "x"
+    second = second.rsplit(",", 1)[0]
+    path.write_text("\n".join([header, ",".join(fields), second, *rest]) + "\n")
+
+
+class TestFirstFaultInFileOrder:
+    """A file with two faults reports the one on the earlier line, whichever
+    check finds each."""
+
+    def _files(self, tmp_path):
+        sensors, poses, traj = (tmp_path / n for n in ("s.csv", "p.csv", "t.csv"))
+        write_sensor_log(sample_log(), sensors)
+        write_poses(poses_of([CameraPose(0, 0, 10)] * 3), 10.0, poses)
+        write_trajectory([0, 1, 2], np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(3), traj)
+        return sensors, poses, traj
+
+    @pytest.mark.parametrize("reader, index, column", [
+        (read_sensor_log, 0, "vx_mps"),
+        (read_poses, 1, "z_m"),
+        (read_trajectory, 2, "world_x_m"),
+    ], ids=["sensors", "poses", "trajectory"])
+    def test_bad_number_before_short_row(self, tmp_path, reader, index, column):
+        path = self._files(tmp_path)[index]
+        bad_field = path.read_text().splitlines()[0].split(",").index(column)
+        _two_faults(path, bad_field)
+        with pytest.raises(FormatError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}:2: column {column!r}: not a number: 'x'"
+
+    def test_reader_rule_before_short_row(self, tmp_path):
+        path = self._files(tmp_path)[2]
+        _two_faults(path, 0)
+        path.write_text(path.read_text().replace("\nx,", "\n-1,"))
+        with pytest.raises(FormatError) as err:
+            read_trajectory(path)
+        assert str(err.value) == f"{path}:2: frame -1 is negative"
+
+    def test_number_before_reader_rule_in_one_row(self, tmp_path):
+        # The codec parses a row's numbers before the reader checks its
+        # frame, so a row with both faults reports the number.
+        path = self._files(tmp_path)[2]
+        _two_faults(path, 1)
+        path.write_text(path.read_text().replace("\n0,x,", "\n-1,x,"))
+        with pytest.raises(FormatError) as err:
+            read_trajectory(path)
+        assert str(err.value) == f"{path}:2: column 'u_px': not a number: 'x'"
+
+    def test_short_row_of_long_integers_fails_fast(self, tmp_path):
+        # Integers without a dot match the number grammar; a row of them
+        # that is one column short is rejected in linear time.
+        path = tmp_path / "s.csv"
+        path.write_text(SENSOR_HEADER + "\n" + ",".join(["0"] + ["12345678"] * 9) + "\n")
+        start = time.perf_counter()
+        with pytest.raises(FormatError) as err:
+            read_sensor_log(path)
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == f"{path}:2: expected 11 columns, got 10"
+
+
+class TestWriterBytes:
+    """Every CSV writer's exact text on two rows: repr floats (signed zero,
+    subnormal range), t = frame / fps, and 0/1 flags from numpy bools."""
+
+    def test_sensor_log(self, tmp_path):
+        path = tmp_path / "s.csv"
+        att = [(0.5, -0.0, 1e-300), (1.0, 2.0, -3.5)]
+        write_sensor_log(SensorLog([0, 1], [0 / 15, 1 / 15], [(-0.0, 1e-300, 60.0)] * 2,
+                                   [(0.25, 0.0, -1e-300)] * 2, att), path)
+        assert path.read_bytes() == (
+            b"frame,t_s,gps_x_m,gps_y_m,gps_z_m,vx_mps,vy_mps,vz_mps,pitch_deg,yaw_deg,roll_deg\n"
+            b"0,0.0,-0.0,1e-300,60.0,0.25,0.0,-1e-300,0.5,-0.0,1e-300\n"
+            b"1,0.06666666666666667,-0.0,1e-300,60.0,0.25,0.0,-1e-300,1.0,2.0,-3.5\n"
+        )
+
+    def test_poses(self, tmp_path):
+        path = tmp_path / "p.csv"
+        poses = [CameraPose(-0.0, 1e-300, 50.0), CameraPose(1.5, -0.25, 50.1, 2.0, 91.0, -0.0)]
+        write_poses(poses_of(poses), 15.0, path)
+        assert path.read_bytes() == (
+            b"frame,t_s,x_m,y_m,z_m,pitch_deg,yaw_deg,roll_deg\n"
+            b"0,0.0,-0.0,1e-300,50.0,0.0,0.0,0.0\n"
+            b"1,0.06666666666666667,1.5,-0.25,50.1,2.0,91.0,-0.0\n"
+        )
+
+    def test_trajectory(self, tmp_path):
+        path = tmp_path / "t.csv"
+        uv = np.array([[-0.0, 1e-300], [320.5, 1 / 15]])
+        world = np.array([[1e-300, -0.0], [-2.25, 3.0]])
+        write_trajectory(np.array([0, 7]), uv, world, np.array([True, False]), path)
+        assert path.read_bytes() == (
+            b"frame,u_px,v_px,world_x_m,world_y_m,lost_flag\n"
+            b"0,-0.0,1e-300,1e-300,-0.0,1\n"
+            b"7,320.5,0.06666666666666667,-2.25,3.0,0\n"
+        )
+
+
 class TestMasks:
     def test_byte_exact_round_trip(self, tmp_path):
         values = np.arange(256, dtype=float).reshape(16, 16) / 255.0
         path = tmp_path / "m.pgm"
-        write_mask(SoftMask(values), path)
+        write_mask(soft_mask(values), path)
         out = read_mask(path)
-        np.testing.assert_array_equal(out.values, values)
+        np.testing.assert_array_equal(frame_values(out), values)
 
     def test_quantization_rounds_half_up(self):
         values = np.array([0.0, 1.0, 0.5, 127.4 / 255.0, 127.5 / 255.0])
@@ -211,7 +321,7 @@ class TestMasks:
         path = tmp_path / "soft.pgm"
         path.write_bytes(b"P5\n20 12\n255\n" + grid.tobytes())
         np.testing.assert_array_equal(
-            read_binary_mask(path).bits, read_mask(path).values >= 0.5
+            read_binary_mask(path).bits, frame_values(read_mask(path)) >= 0.5
         )
 
     def test_binary_write_payload_is_0_or_255(self, tmp_path):
@@ -225,15 +335,15 @@ class TestMasks:
 
     def test_all_zero_mask_round_trip(self, tmp_path):
         path = tmp_path / "z.pgm"
-        write_mask(SoftMask(np.zeros((4, 4))), path)
-        assert not read_mask(path).values.any()
+        write_mask(soft_mask(np.zeros((4, 4))), path)
+        assert not read_mask(path).inner.any()
 
     def test_comment_in_header_is_skipped(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# made elsewhere\n2 2\n255\n" + bytes([0, 255, 128, 64]))
         out = read_mask(path)
-        assert out.values[0, 1] == 1.0
-        assert out.values[1, 0] == pytest.approx(128 / 255)
+        assert frame_values(out)[0, 1] == 1.0
+        assert frame_values(out)[1, 0] == pytest.approx(128 / 255)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "w.pgm"
@@ -243,7 +353,7 @@ class TestMasks:
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "t.pgm"
-        write_mask(SoftMask(np.ones((4, 4))), path)
+        write_mask(soft_mask(np.ones((4, 4))), path)
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(FormatError, match="truncated"):
             read_mask(path)
@@ -266,19 +376,19 @@ class TestMasks:
 
     def test_sequence_must_be_contiguous(self, tmp_path):
         for i in (0, 1, 3):
-            write_mask(SoftMask(np.zeros((2, 2))), tmp_path / f"{i:06d}.pgm")
+            write_mask(soft_mask(np.zeros((2, 2))), tmp_path / f"{i:06d}.pgm")
         with pytest.raises(FormatError, match="000002.pgm"):
             mask_sequence_paths(tmp_path)
 
     def test_sequence_reads_in_frame_order(self, tmp_path):
         for i in range(3):
-            write_mask(SoftMask(np.full((2, 2), i / 255.0)), tmp_path / f"{i:06d}.pgm")
+            write_mask(soft_mask(np.full((2, 2), i / 255.0)), tmp_path / f"{i:06d}.pgm")
         seq = [read_mask(p) for p in mask_sequence_paths(tmp_path)]
-        assert [m.values[0, 0] for m in seq] == [0.0, 1 / 255, 2 / 255]
+        assert [frame_values(m)[0, 0] for m in seq] == [0.0, 1 / 255, 2 / 255]
 
     def test_remove_frames_from_deletes_the_contiguous_tail(self, tmp_path):
         for i in (0, 1, 2, 3, 4, 6):
-            write_mask(SoftMask(np.zeros((2, 2))), tmp_path / f"{i:06d}.pgm")
+            write_mask(soft_mask(np.zeros((2, 2))), tmp_path / f"{i:06d}.pgm")
         remove_frames_from(tmp_path, 2)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "000000.pgm", "000001.pgm", "000006.pgm"
@@ -445,5 +555,5 @@ class TestScenarioDirectory:
         for i in range(6):
             disk = read_mask(tmp_path / "out" / "masks" / f"{i:06d}.pgm")
             np.testing.assert_array_equal(
-                disk.values, quantize_mask(scen.masks[i].values) / 255.0
+                frame_values(disk), quantize_mask(frame_values(scen.masks[i])) / 255.0
             )

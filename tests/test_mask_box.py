@@ -18,7 +18,7 @@ from swarmtrack.synth import (
     degrade_mask,
 )
 from swarmtrack.tracker import SoftMask, _ring_box, nonzero_box, sample_bilinear
-from tests.conftest import invoke_cli, simulate, write_json
+from tests.conftest import frame_values, invoke_cli, simulate, soft_mask, write_json
 from tests.test_synth import _full_frame, _support_masks, make_config
 
 SIGMAS = [0.0, 1.0, 8.0, 13.7]
@@ -33,7 +33,7 @@ def _outside(values, box):
 
 def _assert_box_holds(mask):
     assert mask.box is not None
-    assert not np.any(_outside(mask.values, mask.box))
+    assert not np.any(_outside(frame_values(mask), mask.box))
 
 
 def _pgm(values):
@@ -45,7 +45,7 @@ def _reference_baseline(masks, threshold):
     """The full-frame frame-wise centroid: every pixel thresholded."""
     points, last = {}, None
     for i, mask in enumerate(masks):
-        values = mask.values
+        values = frame_values(mask)
         ys, xs = np.nonzero(values >= threshold)
         w = values[ys, xs]
         if w.sum() > 0:  # passing pixels of zero total weight detect nothing
@@ -87,12 +87,12 @@ class TestReadMask:
             grid = quantize_mask(values)
             _assert_box_holds(mask)
             assert mask.box == nonzero_box(grid)
-            assert mask.values.tobytes() == (grid / 255.0).tobytes()
+            assert frame_values(mask).tobytes() == (grid / 255.0).tobytes()
 
     def test_all_zero_mask_has_empty_box(self, tmp_path):
         (mask,) = _read_back(tmp_path, [np.zeros((7, 9))])
         assert mask.box == (slice(0, 0), slice(0, 0))
-        assert not mask.values.any()
+        assert not frame_values(mask).any()
 
 
 class TestSimulatePath:
@@ -112,7 +112,7 @@ class TestSimulatePath:
         scen = simulate(config)
         for soft, gt in zip(scen.masks, scen.gt_masks):
             _assert_box_holds(soft)
-            assert soft.values.tobytes() == _full_frame(gt.bits, softness).tobytes()
+            assert frame_values(soft).tobytes() == _full_frame(gt.bits, softness).tobytes()
 
     def test_swarm_in_each_corner_clamps_box_to_image(self):
         # A drone offset from the swarm puts it in each image corner, close
@@ -128,9 +128,9 @@ class TestSimulatePath:
             for soft, gt in zip(scen.masks, scen.gt_masks):
                 _assert_box_holds(soft)
                 starts_or_ends = [s.start == 0 or s.stop == n
-                                  for s, n in zip(soft.box, soft.values.shape)]
+                                  for s, n in zip(soft.box, soft.shape)]
                 assert all(starts_or_ends)
-                assert soft.values.tobytes() == _full_frame(gt.bits, 8.0).tobytes()
+                assert frame_values(soft).tobytes() == _full_frame(gt.bits, 8.0).tobytes()
 
 
 class TestDegradeMask:
@@ -143,16 +143,16 @@ class TestDegradeMask:
             expected = _full_frame(_full_frame(values, sigma, gain), sigma, gain)
             h, w = values.shape
             for box in (nonzero_box(values), (slice(0, h), slice(0, w))):
-                mask = SoftMask.from_box(values[box], box, values.shape)
+                mask = SoftMask(values[box], box, values.shape)
                 once = degrade_mask(mask, blur_sigma=sigma, gain=gain)
                 twice = degrade_mask(once, blur_sigma=sigma, gain=gain)
                 _assert_box_holds(once)
                 _assert_box_holds(twice)
-                assert twice.values.tobytes() == expected.tobytes()
+                assert frame_values(twice).tobytes() == expected.tobytes()
 
     def test_all_zero_mask_stays_zero_with_empty_box(self):
-        out = degrade_mask(SoftMask(np.zeros((6, 8))), blur_sigma=3.0, gain=np.ones((6, 8)))
-        assert out.box == (slice(0, 0), slice(0, 0)) and not out.values.any()
+        out = degrade_mask(soft_mask(np.zeros((6, 8))), blur_sigma=3.0, gain=np.ones((6, 8)))
+        assert out.box == (slice(0, 0), slice(0, 0)) and not frame_values(out).any()
 
 
 class TestWriteMask:
@@ -163,12 +163,12 @@ class TestWriteMask:
             gain = rng.uniform(0.2, 3.0, values.shape)
             box = nonzero_box(values)
             for j, mask in enumerate((
-                SoftMask.from_box(values[box], box, values.shape),
-                degrade_mask(SoftMask(values), blur_sigma=sigma, gain=gain),
+                SoftMask(values[box], box, values.shape),
+                degrade_mask(soft_mask(values), blur_sigma=sigma, gain=gain),
             )):
                 path = tmp_path / f"{i}-{j}.pgm"
                 write_mask(mask, path)
-                assert path.read_bytes() == _pgm(mask.values)
+                assert path.read_bytes() == _pgm(frame_values(mask))
 
 
 class TestFramewiseBaseline:
@@ -211,7 +211,7 @@ class TestValidation:
         values[2:4, 3:7] = 0.5
         values[where] = bad
         with pytest.raises(ValueError) as err:
-            SoftMask(values)
+            soft_mask(values)
         assert str(err.value) == _full_frame_message(values)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.01, 1.01])
@@ -222,14 +222,14 @@ class TestValidation:
         values[3, 5] = bad
         box = (slice(1, 5), slice(2, 8))
         with pytest.raises(ValueError) as err:
-            SoftMask.from_box(values[box], box, values.shape)
+            SoftMask(values[box], box, values.shape)
         assert str(err.value) == _full_frame_message(values)
 
-    def test_left_out_box_is_the_nonzero_box(self):
+    def test_full_frame_is_boxed_to_its_nonzeros(self):
         values = np.zeros((6, 9))
         values[1, 2] = values[4, 6] = 0.25
-        assert SoftMask(values).box == (slice(1, 5), slice(2, 7))
-        assert SoftMask(np.zeros((3, 3))).box == (slice(0, 0), slice(0, 0))
+        assert soft_mask(values).box == (slice(1, 5), slice(2, 7))
+        assert soft_mask(np.zeros((3, 3))).box == (slice(0, 0), slice(0, 0))
 
 
 def test_scenario_masks_round_trip_through_disk_with_tight_box(tmp_path):
@@ -238,8 +238,8 @@ def test_scenario_masks_round_trip_through_disk_with_tight_box(tmp_path):
         path = tmp_path / f"{i:06d}.pgm"
         io_formats.write_mask(mask, path)
         back = read_mask(path)
-        assert back.box == nonzero_box(quantize_mask(mask.values))
-        assert path.read_bytes() == _pgm(mask.values)
+        assert back.box == nonzero_box(quantize_mask(frame_values(mask)))
+        assert path.read_bytes() == _pgm(frame_values(mask))
 
 
 def _reference_bilinear(values, x, y):
@@ -281,7 +281,7 @@ class TestBoxedSampler:
         rng = np.random.default_rng(11)
         n_masks = 0
         for values in _support_masks(rng):
-            mask = SoftMask(values)
+            mask = soft_mask(values)
             x, y = _probe_positions(rng, mask.box, values.shape)
             got = sample_bilinear(mask, x, y)
             assert got.tobytes() == _reference_bilinear(values, x, y).tobytes()
@@ -296,14 +296,14 @@ class TestBoxedSampler:
                     (slice(0, 30), slice(0, 50))):
             values = np.zeros((h, w))
             values[box] = rng.uniform(0.05, 1.0, values[box].shape)
-            mask = SoftMask.from_box(values[box], box, (h, w))
+            mask = SoftMask(values[box], box, (h, w))
             x, y = _probe_positions(rng, box, (h, w))
             got = sample_bilinear(mask, x, y)
             assert got.tobytes() == _reference_bilinear(values, x, y).tobytes()
 
     def test_empty_mask_reads_zero_everywhere(self):
         rng = np.random.default_rng(13)
-        mask = SoftMask(np.zeros((9, 14)))
+        mask = soft_mask(np.zeros((9, 14)))
         x, y = _probe_positions(rng, mask.box, (9, 14))
         assert sample_bilinear(mask, x, y).tobytes() == np.zeros(x.size).tobytes()
 
@@ -328,32 +328,29 @@ class TestBoxedStorage:
         for path in io_formats.mask_sequence_paths(tmp_path / "sim" / "masks"):
             mask = read_mask(path)
             h_box, w_box = mask.inner.shape
-            assert 0 < h_box * w_box < mask.width * mask.height // 10
+            assert 0 < h_box * w_box < mask.shape[0] * mask.shape[1] // 10
             assert _owned_floats(mask) <= (h_box + 2) * (w_box + 2)
 
-    def test_values_is_a_read_only_frame_built_on_demand(self):
+    def test_a_mask_owns_its_box_and_ring_only(self):
         values = np.zeros((7, 9))
         values[2:4, 3:6] = 0.5
-        mask = SoftMask(values)
+        mask = soft_mask(values)
         assert _owned_floats(mask) == 4 * 5
-        full = mask.values
-        assert full.tobytes() == values.tobytes() and not full.flags.writeable
-        assert mask.values is not full
-        with pytest.raises(AttributeError):
-            mask.values = values
+        assert frame_values(mask).tobytes() == values.tobytes()
         assert mask.inner.tobytes() == values[2:4, 3:6].tobytes()
 
     def test_producer_masks_store_a_read_only_block_with_a_zero_ring(self, tmp_path):
-        # read_mask and the blur hand SoftMask.from_box an array of their
-        # own; the mask keeps a copy, never the producer's array.
+        # read_mask and the blur hand SoftMask an array of their own; the
+        # mask keeps a copy, never the producer's array.
         rng = np.random.default_rng(15)
         values = np.zeros((40, 60))
         values[10:20, 15:35] = rng.uniform(0.01, 1.0, (10, 20))
-        write_mask(SoftMask(values), tmp_path / "m.pgm")
+        write_mask(soft_mask(values), tmp_path / "m.pgm")
         read = read_mask(tmp_path / "m.pgm")
         gain = np.full(values.shape, 1.5)
         for mask in (read, degrade_mask(read), degrade_mask(read, 0.0, gain),
-                     degrade_mask(read, 2.0, gain), synth.soften(values > 0.5, 1.0)):
+                     degrade_mask(read, 2.0, gain),
+                     synth.soften(values > 0.5, 1.0, nonzero_box(values))):
             ring, at = _ring_box(mask.box, mask.shape)
             assert mask._block.shape == (ring[0].stop - ring[0].start,
                                          ring[1].stop - ring[1].start)
@@ -361,42 +358,42 @@ class TestBoxedStorage:
             assert np.shares_memory(mask.inner, mask._block)
             assert mask is read or not np.shares_memory(mask._block, read._block)
             assert not np.any(_outside(mask._block, at))
-            again = SoftMask.from_box(mask.inner, mask.box, mask.shape)
+            again = SoftMask(mask.inner, mask.box, mask.shape)
             assert again._block.tobytes() == mask._block.tobytes()
 
-    def test_from_box_copies_its_input(self):
+    def test_constructor_copies_its_input(self):
         inner = np.full((3, 4), 0.5)
         box = (slice(2, 5), slice(1, 5))
-        mask = SoftMask.from_box(inner, box, (8, 7))
-        before = mask.values.tobytes()
+        mask = SoftMask(inner, box, (8, 7))
+        before = frame_values(mask).tobytes()
         assert not np.shares_memory(mask.inner, inner)
         inner[...] = 0.25
-        assert mask.values.tobytes() == before
+        assert frame_values(mask).tobytes() == before
         assert mask.inner.tobytes() == np.full((3, 4), 0.5).tobytes()
         assert not mask.inner.flags.writeable
         with pytest.raises(ValueError):
             mask.inner[0, 0] = 1.0
 
-    def test_from_box_equals_full_frame_constructor(self):
+    def test_constructor_holds_the_full_frame(self):
         rng = np.random.default_rng(14)
         for values in _support_masks(rng):
             box = nonzero_box(values)
-            fast = SoftMask.from_box(values[box], box, values.shape)
-            assert fast.box == box and fast.shape == values.shape
-            assert fast.values.tobytes() == SoftMask(values).values.tobytes()
+            mask = SoftMask(values[box], box, values.shape)
+            assert mask.box == box and mask.shape == values.shape
+            assert frame_values(mask).tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.01, 1.01])
-    def test_from_box_rejects_with_full_frame_message(self, bad):
+    def test_constructor_rejects_with_full_frame_message(self, bad):
         values = np.zeros((6, 9))
         values[2:4, 3:7] = 0.5
         values[3, 5] = bad
         box = (slice(2, 4), slice(3, 7))
         with pytest.raises(ValueError) as err:
-            SoftMask.from_box(values[box], box, values.shape)
+            SoftMask(values[box], box, values.shape)
         assert str(err.value) == _full_frame_message(values)
 
-    def test_from_box_rejects_a_box_that_does_not_fit(self):
+    def test_constructor_rejects_a_box_that_does_not_fit(self):
         with pytest.raises(ValueError, match="does not fit a 9x6 frame"):
-            SoftMask.from_box(np.zeros((2, 2)), (slice(5, 7), slice(0, 2)), (6, 9))
+            SoftMask(np.zeros((2, 2)), (slice(5, 7), slice(0, 2)), (6, 9))
         with pytest.raises(ValueError, match="does not match values of shape"):
-            SoftMask.from_box(np.zeros((1, 2)), (slice(0, 2), slice(0, 2)), (6, 9))
+            SoftMask(np.zeros((1, 2)), (slice(0, 2), slice(0, 2)), (6, 9))

@@ -15,8 +15,7 @@ from swarmtrack.metrics import (
 )
 from swarmtrack.shapes import BinaryMask
 from swarmtrack.synth import generate_marker_run
-from swarmtrack.tracker import SoftMask
-from tests.conftest import traced_peak
+from tests.conftest import soft_mask, traced_peak
 
 
 def frame_scores(pred, ref):
@@ -314,7 +313,7 @@ class TestCentroidBaseline:
         values = np.zeros((5, 5))
         values[2, 1] = 1.0
         values[2, 3] = 0.5
-        t = framewise_centroid_baseline([SoftMask(values)])
+        t = framewise_centroid_baseline([soft_mask(values)])
         x, y = t.points[0]
         assert x == pytest.approx((1.0 + 0.5 * 3) / 1.5)
         assert y == pytest.approx(2.0)
@@ -323,7 +322,7 @@ class TestCentroidBaseline:
         values = np.zeros((5, 5))
         values[2, 2] = 0.9
         values[0, 0] = 0.4  # below the 0.5 threshold
-        t = framewise_centroid_baseline([SoftMask(values)])
+        t = framewise_centroid_baseline([soft_mask(values)])
         assert t.points[0] == (2.0, 2.0)
 
     @pytest.mark.parametrize(
@@ -334,12 +333,12 @@ class TestCentroidBaseline:
         values = np.zeros((5, 5))
         values[2, 0] = 1.0
         values[2, 4] = value
-        x, y = framewise_centroid_baseline([SoftMask(values)]).points[0]
+        x, y = framewise_centroid_baseline([soft_mask(values)]).points[0]
         assert x == pytest.approx(4.0 * value / (1.0 + value) if counted else 0.0)
         assert y == 2.0
 
     def test_image_center_before_first_detection(self):
-        empty = SoftMask(np.zeros((5, 9)))
+        empty = soft_mask(np.zeros((5, 9)))
         t = framewise_centroid_baseline([empty, empty])
         assert t.points[0] == (4.0, 2.0)
         assert t.points[1] == (4.0, 2.0)
@@ -348,7 +347,7 @@ class TestCentroidBaseline:
         values = np.zeros((5, 5))
         values[1, 1] = 1.0
         t = framewise_centroid_baseline(
-            [SoftMask(values), SoftMask(np.zeros((5, 5)))]
+            [soft_mask(values), soft_mask(np.zeros((5, 5)))]
         )
         assert t.points[1] == (1.0, 1.0)
 

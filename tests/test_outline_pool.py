@@ -33,7 +33,7 @@ def scenario(tmp_path_factory):
     assert invoke_cli("simulate", "--config", cfg, "--out", sim) == 0
     empty = sim / "masks" / f"{LOST_FRAME:06d}.pgm"
     mask = io_formats.read_mask(empty)
-    w, h = mask.width, mask.height
+    h, w = mask.shape
     empty.write_bytes(f"P5\n{w} {h}\n255\n".encode("ascii") + bytes(w * h))
     return sim, runs
 

@@ -2,7 +2,10 @@
 
 Only tracker.py knows how a SoftMask stores its values: the box plus a
 one-pixel ring of zeros. Every other package module builds a mask from
-its box with SoftMask.from_box and reads ``box`` and ``inner``.
+its box, ``SoftMask(inner, box, shape)``, and reads ``box`` and ``inner``.
+
+Only io_formats' row reader parses the fields of a CSV table, so every
+table is checked by the same rules in the same order.
 
 Attitude matrices are built only by geometry's memoized builder, and a
 sensor log's columns are interpolated only by fusion's cached
@@ -102,5 +105,39 @@ def test_log_columns_are_interpolated_only_by_the_frame_array_builder(module):
         owner for name, owner, call in _calls(PACKAGE / module)
         if name == "interp" and (module, owner) != FRAME_BUILDER
         and (module == FRAME_BUILDER[0] or _mentions_log(call))
+    ]
+    assert outside == []
+
+
+# The one constructor takes the box: (inner, box, shape).
+MASK_ARGUMENTS = 3
+ROW_PARSERS = {"_parse_float", "_parse_int"}
+ROW_READER = ("io_formats.py", "_read_table")
+
+
+def test_the_parse_sees_the_mask_builders_and_the_row_reader():
+    builders = {
+        module for module in ("io_formats.py", "synth.py")
+        for name, _, _ in _calls(PACKAGE / module) if name == "SoftMask"
+    }
+    assert builders == {"io_formats.py", "synth.py"}
+    reader = _calls(PACKAGE / ROW_READER[0])
+    assert {name for name, owner, _ in reader if owner == ROW_READER[1]} >= ROW_PARSERS
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_masks_are_built_only_from_their_box(module):
+    built = [
+        ast.unparse(call) for name, _, call in _calls(PACKAGE / module)
+        if name == "SoftMask" and len(call.args) + len(call.keywords) != MASK_ARGUMENTS
+    ]
+    assert built == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_csv_fields_are_parsed_only_by_the_row_reader(module):
+    outside = [
+        (name, owner) for name, owner, _ in _calls(PACKAGE / module)
+        if name in ROW_PARSERS and (module, owner) != ROW_READER
     ]
     assert outside == []

@@ -28,8 +28,8 @@ from swarmtrack.synth import (
     make_gain_field,
     soften,
 )
-from swarmtrack.tracker import SoftMask
-from tests.conftest import poses_of, simulate, traced_peak
+from swarmtrack.tracker import SoftMask, nonzero_box
+from tests.conftest import frame_values, poses_of, simulate, soft_mask, traced_peak
 
 
 def make_config(**overrides):
@@ -54,21 +54,21 @@ class TestRendering:
         # a 5 m disc seen from 100 m with f=1000 px spans 50 px
         scen = simulate(make_config())
         for mask in scen.masks:
-            area = mask.values.sum()
+            area = mask.inner.sum()
             assert math.sqrt(area / math.pi) == pytest.approx(50.0, abs=1.0)
 
     def test_disc_stays_centered(self):
         scen = simulate(make_config())
         for mask in scen.masks:
-            ys, xs = np.nonzero(mask.values)
+            ys, xs = np.nonzero(frame_values(mask))
             assert abs(xs.mean() - 127.5) <= 0.75
             assert abs(ys.mean() - 127.5) <= 0.75
 
     def test_zero_softness_yields_binary_values(self):
         scen = simulate(make_config(mask_softness=0.0))
-        assert set(np.unique(scen.masks[0].values)) <= {0.0, 1.0}
+        assert set(np.unique(scen.masks[0].inner)) <= {0.0, 1.0}
         np.testing.assert_array_equal(
-            scen.masks[0].values > 0.5, scen.gt_masks[0].bits
+            frame_values(scen.masks[0]) > 0.5, scen.gt_masks[0].bits
         )
 
     def test_mask_integral_matches_ellipse_area(self):
@@ -82,7 +82,7 @@ class TestRendering:
         ))
         expected = math.pi * 6.0 * 4.0 * (350.0 / 60.0) ** 2
         for mask in scen.masks:
-            assert mask.values.sum() == pytest.approx(expected, rel=0.02)
+            assert mask.inner.sum() == pytest.approx(expected, rel=0.02)
 
     def test_soft_centroid_matches_gt_track(self):
         scen = simulate(make_config(
@@ -92,7 +92,7 @@ class TestRendering:
             mask_softness=2.0,
         ))
         for t in range(0, 30, 5):
-            values = scen.masks[t].values
+            values = frame_values(scen.masks[t])
             ys, xs = np.nonzero(values > 0)
             w = values[ys, xs]
             cx = float(np.dot(w, xs) / w.sum())
@@ -103,8 +103,9 @@ class TestRendering:
     def test_soften_preserves_binary_when_zero(self):
         binary = np.zeros((8, 8))
         binary[3:5, 3:5] = 1.0
-        np.testing.assert_array_equal(soften(binary, 0.0).values, binary)
-        soft = soften(binary, 1.0).values
+        box = nonzero_box(binary)
+        np.testing.assert_array_equal(frame_values(soften(binary, 0.0, box)), binary)
+        soft = frame_values(soften(binary, 1.0, box))
         assert soft.max() <= 1.0 and soft.min() >= 0.0
         assert 0 < soft[2, 3] < 1  # mass leaked outside the square
 
@@ -170,7 +171,7 @@ class TestSensorLog:
         a = simulate(make_config(seed=5))
         b = simulate(make_config(seed=5))
         for ma, mb in zip(a.masks, b.masks):
-            np.testing.assert_array_equal(ma.values, mb.values)
+            np.testing.assert_array_equal(frame_values(ma), frame_values(mb))
         assert a.sensor_log == b.sensor_log
         np.testing.assert_array_equal(a.track2d, b.track2d)
 
@@ -279,19 +280,19 @@ class TestDegradation:
     def test_blur_spreads_and_dims(self):
         values = np.zeros((31, 31))
         values[15, 15] = 1.0
-        out = degrade_mask(SoftMask(values), blur_sigma=2.0)
-        assert out.values[15, 15] < 0.2
-        assert out.values.sum() == pytest.approx(1.0, rel=1e-6)
+        out = degrade_mask(soft_mask(values), blur_sigma=2.0)
+        assert frame_values(out)[15, 15] < 0.2
+        assert out.inner.sum() == pytest.approx(1.0, rel=1e-6)
 
     def test_gain_clips_into_unit_range(self):
         values = np.full((8, 8), 0.9)
         gain = np.full((8, 8), 3.0)
-        out = degrade_mask(SoftMask(values), gain=gain)
-        assert out.values.max() == 1.0
+        out = degrade_mask(soft_mask(values), gain=gain)
+        assert out.inner.max() == 1.0
 
     def test_degrade_validation(self):
         # All zero: the gain shape is checked before the empty-support return.
-        mask = SoftMask(np.zeros((8, 8)))
+        mask = soft_mask(np.zeros((8, 8)))
         with pytest.raises(ValueError):
             degrade_mask(mask, blur_sigma=-1.0)
         with pytest.raises(ValueError, match="does not match"):
@@ -300,8 +301,8 @@ class TestDegradation:
     def test_identity_degradation_is_a_no_op(self):
         rng = np.random.default_rng(8)
         values = rng.uniform(0, 1, (16, 16))
-        out = degrade_mask(SoftMask(values))
-        np.testing.assert_array_equal(out.values, values)
+        out = degrade_mask(soft_mask(values))
+        np.testing.assert_array_equal(frame_values(out), values)
 
 
 def _reference_gain_field(width, height, gain_sigma, scale_px, rng):
@@ -354,15 +355,16 @@ class TestWindowedBlur:
         rng = np.random.default_rng(int(sigma * 10) + with_gain)
         for values in _support_masks(rng):
             gain = rng.uniform(0.2, 3.0, values.shape) if with_gain else None
-            out = degrade_mask(SoftMask(values), blur_sigma=sigma, gain=gain)
-            assert out.values.tobytes() == _full_frame(values, sigma, gain).tobytes()
+            out = degrade_mask(soft_mask(values), blur_sigma=sigma, gain=gain)
+            assert frame_values(out).tobytes() == _full_frame(values, sigma, gain).tobytes()
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0, 2.5, 8.0, 13.7])
     def test_soften_matches_full_frame(self, sigma):
         rng = np.random.default_rng(int(sigma * 10))
         for values in _support_masks(rng):
             binary = values > 0
-            assert soften(binary, sigma).values.tobytes() == _full_frame(binary, sigma).tobytes()
+            soft = soften(binary, sigma, nonzero_box(binary))
+            assert frame_values(soft).tobytes() == _full_frame(binary, sigma).tobytes()
 
 
 def _two_array_blur_support(inner, support, shape, sigma, gain=None):
@@ -387,7 +389,7 @@ def _two_array_blur_support(inner, support, shape, sigma, gain=None):
     if gain is not None:
         out *= gain[box]
     np.clip(out, 0.0, 1.0, out=out)
-    return SoftMask.from_box(out, box, shape)
+    return SoftMask(out, box, shape)
 
 
 def _edge_supports(h, w, rng):

@@ -23,7 +23,7 @@ from swarmtrack.tracker import (
     track_sequence,
     update_weights,
 )
-from tests.conftest import simulate, small_scenario
+from tests.conftest import simulate, small_scenario, soft_mask
 
 
 INTR_4K = Intrinsics.centered(1000.0, 3840, 2160)
@@ -44,7 +44,7 @@ def disc_mask(width, height, center, radius, soft=2.0):
     ys, xs = np.mgrid[0:height, 0:width]
     d = np.hypot(xs - center[0], ys - center[1])
     values = np.clip((radius - d) / max(soft, 1e-9) + 0.5, 0.0, 1.0)
-    return SoftMask(values)
+    return soft_mask(values)
 
 
 class TestSoftMaskValidation:
@@ -53,14 +53,14 @@ class TestSoftMaskValidation:
         values = np.full((4, 5), 0.5)
         values[2, 3] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            SoftMask(values)
+            SoftMask(values, (slice(0, 4), slice(0, 5)), (4, 5))
 
     @pytest.mark.parametrize("bad", [-0.01, 1.01])
     def test_rejects_values_outside_unit_range(self, bad):
         values = np.full((4, 5), 0.5)
         values[1, 1] = bad
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-            SoftMask(values)
+            SoftMask(values, (slice(0, 4), slice(0, 5)), (4, 5))
 
 
 class TestInitUniform:
@@ -115,24 +115,24 @@ class TestPredict:
 class TestBilinear:
     def test_integer_positions_hit_pixels_exactly(self):
         values = np.arange(12, dtype=float).reshape(3, 4) / 11.0
-        got = sample_bilinear(SoftMask(values), np.array([2.0]), np.array([1.0]))
+        got = sample_bilinear(soft_mask(values), np.array([2.0]), np.array([1.0]))
         assert got[0] == values[1, 2]
 
     def test_midpoint_of_adjacent_pixels_averages(self):
         values = np.zeros((2, 2))
         values[0, 1] = 1.0
-        got = sample_bilinear(SoftMask(values), np.array([0.5]), np.array([0.0]))
+        got = sample_bilinear(soft_mask(values), np.array([0.5]), np.array([0.0]))
         assert got[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_outside_image_reads_zero(self):
         values = np.ones((4, 4))
-        got = sample_bilinear(SoftMask(values), np.array([-0.1, 3.1]), np.array([0.0, 0.0]))
+        got = sample_bilinear(soft_mask(values), np.array([-0.1, 3.1]), np.array([0.0, 0.0]))
         assert got[0] == 0.0 and got[1] == 0.0
 
 
 class TestUpdateWeights:
     def test_single_supported_particle_takes_all_weight(self):
-        mask = SoftMask(np.eye(4))
+        mask = soft_mask(np.eye(4))
         ps = particle_set([[1.0, 1.0], [2.0, 1.0], [3.0, 0.0]])
         out = update_weights(ps, mask)
         np.testing.assert_allclose(out.weights, [1.0, 0.0, 0.0], atol=1e-12)
@@ -140,28 +140,28 @@ class TestUpdateWeights:
     def test_uniform_mask_value_cancels_in_normalizer(self):
         ps = particle_set([[1, 1], [2, 2], [3, 3]])
         for c in (0.05, 0.5, 1.0):
-            out = update_weights(ps, SoftMask(np.full((8, 8), c)))
+            out = update_weights(ps, soft_mask(np.full((8, 8), c)))
             np.testing.assert_allclose(out.weights, 1.0 / 3, atol=1e-12)
 
     def test_mask_scaling_leaves_weights_unchanged(self):
         rng = np.random.default_rng(2)
         values = rng.uniform(0.2, 1.0, (16, 16))
         ps = particle_set(rng.uniform(0, 15, (50, 2)))
-        w1 = update_weights(ps, SoftMask(values)).weights
-        w2 = update_weights(ps, SoftMask(values * 0.3)).weights
+        w1 = update_weights(ps, soft_mask(values)).weights
+        w2 = update_weights(ps, soft_mask(values * 0.3)).weights
         np.testing.assert_allclose(w1, w2, atol=1e-12)
 
     def test_all_zero_likelihood_signals_track_lost(self):
         ps = particle_set([[1, 1], [2, 2]])
         with pytest.raises(TrackLostError):
-            update_weights(ps, SoftMask(np.zeros((8, 8))))
+            update_weights(ps, soft_mask(np.zeros((8, 8))))
 
     def test_exponent_sharpens_weights(self):
         values = np.zeros((4, 4))
         values[0, 0], values[0, 1] = 0.9, 0.3
         ps = particle_set([[0.0, 0.0], [1.0, 0.0]])
-        flat = update_weights(ps, SoftMask(values), exponent=1.0)
-        sharp = update_weights(ps, SoftMask(values), exponent=3.0)
+        flat = update_weights(ps, soft_mask(values), exponent=1.0)
+        sharp = update_weights(ps, soft_mask(values), exponent=3.0)
         assert sharp.weights[0] > flat.weights[0]
         np.testing.assert_allclose(
             sharp.weights[0] / sharp.weights[1], (0.9 / 0.3) ** 3, rtol=1e-12
@@ -211,7 +211,7 @@ class TestResample:
         values = np.zeros((8, 8))
         values[3, 3] = 1.0
         ps2 = particle_set(np.vstack([[3.0, 3.0], np.zeros((99, 2))]))
-        out = update_weights(ps2, SoftMask(values))
+        out = update_weights(ps2, soft_mask(values))
         assert effective_sample_size(out) == pytest.approx(1.0)
 
 
@@ -372,7 +372,7 @@ class TestTrackSequence:
             assert err < 1.0
 
     def test_uniform_masks_never_lose_track(self):
-        masks = [SoftMask(np.full((180, 320), 0.4)) for _ in range(20)]
+        masks = [soft_mask(np.full((180, 320), 0.4)) for _ in range(20)]
         result = track_sequence(masks, [HOVER] * 20, INTR,
                                 TrackerConfig(n_particles=300, seed=3))
         assert result.lost.sum() == 0
@@ -403,7 +403,7 @@ class TestTrackSequence:
 
     def test_empty_frames_flag_lost_and_recover(self):
         good = disc_mask(320, 180, (160, 90), 30.0)
-        empty = SoftMask(np.zeros((180, 320)))
+        empty = soft_mask(np.zeros((180, 320)))
         masks = [good, good, empty, empty, good, good]
         result = track_sequence(masks, [HOVER] * 6, INTR,
                                 TrackerConfig(n_particles=300, seed=5))
@@ -411,7 +411,7 @@ class TestTrackSequence:
 
     def test_consecutive_losses_respread_particles(self):
         good = disc_mask(320, 180, (160, 90), 20.0)
-        empty = SoftMask(np.zeros((180, 320)))
+        empty = soft_mask(np.zeros((180, 320)))
         masks = [good] * 4 + [empty] * 4
         config = TrackerConfig(n_particles=400, motion_noise_sigma=2.0,
                                seed=6, lost_reinit_after=2)
@@ -427,7 +427,7 @@ class TestTrackSequence:
             track_sequence(masks, [HOVER] * 2, INTR, TrackerConfig(n_particles=16))
 
     def test_mask_size_mismatch_rejected(self):
-        masks = [SoftMask(np.zeros((90, 160)))]
+        masks = [soft_mask(np.zeros((90, 160)))]
         with pytest.raises(ValueError, match="mask is"):
             track_sequence(masks, [HOVER], INTR, TrackerConfig(n_particles=16))
 
