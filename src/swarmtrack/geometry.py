@@ -39,7 +39,9 @@ gimbal) and the consecutive pose pairs of ``motion_between_poses`` reuse
 them. The matrix is a pure function of those bits, so a reused one is
 the one a rebuild would give, bit for bit; ``functools.lru_cache`` keeps
 the memo consistent across threads. Callers get a read-only view whose
-base is read-only too, so no caller can change a kept matrix.
+base is read-only too, so no caller can change a kept matrix. A sibling
+memo on the same key hands out the matrix's rows as tuples of Python
+floats, for ``backproject_pixels`` to use without numpy scalar indexing.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ class GeometryError(ValueError):
 # Rays pointing less steeply down than this never get a ground intersection;
 # near-grazing rays would put the intersection km away with no accuracy.
 MIN_DESCENT_ANGLE_DEG = 1.0
+_MIN_DESCENT = math.sin(math.radians(MIN_DESCENT_ANGLE_DEG))
 
 
 def _finite(*values: float) -> bool:
@@ -244,6 +247,12 @@ def _attitude_matrix(key: bytes) -> np.ndarray:
     return m
 
 
+@lru_cache(maxsize=2)
+def _attitude_rows(key: bytes) -> tuple[tuple[float, float, float], ...]:
+    """The rows of ``_attitude_matrix(key)`` as Python floats."""
+    return tuple(map(tuple, _attitude_matrix(key).tolist()))
+
+
 def rotation_camera_to_world(pose: CameraPose) -> np.ndarray:
     """3x3 matrix taking camera-frame vectors to world-frame vectors.
 
@@ -279,30 +288,41 @@ def project_points(points: np.ndarray, pose: CameraPose, intr: Intrinsics) -> np
 
 
 def backproject_pixels(
-    x: np.ndarray, y: np.ndarray, pose: CameraPose, intr: Intrinsics
-) -> tuple[np.ndarray, np.ndarray]:
+    x: np.ndarray | float, y: np.ndarray | float, pose: CameraPose, intr: Intrinsics
+) -> tuple[np.ndarray | float, np.ndarray | float]:
     """Intersect viewing rays with the Z=0 plane for pixel arrays.
 
     ``x`` and ``y`` are principal-point pixel coordinates (any matching
-    shape). Returns world (X, Y) arrays of the same shape. Raises
-    GeometryError if the camera is not above the plane or any ray
-    descends at less than MIN_DESCENT_ANGLE_DEG below horizontal.
+    shape). Returns world (X, Y) arrays of the same shape. Two floats
+    (Python floats or ``np.float64``) give two scalars: they go through
+    the same operations in the same order as arrays, in Python floats,
+    so every bit is the same. Raises GeometryError if the camera is not
+    above the plane or any ray descends at less than
+    MIN_DESCENT_ANGLE_DEG below horizontal.
     """
     if pose.z <= 0:
         raise GeometryError(
             f"camera height must be positive to hit the scene plane, got {pose.z}"
         )
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r_cw = rotation_camera_to_world(pose)
+    scalar = isinstance(x, float) and isinstance(y, float)
+    if scalar:
+        x, y = float(x), float(y)
+    else:
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = _attitude_rows(
+        _ATTITUDE.pack(pose.roll, pose.pitch, pose.yaw)
+    )
+    f = intr.f
     # Ray direction per pixel: R_cw @ (x/f, y/f, 1).
-    dx = r_cw[0, 0] * x / intr.f + r_cw[0, 1] * y / intr.f + r_cw[0, 2]
-    dy = r_cw[1, 0] * x / intr.f + r_cw[1, 1] * y / intr.f + r_cw[1, 2]
-    dz = r_cw[2, 0] * x / intr.f + r_cw[2, 1] * y / intr.f + r_cw[2, 2]
-    norm = np.sqrt(dx * dx + dy * dy + dz * dz)
-    descent = -dz / norm  # sine of the angle below horizontal
-    min_descent = math.sin(math.radians(MIN_DESCENT_ANGLE_DEG))
-    if np.any(descent < min_descent):
+    dx = r00 * x / f + r01 * y / f + r02
+    dy = r10 * x / f + r11 * y / f + r12
+    dz = r20 * x / f + r21 * y / f + r22
+    sq = dx * dx + dy * dy + dz * dz
+    # Sine of the angle below horizontal; both square roots round correctly.
+    descent = -dz / (math.sqrt(sq) if scalar else np.sqrt(sq))
+    below = descent < _MIN_DESCENT
+    if below if scalar else below.any():
         worst = math.degrees(math.asin(float(np.min(descent))))
         raise GeometryError(
             f"viewing ray descends at {worst:.3f} deg, below the "
@@ -316,10 +336,8 @@ def backproject_image_to_ground(
     pixel: PixelPoint, pose: CameraPose, intr: Intrinsics
 ) -> WorldPoint:
     """Intersect one pixel's viewing ray with the scene plane Z=0."""
-    gx, gy = backproject_pixels(
-        np.array([pixel.x]), np.array([pixel.y]), pose, intr
-    )
-    return WorldPoint(float(gx[0]), float(gy[0]), 0.0)
+    gx, gy = backproject_pixels(float(pixel.x), float(pixel.y), pose, intr)
+    return WorldPoint(float(gx), float(gy), 0.0)
 
 
 def flow_field(

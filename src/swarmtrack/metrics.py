@@ -178,14 +178,19 @@ def relative_distance_error(
     if p.shape[0] < 2:
         raise MetricError("need at least 2 points for pairwise distances")
     n = len(p)
-    row_end = np.cumsum(np.arange(n - 1, 0, -1))  # pairs in rows 0..r
+    per_row = np.arange(n - 1, 0, -1)  # row r pairs point r with r+1 .. n-1
+    row_end = np.cumsum(per_row)  # pairs in rows 0..r
+    # Row r's pairs sit at positions row_end[r] - per_row[r] onward, in the
+    # row-major order of np.triu_indices, so j is position + shift[r].
+    shift = np.arange(1, n) - (row_end - per_row)
     count, mean, m2 = 0, 0.0, 0.0
     a = 0
     while a < n - 1:
         b = max(a + 1, int(np.searchsorted(row_end, count + _PAIR_BLOCK, side="right")))
-        i, j = np.triu_indices(b - a, 1, n - a)
-        i += a
-        j += a
+        rows = per_row[a:b]
+        i = np.repeat(np.arange(a, b), rows)
+        j = np.arange(count, row_end[b - 1])
+        j += np.repeat(shift[a:b], rows)
         errors = np.abs(_pair_distances(p, i, j) - _pair_distances(r, i, j))
         k = len(errors)
         block_mean = errors.sum() / k

@@ -123,6 +123,119 @@ class TestBackprojection:
             assert gy[i] == pytest.approx(w.y, abs=1e-12)
 
 
+def reference_backproject(x, y, pose, intr):
+    """backproject_pixels as it computed before scalars kept to floats:
+    every input through np.asarray, the matrix entries by numpy scalar
+    indexing, np.any for the descent test."""
+    if pose.z <= 0:
+        raise GeometryError(
+            f"camera height must be positive to hit the scene plane, got {pose.z}"
+        )
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    r_cw = rotation_camera_to_world(pose)
+    dx = r_cw[0, 0] * x / intr.f + r_cw[0, 1] * y / intr.f + r_cw[0, 2]
+    dy = r_cw[1, 0] * x / intr.f + r_cw[1, 1] * y / intr.f + r_cw[1, 2]
+    dz = r_cw[2, 0] * x / intr.f + r_cw[2, 1] * y / intr.f + r_cw[2, 2]
+    norm = np.sqrt(dx * dx + dy * dy + dz * dz)
+    descent = -dz / norm
+    min_descent = math.sin(math.radians(geometry.MIN_DESCENT_ANGLE_DEG))
+    if np.any(descent < min_descent):
+        worst = math.degrees(math.asin(float(np.min(descent))))
+        raise GeometryError(
+            f"viewing ray descends at {worst:.3f} deg, below the "
+            f"{geometry.MIN_DESCENT_ANGLE_DEG} deg minimum; no usable ground intersection"
+        )
+    s = -pose.z / dz
+    return pose.x + s * dx, pose.y + s * dy
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+PITCHED = [
+    CameraPose(12.5, -7.25, 60.0, pitch=pitch, yaw=yaw, roll=roll)
+    for pitch in (0.0, 10.0, 20.0, 30.0)
+    for yaw, roll in ((0.0, 0.0), (137.0, -3.5))
+]
+
+
+class TestScalarBackprojection:
+    """A scalar goes through the same formula in Python floats: the bits
+    of the numpy-array formula it replaced, on every input kind."""
+
+    @pytest.mark.parametrize("pose", PITCHED, ids=repr)
+    @pytest.mark.parametrize(
+        "kind", [float, np.float64, np.array, lambda v: np.array([v]), round]
+    )
+    def test_every_input_kind_matches_the_array_formula(self, pose, kind):
+        rng = np.random.default_rng(int(pose.pitch))
+        for x, y in rng.uniform(-300.0, 300.0, (50, 2)).tolist():
+            got = backproject_pixels(kind(x), kind(y), pose, INTR)
+            want = reference_backproject(kind(x), kind(y), pose, INTR)
+            assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1]), (x, y)
+
+    @pytest.mark.parametrize("pose", PITCHED, ids=repr)
+    @pytest.mark.parametrize("shape", [(7,), (5, 9)])
+    def test_arrays_match_the_array_formula(self, pose, shape):
+        rng = np.random.default_rng(len(shape))
+        x, y = rng.uniform(-300.0, 300.0, (2, *shape))
+        got = backproject_pixels(x, y, pose, INTR)
+        want = reference_backproject(x, y, pose, INTR)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+    def test_every_marker_sighting_matches_the_array_formula(self):
+        for seed in range(25):
+            run = synth.generate_marker_run(seed)
+            cfg = run.config
+            intr = Intrinsics.centered(cfg.focal_px, cfg.width, cfg.height)
+            poses = fusion.fuse_log(run.sensor_log, cfg.noise, cfg.fps, cfg.duration)
+            for _, frame, u, v in run.sightings:
+                args = (u - intr.cx, v - intr.cy, poses[frame], intr)
+                got, want = backproject_pixels(*args), reference_backproject(*args)
+                assert _same_bits(got, want), (seed, frame)
+
+    @pytest.mark.parametrize("value", [1.5, np.float64(-2.25)])
+    def test_a_scalar_in_gives_a_scalar_out(self, value):
+        gx, gy = backproject_pixels(value, value, PITCHED[3], INTR)
+        assert type(gx) is float and type(gy) is float
+
+    @pytest.mark.parametrize("z", [0.0, -1.0])
+    def test_camera_not_above_the_plane_message_is_unchanged(self, z):
+        pose = CameraPose(0.0, 0.0, z)
+        with pytest.raises(GeometryError) as want:
+            reference_backproject(np.float64(3.0), np.float64(4.0), pose, INTR)
+        with pytest.raises(GeometryError) as got:
+            backproject_pixels(3.0, 4.0, pose, INTR)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("pitch", [89.5, 95.0])
+    def test_grazing_ray_message_is_unchanged(self, pitch):
+        pose = CameraPose(0.0, 0.0, 100.0, pitch=pitch)
+        with pytest.raises(GeometryError) as want:
+            reference_backproject(np.float64(0.0), np.float64(0.0), pose, INTR)
+        with pytest.raises(GeometryError) as got:
+            backproject_pixels(0.0, 0.0, pose, INTR)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)])
+    def test_nan_passes_the_descent_test_as_before(self, x, y):
+        got = backproject_pixels(x, y, PITCHED[2], INTR)
+        want = reference_backproject(x, y, PITCHED[2], INTR)
+        assert _same_bits(got, want)
+        assert math.isnan(got[0]) and math.isnan(got[1])
+
+    @pytest.mark.parametrize("pose", PITCHED, ids=repr)
+    def test_image_to_ground_equals_the_one_element_array(self, pose):
+        for x, y in np.random.default_rng(3).uniform(-300.0, 300.0, (20, 2)).tolist():
+            w = backproject_image_to_ground(PixelPoint(x, y), pose, INTR)
+            gx, gy = reference_backproject(np.array([x]), np.array([y]), pose, INTR)
+            assert _same_bits([w.x, w.y], [gx[0], gy[0]]) and w.z == 0.0
+            assert type(w.x) is float and type(w.y) is float
+
+
 def _flow(x, y, motion, z):
     """Flow (vx, vy) at one principal-point pixel."""
     vx, vy = flow_field(np.array([x]), np.array([y]), motion, INTR, z)

@@ -1,4 +1,6 @@
 """Evaluation metrics: SDR, mask overlap scores, distance consistency."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
@@ -221,8 +223,36 @@ def _all_pairs_error(pred: np.ndarray, ref: np.ndarray) -> tuple[float, float]:
     return float(errors.mean()), float(errors.std())
 
 
+def _triu_walk(pred: np.ndarray, ref: np.ndarray) -> tuple[float, float]:
+    """Reference: the row-block walk with each block's pairs taken from
+    np.triu_indices, as relative_distance_error walked them before it
+    built the pair indices itself."""
+    n = len(pred)
+    row_end = np.cumsum(np.arange(n - 1, 0, -1))
+    count, mean, m2 = 0, 0.0, 0.0
+    a = 0
+    while a < n - 1:
+        b = max(a + 1, int(np.searchsorted(row_end, count + metrics._PAIR_BLOCK, side="right")))
+        i, j = np.triu_indices(b - a, 1, n - a)
+        i += a
+        j += a
+        errors = np.abs(metrics._pair_distances(pred, i, j) - metrics._pair_distances(ref, i, j))
+        k = len(errors)
+        block_mean = errors.sum() / k
+        errors -= block_mean
+        errors *= errors
+        block_m2 = errors.sum()
+        count += k
+        delta = block_mean - mean
+        mean += delta * (k / count)
+        m2 += block_m2 + delta * delta * ((count - k) * k / count)
+        a = b
+    return float(mean), float(np.sqrt(m2 / count))
+
+
 class TestBlockedPairs:
-    """The row-block walk over the upper triangle against the all-pairs formula."""
+    """The row-block walk over the upper triangle against the all-pairs
+    formula, and over several blocks bit for bit against _triu_walk."""
 
     @staticmethod
     def _points(n, dim, seed):
@@ -242,6 +272,7 @@ class TestBlockedPairs:
         pred, ref = self._points(n, 2, n)
         got = relative_distance_error(pred, ref)
         np.testing.assert_allclose(got, _all_pairs_error(pred, ref), rtol=1e-12, atol=0)
+        assert _bits(got).tolist() == _bits(_triu_walk(pred, ref)).tolist()
 
     @pytest.mark.parametrize("block", [1, 7, 48, 49, 50, 300])
     def test_block_edges_cover_every_pair_once(self, monkeypatch, block):
@@ -252,6 +283,7 @@ class TestBlockedPairs:
         monkeypatch.setattr(metrics, "_PAIR_BLOCK", block)
         got = relative_distance_error(pred, ref)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert _bits(got).tolist() == _bits(_triu_walk(pred, ref)).tolist()
 
     def test_memory_is_bounded(self):
         # All pairs at once peaked at 448 MB here.
@@ -259,6 +291,52 @@ class TestBlockedPairs:
         peak, _ = traced_peak(relative_distance_error, pred, ref)
         assert peak <= 40_000_000, peak
 
+
+
+class TestPairIndices:
+    """The pair indices built from arange and repeat are np.triu_indices'
+    pairs in its order, so every sum keeps its bits."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bitwise_equal_to_triu_indices_at_every_small_size(self, dim):
+        for n in range(2, 61):
+            pred, ref = TestBlockedPairs._points(n, dim, 100 * dim + n)
+            got = relative_distance_error(pred, ref)
+            assert _bits(got).tolist() == _bits(_triu_walk(pred, ref)).tolist(), n
+
+    def test_the_indices_are_triu_indices(self, monkeypatch):
+        # Every block's (i, j) as _pair_distances receives them, against
+        # the rows of np.triu_indices(n, 1) in order.
+        seen = []
+
+        def record(points, i, j):
+            seen.append((i.copy(), j.copy()))
+            return np.zeros(len(i))
+
+        monkeypatch.setattr(metrics, "_pair_distances", record)
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK", 40)
+        pred, ref = TestBlockedPairs._points(30, 2, 0)
+        relative_distance_error(pred, ref)
+        i = np.concatenate([blk[0] for blk in seen[::2]])
+        j = np.concatenate([blk[1] for blk in seen[::2]])
+        want_i, want_j = np.triu_indices(30, 1)
+        assert i.tolist() == want_i.tolist() and j.tolist() == want_j.tolist()
+        assert len(seen) > 2  # several blocks
+
+    def test_no_index_array_outlives_the_call(self):
+        # 900 points, the size eval scores: 404,550 pairs, 3.2 MB per index
+        # array. What the call leaves allocated must be far below that,
+        # and any array the module keeps must be read-only.
+        pred, ref = TestBlockedPairs._points(900, 2, 9)
+        tracemalloc.start()
+        try:
+            relative_distance_error(pred, ref)
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert left < 64_000, left
+        kept = [v for v in vars(metrics).values() if isinstance(v, np.ndarray)]
+        assert all(not v.flags.writeable for v in kept)
 
 def _numpy_pdist(points: np.ndarray) -> np.ndarray:
     return metrics._pair_distances(points, *np.triu_indices(len(points), 1))

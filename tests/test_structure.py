@@ -7,9 +7,10 @@ its box, ``SoftMask(inner, box, shape)``, and reads ``box`` and ``inner``.
 Only io_formats' row reader parses the fields of a CSV table, so every
 table is checked by the same rules in the same order.
 
-Attitude matrices are built only by geometry's memoized builder, and a
-sensor log's columns are interpolated only by fusion's cached
-frame-array builder, so no caller pays for them twice."""
+Attitude matrices are built only by geometry's memoized builder, and
+their rows as floats come only from that memo; a sensor log's columns are
+interpolated only by fusion's cached frame-array builder, so no caller
+pays for them twice."""
 import ast
 from pathlib import Path
 
@@ -53,6 +54,9 @@ def test_no_other_module_names_the_mask_storage(module):
 # memoized builder, module -> function.
 ROTATIONS = {"_rot_x", "_rot_y", "_rot_z"}
 ATTITUDE_BUILDER = ("geometry.py", "_attitude_matrix")
+ATTITUDE_ROWS = ("geometry.py", "_attitude_rows")
+# What building an attitude takes: its key's angles, in radians, and their trig.
+ATTITUDE_WORK = ROTATIONS | {"unpack", "radians", "cos", "sin"}
 FRAME_BUILDER = ("fusion.py", "_frame_arrays")
 # Attributes that hold a sensor log or its columns.
 LOG_NAMES = {"gps", "vel", "att", "sensor_log"}
@@ -83,7 +87,10 @@ def _mentions_log(call):
 
 def test_the_parse_sees_the_builders():
     geometry = _calls(PACKAGE / ATTITUDE_BUILDER[0])
-    assert {name for name, owner, _ in geometry if owner == ATTITUDE_BUILDER[1]} >= ROTATIONS
+    assert {name for name, owner, _ in geometry if owner == ATTITUDE_BUILDER[1]} >= ROTATIONS | {
+        "unpack", "radians"
+    }
+    assert ("_attitude_rows", "backproject_pixels") in {(n, o) for n, o, _ in geometry}
     fusion = _calls(PACKAGE / FRAME_BUILDER[0])
     assert ("interp", FRAME_BUILDER[1]) in {(name, owner) for name, owner, _ in fusion}
 
@@ -93,6 +100,25 @@ def test_attitude_matrices_are_built_only_by_the_memo(module):
     outside = [
         (name, owner) for name, owner, _ in _calls(PACKAGE / module)
         if name in ROTATIONS and (module, owner) != ATTITUDE_BUILDER
+    ]
+    assert outside == []
+
+
+def test_attitude_rows_come_only_from_the_memo():
+    # The rows are the memoized matrix's, kept in a memo of their own; no
+    # function but the builder turns an attitude into trig (module-level
+    # constants aside: other modules convert angles for other reasons).
+    tree = ast.parse((PACKAGE / ATTITUDE_ROWS[0]).read_text(encoding="utf-8"))
+    rows = next(f for f in tree.body if getattr(f, "name", None) == ATTITUDE_ROWS[1])
+    assert [ast.unparse(d) for d in rows.decorator_list] == ["lru_cache(maxsize=2)"]
+    calls = _calls(PACKAGE / ATTITUDE_ROWS[0])
+    assert {name for name, owner, _ in calls if owner == ATTITUDE_ROWS[1]} == {
+        "lru_cache", "_attitude_matrix", "tolist", "tuple", "map"
+    }
+    outside = [
+        (name, owner) for name, owner, _ in calls
+        if name in ATTITUDE_WORK and owner not in (ATTITUDE_BUILDER[1], None, *ROTATIONS)
+        and (name, owner) != ("sin", "_rotvec")  # half the rotation angle
     ]
     assert outside == []
 
