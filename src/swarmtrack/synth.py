@@ -579,6 +579,74 @@ def write_scenario(config: ScenarioConfig, out_dir) -> None:
 # -- degradation ---------------------------------------------------------
 
 
+# Output pixels per block of _zoom_linear (20 KB of float64 per term), and
+# the ufunc buffer, in elements, it runs with. numpy sizes the buffer of a
+# broadcast to the whole operation (up to 8,192 elements) although these
+# operands need none, which would hold a second block's worth of memory.
+_ZOOM_BLOCK = 2560
+_ZOOM_UFUNC_BUFFER = 64
+
+
+def _zoom_axis(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower sample index and the two weights of each output position on one
+    axis, as ``ndimage.zoom``'s order-1 spline computes them.
+
+    The coordinate is k * ((n_in - 1) / (n_out - 1)), or 0.0 when n_out is
+    1; w0 = 1 - (cc - floor(cc)) and w1 = 1 - w0. A coordinate past the last
+    sample, which the rounding of the product can give, gets index n_in:
+    the zero pad, as zoom's ``constant`` mode gives 0.0 there.
+    """
+    step = (n_in - 1) / (n_out - 1) if n_out > 1 else 0.0
+    cc = np.arange(n_out, dtype=float)
+    cc *= step
+    lower = np.floor(cc)
+    w0 = 1.0 - (cc - lower)
+    index = lower.astype(np.intp)
+    index[cc > n_in - 1] = n_in
+    return index, w0, 1.0 - w0
+
+
+def _zoom_linear(coarse: np.ndarray, height: int, width: int) -> np.ndarray:
+    """``ndimage.zoom(coarse, (height / ch, width / cw), order=1)``, bit for
+    bit, built in one (height, width) array.
+
+    Each pixel sums its four neighbours' terms in zoom's order, from +0.0:
+    (((c00 a0) b0 + (c01 a0) b1) + (c10 a1) b0) + (c11 a1) b1, with the row
+    weights a and the column weights b of ``_zoom_axis``; a neighbour past
+    the last sample reads the zero pad. The output is filled a block of
+    rows at a time. The row weights go onto the two coarse rows of each
+    output row first; the column index never decreases, so gathering such
+    a row across the output is repeating each of its samples.
+    """
+    ch, cw = coarse.shape
+    rows, row_w0, row_w1 = _zoom_axis(ch, height)
+    row_w = np.stack([row_w0, row_w1], axis=1)
+    cols, col_w0, col_w1 = _zoom_axis(cw, width)
+    counts = np.bincount(cols, minlength=cw + 1)
+    pad = np.zeros((ch + 2, cw + 2))
+    pad[:ch, :cw] = coarse
+    pairs = np.stack([pad[:-1], pad[1:]], axis=1)  # coarse rows i and i + 1
+    del row_w0, row_w1, cols, pad  # only what the loop reads stays beside the field
+    out = np.empty((height, width))
+    step = max(1, _ZOOM_BLOCK // width)
+    saved = np.setbufsize(_ZOOM_UFUNC_BUFFER)
+    try:
+        for r0 in range(0, height, step):
+            block, band = out[r0 : r0 + step], slice(r0, r0 + step)
+            weighted = pairs[rows[band]] * row_w[band, :, None]  # (c a) for both rows
+            np.multiply(np.repeat(weighted[:, 0, :-1], counts, axis=1), col_w0, out=block)
+            for k, j, col_w in ((0, 1, col_w1), (1, 0, col_w0), (1, 1, col_w1)):
+                term = np.repeat(weighted[:, k, j : j + cw + 1], counts, axis=1)
+                term *= col_w
+                block += term
+                del term  # freed before the next one is built
+    finally:
+        np.setbufsize(saved)
+    # zoom's sum starts at +0.0, so a sum of four -0.0 terms is +0.0.
+    out += 0.0
+    return out
+
+
 def make_gain_field(
     width: int,
     height: int,
@@ -594,9 +662,21 @@ def make_gain_field(
     of over- and under-segmentation across the scene, so a target
     traversing it sees sustained stretches of dimmed masks. Redraw it
     per frame for uncorrelated flicker instead.
+
+    A coarse grid of standard normals, one sample per scale_px plus one,
+    is smoothed, normalized to unit deviation and interpolated bilinearly
+    to the frame by ``_zoom_linear`` (``ndimage.zoom``'s order-1 values);
+    the field is scaled and exponentiated in place, so the returned array
+    is the only frame-size one built. Requires width and height >= 1, a
+    finite gain_sigma >= 0 and scale_px > 0.
     """
-    if gain_sigma < 0 or scale_px <= 0:
-        raise ValueError("gain_sigma must be >= 0 and scale_px > 0")
+    for name, n in (("width", width), ("height", height)):
+        if not n >= 1:
+            raise ValueError(f"{name} must be >= 1, got {n!r}")
+    if not (math.isfinite(gain_sigma) and gain_sigma >= 0):
+        raise ValueError(f"gain_sigma must be finite and >= 0, got {gain_sigma!r}")
+    if not scale_px > 0:
+        raise ValueError(f"scale_px must be > 0, got {scale_px!r}")
     from scipy import ndimage  # loaded on first use: only degradation draws a field
     ch = max(2, int(math.ceil(height / scale_px)) + 1)
     cw = max(2, int(math.ceil(width / scale_px)) + 1)
@@ -605,10 +685,7 @@ def make_gain_field(
     sd = float(coarse.std())
     if sd > 0:
         coarse /= sd
-    # zoom returns round(c * (n / c)) == n rows and columns, so the field
-    # is the frame's size; it is scaled and exponentiated in place so no
-    # second frame-size array is built.
-    field = ndimage.zoom(coarse, (height / ch, width / cw), order=1)
+    field = _zoom_linear(coarse, height, width)
     field *= gain_sigma
     return np.exp(field, out=field)
 
@@ -623,8 +700,8 @@ def degrade_mask(
     gain is typically from make_gain_field; pass the same array for
     every frame of a sequence to model a persistent quality pattern.
     """
-    if blur_sigma < 0:
-        raise ValueError(f"blur_sigma must be >= 0, got {blur_sigma}")
+    if not (math.isfinite(blur_sigma) and blur_sigma >= 0):
+        raise ValueError(f"blur_sigma must be finite and >= 0, got {blur_sigma}")
     return _blur_support(mask.inner, mask.box, mask.shape, blur_sigma, gain)
 
 

@@ -235,6 +235,32 @@ class TestDegradation:
             make_gain_field(32, 32, 0.5, 0.0, rng)
 
     @pytest.mark.parametrize(
+        "width, height, gain_sigma, scale_px, name",
+        [
+            (32, 32, math.nan, 10.0, "gain_sigma"),
+            (32, 32, math.inf, 10.0, "gain_sigma"),
+            (32, 32, -math.inf, 10.0, "gain_sigma"),
+            (32, 32, -0.1, 10.0, "gain_sigma"),
+            (32, 32, 0.5, math.nan, "scale_px"),
+            (32, 32, 0.5, 0.0, "scale_px"),
+            (32, 32, 0.5, -math.inf, "scale_px"),
+            (0, 32, 0.5, 10.0, "width"),
+            (-3, 32, 0.5, 10.0, "width"),
+            (32, 0, 0.5, 10.0, "height"),
+            (32, -1, 0.5, 10.0, "height"),
+        ],
+    )
+    def test_gain_field_rejects_bad_input(self, width, height, gain_sigma, scale_px, name):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            make_gain_field(width, height, gain_sigma, scale_px, np.random.default_rng(0))
+
+    def test_gain_field_allows_infinite_scale(self):
+        # One correlation length past any frame: the coarse grid is 2x2.
+        field = make_gain_field(40, 30, 0.5, math.inf, np.random.default_rng(3))
+        want = _reference_gain_field(40, 30, 0.5, math.inf, np.random.default_rng(3))
+        assert field.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
         "width, height, gain_sigma, scale_px",
         [
             (640, 360, 1.0, 150.0),
@@ -298,6 +324,13 @@ class TestDegradation:
         with pytest.raises(ValueError, match="does not match"):
             degrade_mask(mask, gain=np.ones((4, 4)))
 
+    @pytest.mark.parametrize("blur_sigma", [math.nan, math.inf, -math.inf, -1.0])
+    def test_blur_sigma_must_be_finite_and_non_negative(self, blur_sigma):
+        # A NaN sigma used to mean no blur, and inf an OverflowError.
+        mask = soft_mask(np.eye(8))
+        with pytest.raises(ValueError, match="^blur_sigma must be finite and >= 0, got "):
+            degrade_mask(mask, blur_sigma=blur_sigma)
+
     def test_identity_degradation_is_a_no_op(self):
         rng = np.random.default_rng(8)
         values = rng.uniform(0, 1, (16, 16))
@@ -314,6 +347,70 @@ def _reference_gain_field(width, height, gain_sigma, scale_px, rng):
     if sd > 0:
         coarse /= sd
     return np.exp(gain_sigma * ndimage.zoom(coarse, (height / ch, width / cw), order=1))
+
+
+# Coarse and output shapes whose last output column (axis 0: all rows of
+# it are 0.0) or row (axis 1) has a rounded coordinate past the last
+# sample, which zoom's constant mode sets to 0.0.
+_PAST_THE_END = (((2, 8), (291, 51), 0), ((6, 7), (295, 454), 1), ((7, 3), (312, 649), 1))
+
+
+def _zoom_shapes(rng):
+    """(coarse, height, width) cases for the zoom oracle: a seeded sweep of
+    coarse 2..29 and output 1..160 per side, up- and downsampling and
+    outputs one pixel thick, coarse grids of signed zeros and subnormals,
+    and shapes whose last output row or column falls past the last sample."""
+    tiny = 5e-324
+    for k in range(1100):
+        ch, cw = (int(n) for n in rng.integers(2, 30, 2))
+        h, w = (int(n) for n in rng.integers(1, 161, 2))
+        if k % 10 == 0:
+            h = 1
+        elif k % 10 == 1:
+            w = 1
+        elif k % 10 == 2:
+            h = int(rng.integers(1, ch + 1))  # ch >= h: downsampling
+        elif k % 10 == 3:
+            w = int(rng.integers(1, cw + 1))
+        coarse = rng.standard_normal((ch, cw))
+        if k % 7 == 0:
+            kinds = rng.integers(0, 5, coarse.shape)
+            coarse[kinds == 0] = 0.0
+            coarse[kinds == 1] = -0.0
+            coarse[kinds == 2] = tiny * rng.integers(1, 1 << 20, coarse.shape)[kinds == 2]
+            coarse[kinds == 3] = -tiny * rng.integers(1, 1 << 20, coarse.shape)[kinds == 3]
+        yield coarse, h, w
+    for ch, cw, h, w in ((3, 4, 50, 60), (2, 2, 1, 1), (5, 3, 97, 1)):
+        yield np.full((ch, cw), -0.0), h, w
+        yield np.full((ch, cw), tiny), h, w
+        yield np.full((ch, cw), -tiny), h, w
+    for coarse_shape, (h, w), _ in _PAST_THE_END:
+        yield rng.standard_normal(coarse_shape), h, w
+
+
+class TestZoomLinear:
+    """_zoom_linear equals ndimage.zoom's order-1 output bit for bit."""
+
+    def test_matches_ndimage_zoom(self):
+        rng = np.random.default_rng(2024)
+        n = 0
+        for coarse, h, w in _zoom_shapes(rng):
+            ch, cw = coarse.shape
+            want = ndimage.zoom(coarse, (h / ch, w / cw), order=1)
+            got = synth._zoom_linear(coarse, h, w)
+            assert want.shape == got.shape == (h, w)
+            assert got.tobytes() == want.tobytes(), (ch, cw, h, w)
+            n += 1
+        assert n >= 1000
+
+    @pytest.mark.parametrize("coarse_shape, shape, axis", _PAST_THE_END)
+    def test_past_the_end_line_is_zero(self, coarse_shape, shape, axis):
+        coarse = np.random.default_rng(7).standard_normal(coarse_shape)
+        ch, cw = coarse_shape
+        want = ndimage.zoom(coarse, (shape[0] / ch, shape[1] / cw), order=1)
+        got = synth._zoom_linear(coarse, *shape)
+        assert (want == 0.0).all(axis=axis).any()
+        assert got.tobytes() == want.tobytes()
 
 
 def _full_frame(values, sigma, gain=None):

@@ -1,5 +1,6 @@
 """Particle filter: init, predict, weighting, resampling, sequence loop."""
 import json
+import math
 from importlib import resources
 
 import numpy as np
@@ -128,6 +129,62 @@ class TestBilinear:
         values = np.ones((4, 4))
         got = sample_bilinear(soft_mask(values), np.array([-0.1, 3.1]), np.array([0.0, 0.0]))
         assert got[0] == 0.0 and got[1] == 0.0
+
+
+def _clip_sample_bilinear(mask, x, y):
+    """Reference: sample_bilinear with the position clips as np.clip."""
+    h, w = mask.shape
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xc = np.clip(x, 0, w - 1)
+    yc = np.clip(y, 0, h - 1)
+    inside = (xc == x) & (yc == y)
+    x0 = np.minimum(np.maximum(np.floor(xc).astype(int), 0), max(w - 2, 0))
+    y0 = np.minimum(np.maximum(np.floor(yc).astype(int), 0), max(h - 2, 0))
+    fx = xc - x0
+    fy = yc - y0
+    rows, cols = mask._ring
+    bh, bw = mask._block.shape
+    c0 = np.minimum(np.maximum(x0 - cols.start, 0), bw - 1)
+    c1 = np.minimum(np.maximum(x0 + (1 - cols.start), 0), bw - 1)
+    r0 = np.minimum(np.maximum(y0 - rows.start, 0), bh - 1) * bw
+    r1 = np.minimum(np.maximum(y0 + (1 - rows.start), 0), bh - 1) * bw
+    flat = mask._block.ravel()
+    gx = 1 - fx
+    top = flat[r0 + c0] * gx + flat[r0 + c1] * fx
+    bot = flat[r1 + c0] * gx + flat[r1 + c1] * fx
+    out = top * (1 - fy) + bot * fy
+    return np.where(inside, out, 0.0)
+
+
+class TestBilinearClips:
+    """The position clips as maximum then minimum read what np.clip's did,
+    bit for bit, on and just past every edge and at non-finite positions."""
+
+    @staticmethod
+    def _coords(n):
+        last = float(n - 1)
+        return [math.nan, math.inf, -math.inf, -0.0, 0.0, last, -1e-12,
+                np.nextafter(0.0, -1.0), np.nextafter(last, math.inf),
+                last + 1e-9, np.nextafter(last, 0.0), 0.5, last / 2.0]
+
+    @pytest.mark.parametrize("shape", [(5, 7), (1, 6), (6, 1), (1, 1), (9, 4)])
+    def test_matches_np_clip_version(self, shape):
+        h, w = shape
+        rng = np.random.default_rng(h * 10 + w)
+        masks = [soft_mask(rng.uniform(0.0, 1.0, shape)), soft_mask(np.zeros(shape))]
+        if h > 2 and w > 2:
+            values = np.zeros(shape)
+            values[1:-1, 1:-1] = rng.uniform(0.05, 1.0, (h - 2, w - 2))
+            masks.append(soft_mask(values))
+        xs, ys = self._coords(w), self._coords(h)
+        x = np.repeat(xs, len(ys))
+        y = np.tile(ys, len(xs))
+        with np.errstate(invalid="ignore"):
+            for mask in masks:
+                got = sample_bilinear(mask, x, y)
+                want = _clip_sample_bilinear(mask, x, y)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestUpdateWeights:
@@ -472,3 +529,33 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="sum to 1"):
             ParticleSet(np.zeros((2, 2)), np.array([0.7, 0.7]),
                         np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [1.5, -0.5],
+            [-0.0, 1.0, -1e-300],
+            [math.nan, 1.0],
+            [0.5, math.nan, 0.5],
+            [math.inf, 0.0],
+            [-math.inf, 1.0],
+            [math.inf, -math.inf],
+            [math.nan, -1.0],
+        ],
+    )
+    def test_weights_must_be_finite_and_non_negative(self, weights):
+        w = np.array(weights)
+        with pytest.raises(ValueError, match="^weights must be finite and non-negative$"):
+            ParticleSet(np.zeros((len(w), 2)), w, np.random.default_rng(0))
+
+    def test_overflowing_sum_is_not_one(self):
+        # Every weight is finite and non-negative; only the sum is inf.
+        w = np.array([1e308, 1e308, 0.0])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="^weights must sum to 1, got inf$"):
+                ParticleSet(np.zeros((3, 2)), w, np.random.default_rng(0))
+
+    def test_signed_zero_weight_is_valid(self):
+        ps = ParticleSet(np.zeros((3, 2)), np.array([-0.0, 0.25, 0.75]),
+                         np.random.default_rng(0))
+        assert ps.weights.tolist() == [-0.0, 0.25, 0.75]
