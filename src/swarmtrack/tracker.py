@@ -213,7 +213,8 @@ def sample_bilinear(mask: SoftMask, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Bilinear read of a mask at float positions, 0 outside the frame.
 
     Positions are corner-origin pixels; integer coordinates hit pixel
-    values exactly. Outside [0, w-1] x [0, h-1] the result is 0. The
+    values exactly. Outside [0, w-1] x [0, h-1] the result is 0, and so
+    it is at NaN and infinite positions, without a warning. The
     four neighbours are found on the frame, then clipped into the stored
     block: a neighbour outside it lies outside the box, and the clip
     lands it on the zero ring, so every read equals the full frame's.
@@ -221,10 +222,12 @@ def sample_bilinear(mask: SoftMask, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     h, w = mask.shape
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    # Clips as maximum then minimum, a third cheaper than np.clip. Both
-    # propagate NaN; maximum turns -0.0 into 0.0, which reads the same.
-    xc = np.minimum(np.maximum(x, 0), w - 1)
-    yc = np.minimum(np.maximum(y, 0), h - 1)
+    # Clips as maximum then fmin, a third cheaper than np.clip. maximum
+    # turns -0.0 into 0.0, which reads the same; fmin turns NaN into the
+    # last pixel, so the floor below casts no NaN to int, and the NaN
+    # position still reads 0.
+    xc = np.fmin(np.maximum(x, 0), w - 1)
+    yc = np.fmin(np.maximum(y, 0), h - 1)
     # A clip that moves the position (or a NaN) puts it outside.
     inside = (xc == x) & (yc == y)
     x0 = np.minimum(np.maximum(np.floor(xc).astype(int), 0), max(w - 2, 0))

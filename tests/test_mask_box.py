@@ -307,6 +307,19 @@ class TestBoxedSampler:
         x, y = _probe_positions(rng, mask.box, (9, 14))
         assert sample_bilinear(mask, x, y).tobytes() == np.zeros(x.size).tobytes()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_positions_read_zero_without_a_warning(self, bad):
+        rng = np.random.default_rng(14)
+        for values in _support_masks(rng):
+            mask = soft_mask(values)
+            x, y = _probe_positions(rng, mask.box, values.shape)
+            want = _reference_bilinear(values, x, y)
+            hit = rng.random(x.size) < 0.3
+            for bad_x, bad_y in ((hit, ~hit), (~hit, hit), (hit, hit)):
+                got = sample_bilinear(mask, np.where(bad_x, bad, x), np.where(bad_y, bad, y))
+                assert got.tobytes() == np.where(bad_x | bad_y, 0.0, want).tobytes()
+
 
 def _owned_floats(mask):
     """Floats in the arrays a mask owns (views of them count once)."""

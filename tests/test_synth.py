@@ -3,6 +3,9 @@ import dataclasses
 import functools
 import hashlib
 import math
+import multiprocessing
+import sys
+import threading
 from importlib import resources
 
 import numpy as np
@@ -297,6 +300,9 @@ class TestDegradation:
             assert field.shape == (height, width)
 
     def test_gain_field_builds_one_frame_size_array(self):
+        # One warm call of the same size first: numpy keeps about 9 KB it
+        # allocates on first use, so a cold peak depends on what ran before.
+        make_gain_field(640, 360, 1.0, 150.0, np.random.default_rng(0))
         peak, field = traced_peak(
             make_gain_field, 640, 360, 1.0, 150.0, np.random.default_rng(0)
         )
@@ -442,9 +448,20 @@ def _support_masks(rng):
         yield np.zeros((h, w))
 
 
+@pytest.fixture(params=["split", "unsplit"])
+def blur_split(request, monkeypatch):
+    """Every Gaussian pass split over two threads, or none."""
+    if request.param == "split":
+        monkeypatch.setattr(synth, "SPLIT_WORK", 0)
+        monkeypatch.setattr(synth, "usable_cpus", lambda: 2)
+    else:
+        monkeypatch.setattr(synth, "SPLIT_WORK", math.inf)
+
+
+@pytest.mark.usefixtures("blur_split")
 class TestWindowedBlur:
     """soften and degrade_mask blur only the support, byte for byte as the
-    full-frame filter would."""
+    full-frame filter would, with the passes split over two threads or not."""
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0, 2.5, 8.0, 13.7])
     @pytest.mark.parametrize("with_gain", [False, True])
@@ -498,9 +515,25 @@ def _edge_supports(h, w, rng):
     yield (slice(0, h), slice(0, w))
 
 
+def _thin_supports():
+    """(frame shape, support): one-column bands at the left edge, inside and
+    at the right edge, one-row supports at the top, inside and at the
+    bottom, and supports whose box is one row or one column."""
+    h, w = 60, 90
+    for c in (0, 45, w - 1):
+        yield (h, w), (slice(20, 40), slice(c, c + 1))
+    for r in (0, 30, h - 1):
+        yield (h, w), (slice(r, r + 1), slice(30, 60))
+    yield (1, 40), (slice(0, 1), slice(5, 30))
+    yield (1, 40), (slice(0, 1), slice(39, 40))
+    yield (40, 1), (slice(5, 30), slice(0, 1))
+    yield (1, 1), (slice(0, 1), slice(0, 1))
+
+
+@pytest.mark.usefixtures("blur_split")
 class TestOneBufferBlur:
     """_blur_support's in-place passes give the two-array version's box
-    and values byte for byte."""
+    and values byte for byte, with the passes split over two threads or not."""
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0, 1.5, 2.5, 4.0, 8.0])
     @pytest.mark.parametrize("with_gain", [False, True])
@@ -515,6 +548,99 @@ class TestOneBufferBlur:
                     want = _two_array_blur_support(inner, support, (h, w), sigma, gain)
                     assert got.box == want.box
                     assert got.inner.tobytes() == want.inner.tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 4.0, 8.0])
+    @pytest.mark.parametrize("with_gain", [False, True])
+    def test_thin_supports_match_both_references(self, sigma, with_gain):
+        rng = np.random.default_rng(int(sigma * 10) + 200 * with_gain)
+        for shape, support in _thin_supports():
+            gain = rng.uniform(0.2, 3.0, shape) if with_gain else None
+            values = np.zeros(shape)
+            values[support] = rng.uniform(0.05, 1.0, values[support].shape)
+            got = synth._blur_support(values[support], support, shape, sigma, gain)
+            want = _two_array_blur_support(values[support], support, shape, sigma, gain)
+            assert got.box == want.box
+            assert got.inner.tobytes() == want.inner.tobytes()
+            assert frame_values(got).tobytes() == _full_frame(values, sigma, gain).tobytes()
+
+
+def _blob(rng, shape=(120, 160)):
+    """A soft mask with a random interior well inside the frame."""
+    values = np.zeros(shape)
+    values[40:80, 50:110] = rng.uniform(0.05, 1.0, (40, 60))
+    return soft_mask(values)
+
+
+class TestBlurHelper:
+    """The helper thread of a split pass: made only when a pass splits,
+    remade in a forked child, shared safely by threads that blur at once."""
+
+    def test_one_cpu_starts_no_helper_thread(self, monkeypatch):
+        monkeypatch.setattr(synth, "SPLIT_WORK", 0)
+        monkeypatch.setattr(synth, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(synth, "_helper", None)
+        before = set(threading.enumerate())
+        rng = np.random.default_rng(30)
+        for values in _support_masks(rng):
+            degrade_mask(soft_mask(values), blur_sigma=8.0)
+        assert synth._helper is None
+        assert set(threading.enumerate()) == before
+        # The same blurs with two CPUs do start it.
+        monkeypatch.setattr(synth, "usable_cpus", lambda: 2)
+        degrade_mask(_blob(rng), blur_sigma=8.0)
+        assert synth._helper is not None
+        synth._helper.shutdown()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="no fork here"
+    )
+    def test_forked_child_blurs_after_its_parent(self, monkeypatch):
+        monkeypatch.setattr(synth, "SPLIT_WORK", 0)
+        monkeypatch.setattr(synth, "usable_cpus", lambda: 2)
+        mask = _blob(np.random.default_rng(31))
+        # The parent's blur leaves its helper's worker idle; the child
+        # inherits the executor but not the thread.
+        want = degrade_mask(mask, blur_sigma=8.0).inner.tobytes()
+
+        def child():
+            sys.exit(0 if degrade_mask(mask, blur_sigma=8.0).inner.tobytes() == want else 3)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=30)
+        hung = proc.is_alive()
+        if hung:
+            proc.kill()
+            proc.join()
+        assert not hung
+        assert proc.exitcode == 0
+
+    def test_two_callers_at_once_get_the_one_thread_bytes(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        masks = [_blob(rng), _blob(rng, (150, 130))]
+        gain = [rng.uniform(0.2, 3.0, m.shape) for m in masks]
+        want = [degrade_mask(m, 8.0, g).inner.tobytes() for m, g in zip(masks, gain)]
+        monkeypatch.setattr(synth, "SPLIT_WORK", 0)
+        monkeypatch.setattr(synth, "usable_cpus", lambda: 2)
+        wrong = []
+
+        def caller(i):
+            for _ in range(40):
+                if degrade_mask(masks[i], 8.0, gain[i]).inner.tobytes() != want[i]:
+                    wrong.append(i)
+
+        callers = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert wrong == []
 
 
 class TestMarkerRuns:

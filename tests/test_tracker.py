@@ -158,7 +158,7 @@ def _clip_sample_bilinear(mask, x, y):
 
 
 class TestBilinearClips:
-    """The position clips as maximum then minimum read what np.clip's did,
+    """The position clips as maximum then fmin read what np.clip's did,
     bit for bit, on and just past every edge and at non-finite positions."""
 
     @staticmethod
