@@ -17,6 +17,7 @@ import itertools
 import json
 import logging
 import math
+import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -40,7 +41,7 @@ from .shapes import BinaryMask, ShapeError, alpha_shape, rasterize, support_poin
 # Imported only so that perfbench/spans.py finds cli.default_alpha to wrap;
 # it goes with ROADMAP item 2.
 from .shapes import default_alpha  # noqa: F401
-from .synth import ScenarioError, usable_cpus
+from .synth import ScenarioError
 from .tracker import track_sequence
 
 logger = logging.getLogger("swarmtrack")
@@ -76,6 +77,14 @@ def _flag_type(parse):
 
 
 _number, _integer = _flag_type(io_formats.parse_number), _flag_type(io_formats.parse_integer)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count; at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
 
 
 # -- provenance ------------------------------------------------------------

@@ -27,18 +27,12 @@ Each soft mask is stored as its box (``SoftMask.box`` and
 ``SoftMask.inner``): the render window grown by the blur kernel's
 radius. ``soften`` and ``degrade_mask`` filter only that box and build
 ``SoftMask(inner, box, shape)`` from it; no full-frame array is built.
-A Gaussian pass of at least ``SPLIT_WORK`` element-taps splits its lines
-in two, one half on a helper thread: the output is byte-identical
-whatever the number of usable CPUs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import threading
-from concurrent import futures
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -418,77 +412,6 @@ def _render_binary(
     return full
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    has one, else the machine's count; at least 1."""
-    if hasattr(os, "sched_getaffinity"):
-        return max(1, len(os.sched_getaffinity(0)))
-    return os.cpu_count() or 1
-
-
-# A Gaussian pass of at least this many element-taps (array elements times
-# kernel taps) runs half its lines on the helper thread. Handing a pass to
-# the helper and waiting for it costs tens of microseconds: on 2 vCPUs,
-# splitting every pass of degrade_mask over 50 robustness masks was slower
-# at sigma 4 and 5 (passes of 0.39-0.79 M) and faster from sigma 6 (0.66-
-# 1.06 M) up, by about a fifth at sigma 8 (0.99-1.73 M). The pipeline's
-# soften (sigma 2.5, under 0.3 M) stays on one thread.
-SPLIT_WORK = 800_000
-
-_helper: futures.ThreadPoolExecutor | None = None
-_helper_lock = threading.Lock()
-
-
-def _blur_helper() -> futures.ThreadPoolExecutor:
-    """The one-thread executor that runs half of a split pass, made on first use."""
-    global _helper
-    with _helper_lock:
-        if _helper is None:
-            _helper = futures.ThreadPoolExecutor(1, thread_name_prefix="swarmtrack-blur")
-        return _helper
-
-
-def _forget_blur_helper() -> None:
-    """In a forked child the parent's worker thread is gone, and an executor
-    whose worker was idle never starts another: build a new one on use."""
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_blur_helper)
-
-
-def _gaussian_weights(sigma: float, radius: int) -> np.ndarray:
-    """gaussian_filter1d's correlation weights for ``sigma``, bit for bit."""
-    x = np.arange(-radius, radius + 1)
-    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
-    return (phi / phi.sum())[::-1]
-
-
-def _correlate_in_place(values: np.ndarray, weights: np.ndarray, axis: int) -> None:
-    """ndimage.correlate1d(values, weights, axis, output=values).
-
-    A pass of at least SPLIT_WORK element-taps, with more than one usable
-    CPU, splits its lines in two and runs one half on the helper thread;
-    correlate1d releases the GIL, and each line sums the same taps in the
-    same order on either thread, so the bytes do not depend on the split.
-    The caller always waits for the helper before it returns or raises.
-    """
-    from scipy import ndimage  # loaded on first use: only rendering blurs
-
-    if values.size * len(weights) < SPLIT_WORK or usable_cpus() < 2:
-        ndimage.correlate1d(values, weights, axis, output=values)
-        return
-    head, tail = np.array_split(values, 2, axis=1 - axis)
-    done = _blur_helper().submit(ndimage.correlate1d, tail, weights, axis, tail)
-    try:
-        ndimage.correlate1d(head, weights, axis, output=head)
-    finally:
-        futures.wait((done,))
-    done.result()
-
-
 def _blur_support(
     inner: np.ndarray,
     support: Box,
@@ -506,13 +429,10 @@ def _blur_support(
     same order as the full-frame filter: where the box stops short of
     the frame edge its reflect boundary reads only the zero margin, so
     the result is byte-identical to the full-frame one for any finite
-    gain >= 0. Both passes correlate with gaussian_filter1d's weights,
-    built once, in place in one zeroed box array, as ``gaussian_filter``
-    chains them: the first (row-wise) pass on the band of the support's
-    columns only, since every other column is zero in and zero out, then
-    the second over the whole box. A large pass splits its lines (the
-    band's columns, then the box's rows) over two threads with the same
-    bytes (``_correlate_in_place``).
+    gain >= 0. Both passes run in place in one zeroed box array, as
+    ``gaussian_filter`` chains them: the first (row-wise) pass on the
+    band of the support's columns only, since every other column is
+    zero in and zero out, then the second over the whole box.
     """
     if gain is not None and gain.shape != tuple(shape):
         raise ValueError(f"gain field {gain.shape} does not match mask {tuple(shape)}")
@@ -523,13 +443,13 @@ def _blur_support(
         slice(max(s.start - radius, 0), min(s.stop + radius, n)) for s, n in zip(support, shape)
     )
     if sigma > 0:
+        from scipy import ndimage  # loaded on first use: only rendering blurs
         (rows, cols), (r0, c0) = support, (box[0].start, box[1].start)
         out = np.zeros((box[0].stop - r0, box[1].stop - c0))
         band = out[:, cols.start - c0 : cols.stop - c0]
         band[rows.start - r0 : rows.stop - r0] = inner
-        weights = _gaussian_weights(sigma, radius)
-        _correlate_in_place(band, weights, 0)
-        _correlate_in_place(out, weights, 1)
+        ndimage.gaussian_filter1d(band, sigma, axis=0, output=band)
+        ndimage.gaussian_filter1d(out, sigma, axis=1, output=out)
     else:
         out = inner.astype(float)
     # out is this call's own array, so the gain and the clip run in place.

@@ -230,8 +230,9 @@ def sample_bilinear(mask: SoftMask, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     yc = np.fmin(np.maximum(y, 0), h - 1)
     # A clip that moves the position (or a NaN) puts it outside.
     inside = (xc == x) & (yc == y)
-    x0 = np.minimum(np.maximum(np.floor(xc).astype(int), 0), max(w - 2, 0))
-    y0 = np.minimum(np.maximum(np.floor(yc).astype(int), 0), max(h - 2, 0))
+    # xc and yc are >= 0, so the lower index needs only its upper clamp.
+    x0 = np.minimum(np.floor(xc).astype(int), max(w - 2, 0))
+    y0 = np.minimum(np.floor(yc).astype(int), max(h - 2, 0))
     fx = xc - x0
     fy = yc - y0
     rows, cols = mask._ring

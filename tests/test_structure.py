@@ -10,7 +10,10 @@ table is checked by the same rules in the same order.
 Attitude matrices are built only by geometry's memoized builder, and
 their rows as floats come only from that memo; a sensor log's columns are
 interpolated only by fusion's cached frame-array builder, so no caller
-pays for them twice."""
+pays for them twice.
+
+The outline pool in cli's ``track`` is the package's only concurrency: no
+other module imports a thread module, and none registers a fork hook."""
 import ast
 from pathlib import Path
 
@@ -167,3 +170,29 @@ def test_csv_fields_are_parsed_only_by_the_row_reader(module):
         if name in ROW_PARSERS and (module, owner) != ROW_READER
     ]
     assert outside == []
+
+
+THREAD_MODULES = {"threading", "concurrent.futures"}
+
+
+def _imports(path):
+    """Every module an absolute import names, dotted in full: ``from a
+    import b`` names ``a`` and ``a.b``."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out |= {node.module, *(f"{node.module}.{alias.name}" for alias in node.names)}
+    return out
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_only_the_outline_pool_runs_threads(module):
+    threads = _imports(PACKAGE / module) & THREAD_MODULES
+    if module == "cli.py":
+        assert "concurrent.futures" in threads  # the parse sees the pool
+    else:
+        assert threads == set()
+    hooks = [name for name, _, _ in _calls(PACKAGE / module) if str(name).endswith("_at_fork")]
+    assert hooks == []  # os's fork hooks

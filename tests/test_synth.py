@@ -3,9 +3,6 @@ import dataclasses
 import functools
 import hashlib
 import math
-import multiprocessing
-import sys
-import threading
 from importlib import resources
 
 import numpy as np
@@ -448,20 +445,9 @@ def _support_masks(rng):
         yield np.zeros((h, w))
 
 
-@pytest.fixture(params=["split", "unsplit"])
-def blur_split(request, monkeypatch):
-    """Every Gaussian pass split over two threads, or none."""
-    if request.param == "split":
-        monkeypatch.setattr(synth, "SPLIT_WORK", 0)
-        monkeypatch.setattr(synth, "usable_cpus", lambda: 2)
-    else:
-        monkeypatch.setattr(synth, "SPLIT_WORK", math.inf)
-
-
-@pytest.mark.usefixtures("blur_split")
 class TestWindowedBlur:
     """soften and degrade_mask blur only the support, byte for byte as the
-    full-frame filter would, with the passes split over two threads or not."""
+    full-frame filter would."""
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0, 2.5, 8.0, 13.7])
     @pytest.mark.parametrize("with_gain", [False, True])
@@ -530,10 +516,9 @@ def _thin_supports():
     yield (1, 1), (slice(0, 1), slice(0, 1))
 
 
-@pytest.mark.usefixtures("blur_split")
 class TestOneBufferBlur:
     """_blur_support's in-place passes give the two-array version's box
-    and values byte for byte, with the passes split over two threads or not."""
+    and values byte for byte."""
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0, 1.5, 2.5, 4.0, 8.0])
     @pytest.mark.parametrize("with_gain", [False, True])
@@ -562,85 +547,6 @@ class TestOneBufferBlur:
             assert got.box == want.box
             assert got.inner.tobytes() == want.inner.tobytes()
             assert frame_values(got).tobytes() == _full_frame(values, sigma, gain).tobytes()
-
-
-def _blob(rng, shape=(120, 160)):
-    """A soft mask with a random interior well inside the frame."""
-    values = np.zeros(shape)
-    values[40:80, 50:110] = rng.uniform(0.05, 1.0, (40, 60))
-    return soft_mask(values)
-
-
-class TestBlurHelper:
-    """The helper thread of a split pass: made only when a pass splits,
-    remade in a forked child, shared safely by threads that blur at once."""
-
-    def test_one_cpu_starts_no_helper_thread(self, monkeypatch):
-        monkeypatch.setattr(synth, "SPLIT_WORK", 0)
-        monkeypatch.setattr(synth, "usable_cpus", lambda: 1)
-        monkeypatch.setattr(synth, "_helper", None)
-        before = set(threading.enumerate())
-        rng = np.random.default_rng(30)
-        for values in _support_masks(rng):
-            degrade_mask(soft_mask(values), blur_sigma=8.0)
-        assert synth._helper is None
-        assert set(threading.enumerate()) == before
-        # The same blurs with two CPUs do start it.
-        monkeypatch.setattr(synth, "usable_cpus", lambda: 2)
-        degrade_mask(_blob(rng), blur_sigma=8.0)
-        assert synth._helper is not None
-        synth._helper.shutdown()
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(), reason="no fork here"
-    )
-    def test_forked_child_blurs_after_its_parent(self, monkeypatch):
-        monkeypatch.setattr(synth, "SPLIT_WORK", 0)
-        monkeypatch.setattr(synth, "usable_cpus", lambda: 2)
-        mask = _blob(np.random.default_rng(31))
-        # The parent's blur leaves its helper's worker idle; the child
-        # inherits the executor but not the thread.
-        want = degrade_mask(mask, blur_sigma=8.0).inner.tobytes()
-
-        def child():
-            sys.exit(0 if degrade_mask(mask, blur_sigma=8.0).inner.tobytes() == want else 3)
-
-        proc = multiprocessing.get_context("fork").Process(target=child)
-        proc.start()
-        proc.join(timeout=30)
-        hung = proc.is_alive()
-        if hung:
-            proc.kill()
-            proc.join()
-        assert not hung
-        assert proc.exitcode == 0
-
-    def test_two_callers_at_once_get_the_one_thread_bytes(self, monkeypatch):
-        rng = np.random.default_rng(32)
-        masks = [_blob(rng), _blob(rng, (150, 130))]
-        gain = [rng.uniform(0.2, 3.0, m.shape) for m in masks]
-        want = [degrade_mask(m, 8.0, g).inner.tobytes() for m, g in zip(masks, gain)]
-        monkeypatch.setattr(synth, "SPLIT_WORK", 0)
-        monkeypatch.setattr(synth, "usable_cpus", lambda: 2)
-        wrong = []
-
-        def caller(i):
-            for _ in range(40):
-                if degrade_mask(masks[i], 8.0, gain[i]).inner.tobytes() != want[i]:
-                    wrong.append(i)
-
-        callers = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in callers)
-        assert wrong == []
 
 
 class TestMarkerRuns:
