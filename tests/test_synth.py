@@ -549,6 +549,48 @@ class TestOneBufferBlur:
             assert frame_values(got).tobytes() == _full_frame(values, sigma, gain).tobytes()
 
 
+FRAME_H, FRAME_W = 360, 640  # the bundled scenarios' frame
+FRAME_SUPPORTS = {
+    # a swarm-sized blob well inside, one in the top-left corner, the whole frame
+    "inside": (slice(150, 210), slice(290, 370)),
+    "corner": (slice(0, 50), slice(0, 70)),
+    "whole": (slice(0, FRAME_H), slice(0, FRAME_W)),
+}
+
+
+def _frame_values(where, rng):
+    values = np.zeros((FRAME_H, FRAME_W))
+    support = FRAME_SUPPORTS[where]
+    values[support] = rng.uniform(0.05, 1.0, values[support].shape)
+    return values
+
+
+class TestBlurAtFrameSize:
+    """The in-place passes at the bundled scenarios' frame size, on the
+    robustness study's blur levels with its gain field, give the full-frame
+    filter's bytes: the passes run over hundreds of rows and columns, up to
+    the whole frame, not the few dozen of the small-frame oracles."""
+
+    @pytest.mark.parametrize("where", sorted(FRAME_SUPPORTS))
+    @pytest.mark.parametrize("sigma", [1.0, 2.5, 4.0, 8.0, 13.7])
+    @pytest.mark.parametrize("with_gain", [False, True])
+    def test_degrade_matches_full_frame(self, where, sigma, with_gain):
+        rng = np.random.default_rng(int(sigma * 10) + 300 * with_gain)
+        values = _frame_values(where, rng)
+        gain = None
+        if with_gain:
+            gain = make_gain_field(FRAME_W, FRAME_H, 1.0, 150.0, np.random.default_rng(0))
+        out = degrade_mask(soft_mask(values), blur_sigma=sigma, gain=gain)
+        assert frame_values(out).tobytes() == _full_frame(values, sigma, gain).tobytes()
+
+    @pytest.mark.parametrize("where", sorted(FRAME_SUPPORTS))
+    @pytest.mark.parametrize("sigma", [1.0, 2.5, 8.0])
+    def test_soften_matches_full_frame(self, where, sigma):
+        binary = _frame_values(where, np.random.default_rng(int(sigma * 10))) > 0.5
+        soft = soften(binary, sigma, nonzero_box(binary))
+        assert frame_values(soft).tobytes() == _full_frame(binary, sigma).tobytes()
+
+
 class TestMarkerRuns:
     def test_all_markers_sighted_in_bounds(self):
         run = generate_marker_run(seed=0)
