@@ -57,6 +57,8 @@ def _read_config(cls, path):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise UsageError(f"cannot read config: {e}") from None
+    except UnicodeDecodeError as e:  # names the byte and its offset
+        raise UsageError(f"cannot read config {path}: {e}") from None
     try:
         return io_formats.config_from_json(cls, text)
     except FormatError as e:
@@ -465,8 +467,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         )
         synth.write_scenario(config, scenario_dir)
         run_cfg = {
-            "fps": 15.0,
-            "focal_px": 350.0,
+            "fps": config.fps,
+            "focal_px": config.focal_px,
             "tracker": {"n_particles": 500, "seed": 0},
         }
         cfg_path = root / "run.json"

@@ -48,10 +48,10 @@ passed and are handed out read-only. Kept on the log, they are freed
 with it. When the frame times equal the log's first n_frames
 timestamps element for element (a log of one record per frame stamped
 t0 + k/fps, as every simulated log and its CSV round trip is), the
-frame arrays are the log's own rows: ``np.interp`` at x == xp[j]
-returns fp[j], so interpolating would change no bit. An unwrap whose
-radian steps all stay below pi in magnitude corrects nothing, so it
-only turns -0.0 into +0.0 after the first row and skips
+frame GPS and velocity are slices of the log's columns: ``np.interp``
+at x == xp[j] returns fp[j], so interpolating would change no bit. An
+unwrap whose radian steps all stay below pi in magnitude corrects
+nothing, so it only turns -0.0 into +0.0 after the first row and skips
 ``np.unwrap``; a step of pi or more still goes through ``np.unwrap``.
 """
 
@@ -184,14 +184,14 @@ def _frame_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Interpolate the log's columns onto frame timestamps k/fps.
 
-    Returns read-only ``(frame_t (n,), z (n, 6) = [gps; vel], angles
-    (n, 3) = [pitch, yaw, roll])``. Frames run from the first log
-    timestamp up to the last (or ``n_frames`` if given, which must be
-    >= 1 and stay within the log's time span). Attitude angles are
-    unwrapped before interpolation so a 359 -> 1 deg yaw step does not
-    sweep through 180, and the frame-rate angles are unwrapped again
-    (frames sparser than the log can still step past 180 deg). Frame
-    times equal to the log's own timestamps take its rows as they are.
+    Returns read-only ``(gps, vel, angles)``, each (n, 3); angles are
+    [pitch, yaw, roll]. Frames run from the first log timestamp up to
+    the last (or ``n_frames`` if given, which must be >= 1 and stay
+    within the log's time span). Attitude angles are unwrapped before
+    interpolation so a 359 -> 1 deg yaw step does not sweep through
+    180, and the frame-rate angles are unwrapped again (frames sparser
+    than the log can still step past 180 deg). At frame times equal to
+    the log's own timestamps, ``gps`` and ``vel`` slice its columns.
 
     The log keeps the arrays of its last ``(fps, n_frames)``, stored
     only once every check has passed, and a call with that pair returns
@@ -225,14 +225,16 @@ def _frame_arrays(
     att = _unwrap_deg(log.att)
     if n_frames <= len(t) and np.array_equal(frame_t, t[:n_frames]):
         # np.interp at x == xp[j] returns fp[j]: the log's own rows.
-        interp = np.hstack([log.gps[:n_frames], log.vel[:n_frames], att[:n_frames]])
+        gps, vel, att = log.gps[:n_frames], log.vel[:n_frames], att[:n_frames]
     else:
         columns = (*log.gps.T, *log.vel.T, *att.T)
         interp = np.stack([np.interp(frame_t, t, c) for c in columns], axis=1)
-    angles = _unwrap_deg(interp[:, 6:])
-    for a in (frame_t, interp, angles):
-        a.flags.writeable = False
-    arrays = (frame_t.view(), interp[:, :6], angles.view())
+        interp.flags.writeable = False
+        gps, vel, att = np.hsplit(interp, 3)
+    angles = _unwrap_deg(att)
+    angles.flags.writeable = False
+    # Each a view of a read-only base, which cannot be made writeable again.
+    arrays = (gps, vel, angles.view())
     log._frames = (key, arrays)
     return arrays
 
@@ -370,16 +372,14 @@ def fuse_log(
     smoothed) log. The three axes share one 2x2 covariance and gain
     sequence (see the module docstring).
     """
-    _, z, angles = _frame_arrays(log, fps, n_frames)
+    gps, vel, angles = _frame_arrays(log, fps, n_frames)
     angles = _smooth_angles(angles, orientation_alpha)
     dt = 1.0 / fps
-    gains = _axis_gains(len(z), dt, noise)
+    gains = _axis_gains(len(gps), dt, noise)
     # Mean recursion of each axis with the shared gains: predict
     # [x; v] -> [x + dt v; v], then add K times the innovation.
-    columns = z.T.tolist()
     pos, last_vel = [], []
-    for axis in range(3):
-        zx, zv = columns[axis], columns[axis + 3]
+    for zx, zv in zip(gps.T.tolist(), vel.T.tolist()):
         x, v = zx[0], zv[0]
         xs = [x]
         for (k00, k01, k10, k11), mx, mv in zip(gains, zx[1:], zv[1:]):
@@ -401,21 +401,20 @@ def gps_only_poses(
     log: SensorLog, fps: float, n_frames: int | None = None
 ) -> Poses:
     """Raw GPS positions per frame, attitude passed through. Baseline."""
-    _, z, angles = _frame_arrays(log, fps, n_frames)
-    return _poses(z[:, :3], angles)
+    gps, _, angles = _frame_arrays(log, fps, n_frames)
+    return _poses(gps, angles)
 
 
 def dead_reckoning_poses(
     log: SensorLog, fps: float, n_frames: int | None = None
 ) -> Poses:
     """IMU-only baseline: first GPS fix plus integrated velocity."""
-    _, z, angles = _frame_arrays(log, fps, n_frames)
+    gps, vel, angles = _frame_arrays(log, fps, n_frames)
     dt = 1.0 / fps
-    vel = z[:, 3:]
     # Trapezoidal velocity integration between consecutive frames,
     # accumulated in frame order from the first fix.
     steps = 0.5 * (vel[:-1] + vel[1:]) * dt
-    pos = np.cumsum(np.vstack([z[:1, :3], steps]), axis=0)
+    pos = np.cumsum(np.vstack([gps[:1], steps]), axis=0)
     return _poses(pos, angles)
 
 

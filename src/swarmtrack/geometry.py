@@ -32,16 +32,16 @@ A pose sequence (one pose per video frame) is a ``Poses``: one
 read-only (n, 6) array checked finite once. ``CameraPose`` is the
 scalar form of one row, built only when a caller indexes or iterates.
 
-Attitude matrices are built once per attitude: ``rotation_camera_to_world``
-keeps the last two it built, keyed on the exact float64 bits of (roll,
-pitch, yaw), so a run of poses at one attitude (a marker survey's fixed
-gimbal) and the consecutive pose pairs of ``motion_between_poses`` reuse
-them. The matrix is a pure function of those bits, so a reused one is
-the one a rebuild would give, bit for bit; ``functools.lru_cache`` keeps
-the memo consistent across threads. Callers get a read-only view whose
-base is read-only too, so no caller can change a kept matrix. A sibling
-memo on the same key hands out the matrix's rows as tuples of Python
-floats, for ``backproject_pixels`` to use without numpy scalar indexing.
+Attitude matrices are built once per attitude: ``_attitude_rows`` keeps
+the camera-to-world rows of the last two attitudes as tuples of Python
+floats, keyed on the exact float64 bits of (roll, pitch, yaw), so a run
+of poses at one attitude (a marker survey's fixed gimbal) and the
+consecutive pose pairs of ``motion_between_poses`` reuse them. The rows
+are a pure function of those bits, so reused rows are the ones a
+rebuild would give, bit for bit; ``functools.lru_cache`` keeps the memo
+consistent across threads. ``rotation_camera_to_world`` returns a new
+array of them on each call and ``backproject_pixels`` reads them as
+floats, so no caller can reach the kept rows.
 """
 
 from __future__ import annotations
@@ -229,11 +229,11 @@ _ATTITUDE = struct.Struct("3d")
 
 
 @lru_cache(maxsize=2)
-def _attitude_matrix(key: bytes) -> np.ndarray:
-    """Read-only camera-to-world matrix of the attitude packed in ``key``.
+def _attitude_rows(key: bytes) -> tuple[tuple[float, float, float], ...]:
+    """Camera-to-world rows of the attitude packed in ``key``, as Python floats.
 
     Two entries: ``motion_between_poses`` over a sequence needs the
-    previous frame's matrix and this one's.
+    previous frame's rows and this one's.
     """
     roll, pitch, yaw = _ATTITUDE.unpack(key)
     # Compass yaw is clockwise from above, hence the sign flip on Rz.
@@ -242,23 +242,12 @@ def _attitude_matrix(key: bytes) -> np.ndarray:
         @ _rot_y(math.radians(pitch))
         @ _rot_z(-math.radians(yaw))
     )
-    m = att @ _NADIR_AXES
-    m.flags.writeable = False
-    return m
-
-
-@lru_cache(maxsize=2)
-def _attitude_rows(key: bytes) -> tuple[tuple[float, float, float], ...]:
-    """The rows of ``_attitude_matrix(key)`` as Python floats."""
-    return tuple(map(tuple, _attitude_matrix(key).tolist()))
+    return tuple(map(tuple, (att @ _NADIR_AXES).tolist()))
 
 
 def rotation_camera_to_world(pose: CameraPose) -> np.ndarray:
-    """3x3 matrix taking camera-frame vectors to world-frame vectors.
-
-    A read-only view of the memoized matrix (see the module docstring).
-    """
-    return _attitude_matrix(_ATTITUDE.pack(pose.roll, pose.pitch, pose.yaw)).view()
+    """3x3 matrix taking camera-frame vectors to world-frame vectors."""
+    return np.array(_attitude_rows(_ATTITUDE.pack(pose.roll, pose.pitch, pose.yaw)))
 
 
 def rotation_world_to_camera(pose: CameraPose) -> np.ndarray:
@@ -275,7 +264,7 @@ def project_points(points: np.ndarray, pose: CameraPose, intr: Intrinsics) -> np
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) array, got shape {pts.shape}")
-    cam = (pts - pose.position) @ rotation_world_to_camera(pose).T
+    cam = (pts - pose.position) @ rotation_camera_to_world(pose)
     depth = cam[:, 2]
     if np.any(depth == 0.0):
         raise GeometryError("point at zero depth has no projection")

@@ -101,13 +101,17 @@ def _read_table(path: Path, header: str, empty: str, n_numbers: int):
     the integer in the first column, the n_numbers finite floats after it
     and the text of the other columns. Every table is read by this one
     codec, and each reader checks its own rules per row, so a file reports
-    its first fault. Lines end with LF alone (the file is read without
+    its first fault. It must be UTF-8, with lines ending in LF alone (no
     newline translation); a file with no data row fails with ``empty``."""
     try:
-        with path.open(encoding="utf-8", newline="") as f:
-            text = f.read()
+        raw = path.read_bytes()
     except FileNotFoundError:
         raise FormatError(f"{path}: no such file") from None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line_no = raw.count(b"\n", 0, e.start) + 1
+        raise FormatError(f"{path}:{line_no}: not UTF-8 (byte 0x{raw[e.start]:02x})") from None
     if "\r" in text:
         line_no = text.count("\n", 0, text.index("\r")) + 1
         raise FormatError(f"{path}:{line_no}: carriage return; lines must end with LF alone")
@@ -479,7 +483,7 @@ def config_from_json(cls, text: str):
     """Parse a config document and load it as cls (see load)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested
         raise FormatError(f"config is not valid JSON: {e}") from None
     return load(cls, doc)
 

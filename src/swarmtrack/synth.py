@@ -41,7 +41,7 @@ import numpy as np
 from . import io_formats
 from .fusion import NoiseConfig, SensorLog
 from .geometry import CameraPose, Intrinsics, Poses, backproject_pixels
-from .geometry import project_points, rotation_world_to_camera
+from .geometry import project_points, rotation_camera_to_world
 from .shapes import BinaryMask
 from .tracker import Box, SoftMask
 
@@ -51,6 +51,15 @@ class ScenarioError(ValueError):
 
 
 MAX_DRONE_SPEED = 20.0  # m/s, Phantom-class kinematics
+
+
+def _check_waypoints(waypoints: tuple[tuple[float, float], ...]) -> None:
+    """Raise ScenarioError unless there is at least one finite (x, y) waypoint."""
+    if len(waypoints) < 1:
+        raise ScenarioError("waypoints: need at least one waypoint")
+    for wp in waypoints:
+        if len(wp) != 2 or not all(math.isfinite(c) for c in wp):
+            raise ScenarioError(f"waypoints: bad waypoint {wp!r}")
 
 
 @dataclass(frozen=True)
@@ -72,11 +81,7 @@ class DronePathConfig:
     camera_roll_deg: float = 0.0
 
     def __post_init__(self) -> None:
-        if len(self.waypoints) < 1:
-            raise ScenarioError("waypoints: need at least one waypoint")
-        for wp in self.waypoints:
-            if len(wp) != 2 or not all(math.isfinite(c) for c in wp):
-                raise ScenarioError(f"waypoints: bad waypoint {wp!r}")
+        _check_waypoints(self.waypoints)
         if not (math.isfinite(self.altitude) and self.altitude > 0):
             raise ScenarioError(f"altitude: must be > 0, got {self.altitude!r}")
         if not (math.isfinite(self.speed) and 0 < self.speed <= MAX_DRONE_SPEED):
@@ -102,11 +107,7 @@ class SwarmPathConfig:
     speed: float = 1.0
 
     def __post_init__(self) -> None:
-        if len(self.waypoints) < 1:
-            raise ScenarioError("waypoints: need at least one waypoint")
-        for wp in self.waypoints:
-            if len(wp) != 2 or not all(math.isfinite(c) for c in wp):
-                raise ScenarioError(f"waypoints: bad waypoint {wp!r}")
+        _check_waypoints(self.waypoints)
         if not (math.isfinite(self.speed) and self.speed >= 0):
             raise ScenarioError(f"speed: must be >= 0, got {self.speed!r}")
 
@@ -797,7 +798,7 @@ def generate_marker_run(seed: int, width: int = 960, height: int = 540) -> Marke
     offsets = np.empty((duration, n_markers, 3))
     for k in range(3):
         np.subtract(markers[:, k], positions[:, k, None], out=offsets[:, :, k])
-    cam = offsets @ rotation_world_to_camera(poses[0]).T
+    cam = offsets @ rotation_camera_to_world(poses[0])
     # Freed here, as the broadcast's temporary was: kept to the end of the
     # call, the 194 KB block shifts the heap so that, depending on the
     # process's earlier allocations, glibc trims and re-faults its top

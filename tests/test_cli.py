@@ -131,6 +131,30 @@ class TestSimulate:
         assert not out.exists()
 
 
+# Config files that are not UTF-8, or that nest deeper than the JSON parser
+# recurses: each is a usage error.
+BAD_CONFIGS = {
+    "non-utf8": (b'{"seed": 3,\n "\xff": 1}\n', "can't decode byte 0xff in position 14"),
+    "deep-nesting": (b"[" * 200_000, "error: config is not valid JSON:"),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "track"])
+@pytest.mark.parametrize("bad", sorted(BAD_CONFIGS))
+def test_a_bad_config_file_exits_2_with_one_error_line(tmp_path, run_cli, command, bad):
+    content, message = BAD_CONFIGS[bad]
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(content)
+    out = tmp_path / "o"
+    inputs = ("--masks", tmp_path, "--sensors", tmp_path / "s.csv") if command == "track" else ()
+    code, _, err = run_cli(command, *inputs, "--config", cfg, "--out", out)
+    assert code == 2 and len(err.splitlines()) == 1, err
+    assert err.startswith("error:") and message in err
+    if bad == "non-utf8":
+        assert str(cfg) in err
+    assert not out.exists()
+
+
 class TestFuse:
     def test_writes_one_pose_per_frame(self, scenario_dir, tmp_path):
         out = tmp_path / "fused"
@@ -448,9 +472,12 @@ def _break_input(fault: str, masks: Path, sensors: Path, tmp: Path) -> Path:
         rows[10], rows[11] = rows[11], rows[10]
     elif fault == "half-log":
         rows = rows[: len(rows) // 2]
-    if fault in ("nan-gps", "swapped-rows", "half-log"):
+    elif fault == "non-utf8-log":
+        rows[20] = rows[20].replace(",", ",\udcff", 1)  # byte 0xff on line 22
+    if fault in ("nan-gps", "swapped-rows", "half-log", "non-utf8-log"):
         sensors = tmp / "sensors.csv"
-        sensors.write_text("\n".join([header, *rows]) + "\n")
+        text = "\n".join([header, *rows]) + "\n"
+        sensors.write_bytes(text.encode("utf-8", "surrogateescape"))
     return sensors
 
 
@@ -479,6 +506,7 @@ class TestTrackFaults:
             ("nan-gps", "sensors.csv:22: column 'gps_x_m': non-finite value"),
             ("swapped-rows", "sensors.csv:13: time"),
             ("half-log", "40 frames at 15.0 fps need 2.600s of log but it ends at 1.267s"),
+            ("non-utf8-log", "sensors.csv:22: not UTF-8 (byte 0xff)"),
         ],
     )
     def test_exits_1_with_one_error_line_and_no_output(

@@ -789,13 +789,11 @@ def parent_pose_arrays(log, noise, fps, n_frames):
     """(fused, GPS-only, dead reckoning) (n, 6) arrays as fuse_log and the
     baselines computed them before a log kept its frame arrays: every call
     interpolates the log and unwraps the frame-rate attitude itself."""
-    _, z, angles = interpolated_frame_arrays(log, fps, n_frames)
+    gps, vel, angles = interpolated_frame_arrays(log, fps, n_frames)
     dt = 1.0 / fps
-    gains = _axis_gains(len(z), dt, noise)
-    columns = z.T.tolist()
+    gains = _axis_gains(len(gps), dt, noise)
     pos = []
-    for axis in range(3):
-        zx, zv = columns[axis], columns[axis + 3]
+    for zx, zv in zip(gps.T.tolist(), vel.T.tolist()):
         x, v = zx[0], zv[0]
         xs = [x]
         for (k00, k01, k10, k11), mx, mv in zip(gains, zx[1:], zv[1:]):
@@ -804,11 +802,10 @@ def parent_pose_arrays(log, noise, fps, n_frames):
             x, v = x + (k00 * ix + k01 * iv), v + (k10 * ix + k11 * iv)
             xs.append(x)
         pos.append(xs)
-    vel = z[:, 3:]
     steps = 0.5 * (vel[:-1] + vel[1:]) * dt
-    reckoned = np.cumsum(np.vstack([z[:1, :3], steps]), axis=0)
+    reckoned = np.cumsum(np.vstack([gps[:1], steps]), axis=0)
     return tuple(
-        np.hstack([p, angles]) for p in (np.array(pos).T, z[:, :3], reckoned)
+        np.hstack([p, angles]) for p in (np.array(pos).T, gps, reckoned)
     )
 
 
@@ -897,10 +894,11 @@ class TestUnwrapDeg:
 
 
 def interpolated_frame_arrays(log, fps, n_frames):
-    """What ``_frame_arrays`` returned before it knew frame-aligned logs:
-    nine np.interp calls onto the frame times, then the frame-rate unwrap."""
-    frame_t, cols = frame_columns(log, fps, n_frames)
-    return frame_t, cols[:, :6], unwrap_deg(cols[:, 6:])
+    """(gps, vel, angles) as ``_frame_arrays`` gave them before it knew
+    frame-aligned logs: nine np.interp calls onto the frame times, then
+    the frame-rate unwrap."""
+    _, cols = frame_columns(log, fps, n_frames)
+    return cols[:, :3], cols[:, 3:6], unwrap_deg(cols[:, 6:])
 
 
 def frame_log(rng, n, fps, t0=0.0):
@@ -921,6 +919,7 @@ class TestFrameAlignedArrays:
         got = _frame_arrays(copy_of(log), fps, n_frames)
         assert len(count_interp) == (0 if aligned else 9)
         want = interpolated_frame_arrays(log, fps, n_frames)
+        assert len(got) == len(want) == 3
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
@@ -969,7 +968,7 @@ class TestFrameAlignedArrays:
         log = SensorLog(np.arange(n), t, gps, np.zeros((n, 3)), att)
         self.check(log, fps, None, count_interp)
         got = _frame_arrays(copy_of(log), fps, None)
-        assert np.signbit(got[1][::2, 0]).all()
+        assert np.signbit(got[0][::2, 0]).all()
         # A first stamp of -0.0 gives a frame time of +0.0, equal to it.
         t[0] = -0.0
         self.check(SensorLog(np.arange(n), t, gps, gps, att), fps, None, count_interp)
@@ -1074,6 +1073,16 @@ class TestFrameArrayCache:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a.flags.writeable = True
+
+    def test_a_frame_aligned_log_keeps_slices_of_its_own_columns(self):
+        run = generate_marker_run(1)
+        log = copy_of(run.sensor_log)
+        gps, vel, _ = _frame_arrays(log, run.config.fps, None)
+        assert np.shares_memory(gps, log.gps) and np.shares_memory(vel, log.vel)
+        assert log._frames[1][0] is gps
+        late = late_copy_of(run.sensor_log)
+        gps, vel, _ = _frame_arrays(late, run.config.fps, None)
+        assert not np.shares_memory(gps, late.gps) and not np.shares_memory(vel, late.vel)
 
     def test_equality_ignores_the_kept_arrays(self):
         run = generate_marker_run(1)

@@ -484,9 +484,9 @@ def attitudes():
 
 
 class TestAttitudeMemo:
-    """rotation_camera_to_world keeps its last two matrices, keyed on the
+    """_attitude_rows keeps the rows of its last two attitudes, keyed on the
     exact bits of (roll, pitch, yaw): a kept one is the one a rebuild
-    gives, and callers cannot change it."""
+    gives, and every matrix handed out is a new array."""
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_equals_the_uncached_product(self, stride):
@@ -501,27 +501,28 @@ class TestAttitudeMemo:
             assert rotation_world_to_camera(pose).tobytes() == want.T.tobytes()
 
     def test_signed_zeros_are_separate_entries(self):
-        geometry._attitude_matrix.cache_clear()
+        geometry._attitude_rows.cache_clear()
         for yaw in (0.0, -0.0, 0.0, -0.0):
             rotation_camera_to_world(CameraPose(0.0, 0.0, 10.0, yaw=yaw))
-        info = geometry._attitude_matrix.cache_info()
+        info = geometry._attitude_rows.cache_info()
         assert (info.misses, info.hits, info.maxsize) == (2, 2, 2)
 
     def test_integer_and_float_attitudes_share_an_entry(self):
-        geometry._attitude_matrix.cache_clear()
+        geometry._attitude_rows.cache_clear()
         a = rotation_camera_to_world(CameraPose(0, 0, 10, pitch=3, yaw=90, roll=-1))
         b = rotation_camera_to_world(CameraPose(0.0, 0.0, 10.0, pitch=3.0, yaw=90.0, roll=-1.0))
         assert a.tobytes() == b.tobytes() == uncached_rotation(-1.0, 3.0, 90.0).tobytes()
-        assert geometry._attitude_matrix.cache_info().misses == 1
+        assert geometry._attitude_rows.cache_info().misses == 1
 
-    def test_matrices_cannot_be_made_writeable(self):
+    def test_writing_into_a_matrix_changes_neither_the_memo_nor_the_next_call(self):
         pose = CameraPose(0.0, 0.0, 10.0, pitch=4.0, yaw=33.0, roll=-2.0)
+        want = uncached_rotation(-2.0, 4.0, 33.0)
+        key = geometry._ATTITUDE.pack(-2.0, 4.0, 33.0)
         for m in (rotation_camera_to_world(pose), rotation_world_to_camera(pose)):
-            with pytest.raises(ValueError):
-                m[0, 0] = 5.0
-            with pytest.raises(ValueError):
-                m.flags.writeable = True
-        assert rotation_camera_to_world(pose).tobytes() == uncached_rotation(-2.0, 4.0, 33.0).tobytes()
+            m[...] = 5.0
+            assert geometry._attitude_rows(key) == tuple(map(tuple, want.tolist()))
+            assert rotation_camera_to_world(pose).tobytes() == want.tobytes()
+            assert rotation_world_to_camera(pose).tobytes() == want.T.tobytes()
 
     def test_two_threads_alternating_attitudes_get_their_own_matrices(self):
         pairs = [((1.0, 2.0, 3.0), (-4.0, 5.0, 181.0)), ((0.0, -0.0, 90.0), (7.0, -8.0, -359.0))]

@@ -191,16 +191,32 @@ def _two_faults(path, bad_field):
     path.write_text("\n".join([header, ",".join(fields), second, *rest]) + "\n")
 
 
+def _table_files(tmp_path):
+    """A sensor log, a pose table and a trajectory, each of a few rows."""
+    sensors, poses, traj = (tmp_path / n for n in ("s.csv", "p.csv", "t.csv"))
+    write_sensor_log(sample_log(), sensors)
+    write_poses(poses_of([CameraPose(0, 0, 10)] * 3), 10.0, poses)
+    write_trajectory([0, 1, 2], np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(3), traj)
+    return sensors, poses, traj
+
+
+@pytest.mark.parametrize("reader, index", [
+    (read_sensor_log, 0), (read_poses, 1), (read_trajectory, 2),
+], ids=["sensors", "poses", "trajectory"])
+@pytest.mark.parametrize("byte", [0xFF, 0xE9])
+def test_a_byte_that_is_not_utf8_names_the_file_and_line(tmp_path, reader, index, byte):
+    path = _table_files(tmp_path)[index]
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b",", b"," + bytes([byte]), 1)
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(FormatError) as err:
+        reader(path)
+    assert str(err.value) == f"{path}:3: not UTF-8 (byte 0x{byte:02x})"
+
+
 class TestFirstFaultInFileOrder:
     """A file with two faults reports the one on the earlier line, whichever
     check finds each."""
-
-    def _files(self, tmp_path):
-        sensors, poses, traj = (tmp_path / n for n in ("s.csv", "p.csv", "t.csv"))
-        write_sensor_log(sample_log(), sensors)
-        write_poses(poses_of([CameraPose(0, 0, 10)] * 3), 10.0, poses)
-        write_trajectory([0, 1, 2], np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(3), traj)
-        return sensors, poses, traj
 
     @pytest.mark.parametrize("reader, index, column", [
         (read_sensor_log, 0, "vx_mps"),
@@ -208,7 +224,7 @@ class TestFirstFaultInFileOrder:
         (read_trajectory, 2, "world_x_m"),
     ], ids=["sensors", "poses", "trajectory"])
     def test_bad_number_before_short_row(self, tmp_path, reader, index, column):
-        path = self._files(tmp_path)[index]
+        path = _table_files(tmp_path)[index]
         bad_field = path.read_text().splitlines()[0].split(",").index(column)
         _two_faults(path, bad_field)
         with pytest.raises(FormatError) as err:
@@ -216,7 +232,7 @@ class TestFirstFaultInFileOrder:
         assert str(err.value) == f"{path}:2: column {column!r}: not a number: 'x'"
 
     def test_reader_rule_before_short_row(self, tmp_path):
-        path = self._files(tmp_path)[2]
+        path = _table_files(tmp_path)[2]
         _two_faults(path, 0)
         path.write_text(path.read_text().replace("\nx,", "\n-1,"))
         with pytest.raises(FormatError) as err:
@@ -226,7 +242,7 @@ class TestFirstFaultInFileOrder:
     def test_number_before_reader_rule_in_one_row(self, tmp_path):
         # The codec parses a row's numbers before the reader checks its
         # frame, so a row with both faults reports the number.
-        path = self._files(tmp_path)[2]
+        path = _table_files(tmp_path)[2]
         _two_faults(path, 1)
         path.write_text(path.read_text().replace("\n0,x,", "\n-1,x,"))
         with pytest.raises(FormatError) as err:

@@ -7,8 +7,8 @@ its box, ``SoftMask(inner, box, shape)``, and reads ``box`` and ``inner``.
 Only io_formats' row reader parses the fields of a CSV table, so every
 table is checked by the same rules in the same order.
 
-Attitude matrices are built only by geometry's memoized builder, and
-their rows as floats come only from that memo; a sensor log's columns are
+Attitudes are turned into rotation rows only by geometry's one memo, which
+keeps plain floats that no caller can reach; a sensor log's columns are
 interpolated only by fusion's cached frame-array builder, so no caller
 pays for them twice.
 
@@ -56,7 +56,6 @@ def test_no_other_module_names_the_mask_storage(module):
 # Work that is done once and kept: each name may only be called inside its
 # memoized builder, module -> function.
 ROTATIONS = {"_rot_x", "_rot_y", "_rot_z"}
-ATTITUDE_BUILDER = ("geometry.py", "_attitude_matrix")
 ATTITUDE_ROWS = ("geometry.py", "_attitude_rows")
 # What building an attitude takes: its key's angles, in radians, and their trig.
 ATTITUDE_WORK = ROTATIONS | {"unpack", "radians", "cos", "sin"}
@@ -65,17 +64,24 @@ FRAME_BUILDER = ("fusion.py", "_frame_arrays")
 LOG_NAMES = {"gps", "vel", "att", "sensor_log"}
 
 
+def _nodes(path):
+    """(enclosing top-level function or class or None, node) of every node
+    in a module."""
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            yield owner, node
+
+
 def _calls(path):
     """(called name, enclosing top-level function or None, call node) of
     every call in a module."""
     out = []
-    for top in ast.parse(path.read_text(encoding="utf-8")).body:
-        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call):
-                f = node.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                out.append((name, owner, node))
+    for owner, node in _nodes(path):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            out.append((name, owner, node))
     return out
 
 
@@ -89,41 +95,42 @@ def _mentions_log(call):
 
 
 def test_the_parse_sees_the_builders():
-    geometry = _calls(PACKAGE / ATTITUDE_BUILDER[0])
-    assert {name for name, owner, _ in geometry if owner == ATTITUDE_BUILDER[1]} >= ROTATIONS | {
-        "unpack", "radians"
+    geometry = _calls(PACKAGE / ATTITUDE_ROWS[0])
+    assert {name for name, owner, _ in geometry if owner == ATTITUDE_ROWS[1]} >= ROTATIONS | {
+        "unpack", "radians", "lru_cache"
     }
-    assert ("_attitude_rows", "backproject_pixels") in {(n, o) for n, o, _ in geometry}
+    callers = {owner for name, owner, _ in geometry if name == ATTITUDE_ROWS[1]}
+    assert callers >= {"backproject_pixels", "rotation_camera_to_world"}
     fusion = _calls(PACKAGE / FRAME_BUILDER[0])
     assert ("interp", FRAME_BUILDER[1]) in {(name, owner) for name, owner, _ in fusion}
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
-def test_attitude_matrices_are_built_only_by_the_memo(module):
-    outside = [
-        (name, owner) for name, owner, _ in _calls(PACKAGE / module)
-        if name in ROTATIONS and (module, owner) != ATTITUDE_BUILDER
+def test_attitude_rows_are_the_only_attitude_memo():
+    # Only the memo calls the rotation factors (in any module) and turns an
+    # attitude into trig (module-level constants aside: other modules
+    # convert angles for other reasons); it is geometry's only lru_cache;
+    # and no attitude array needs a writeable flag, since the memo keeps
+    # floats (the flag geometry sets is Poses' own read-only array).
+    rotations = [
+        (module, owner) for module in sorted(p.name for p in PACKAGE.glob("*.py"))
+        for name, owner, _ in _calls(PACKAGE / module)
+        if name in ROTATIONS and (module, owner) != ATTITUDE_ROWS
     ]
-    assert outside == []
-
-
-def test_attitude_rows_come_only_from_the_memo():
-    # The rows are the memoized matrix's, kept in a memo of their own; no
-    # function but the builder turns an attitude into trig (module-level
-    # constants aside: other modules convert angles for other reasons).
-    tree = ast.parse((PACKAGE / ATTITUDE_ROWS[0]).read_text(encoding="utf-8"))
-    rows = next(f for f in tree.body if getattr(f, "name", None) == ATTITUDE_ROWS[1])
-    assert [ast.unparse(d) for d in rows.decorator_list] == ["lru_cache(maxsize=2)"]
+    assert rotations == []
     calls = _calls(PACKAGE / ATTITUDE_ROWS[0])
-    assert {name for name, owner, _ in calls if owner == ATTITUDE_ROWS[1]} == {
-        "lru_cache", "_attitude_matrix", "tolist", "tuple", "map"
-    }
-    outside = [
+    trig = [
         (name, owner) for name, owner, _ in calls
-        if name in ATTITUDE_WORK and owner not in (ATTITUDE_BUILDER[1], None, *ROTATIONS)
+        if name in ATTITUDE_WORK and owner not in (ATTITUDE_ROWS[1], None, *ROTATIONS)
         and (name, owner) != ("sin", "_rotvec")  # half the rotation angle
     ]
-    assert outside == []
+    assert trig == []
+    named = [
+        (owner, node.id if isinstance(node, ast.Name) else node.attr)
+        for owner, node in _nodes(PACKAGE / ATTITUDE_ROWS[0])
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    assert [owner for owner, name in named if name in ("lru_cache", "cache")] == [ATTITUDE_ROWS[1]]
+    assert [owner for owner, name in named if name == "writeable"] == ["Poses"]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))

@@ -645,6 +645,20 @@ class TestConfigValidation:
         with pytest.raises(ScenarioError, match="waypoint"):
             DronePathConfig(waypoints=(), altitude=10.0, speed=1.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda waypoints: DronePathConfig(waypoints=waypoints, altitude=10.0),
+        lambda waypoints: SwarmPathConfig(waypoints=waypoints),
+    ], ids=["drone", "swarm"])
+    @pytest.mark.parametrize("waypoints, message", [
+        ((), "waypoints: need at least one waypoint"),
+        (((0.0, 0.0), (1.0, 2.0, 3.0)), "waypoints: bad waypoint (1.0, 2.0, 3.0)"),
+        (((0.0, math.nan),), "waypoints: bad waypoint (0.0, nan)"),
+    ], ids=["empty", "three-elements", "nan"])
+    def test_waypoint_validation(self, build, waypoints, message):
+        with pytest.raises(ScenarioError) as err:
+            build(waypoints)
+        assert str(err.value) == message
+
     # Every rendered camera is above the ground because of this check.
     @pytest.mark.parametrize("altitude", [0.0, -5.0, math.nan, math.inf])
     def test_altitude_must_be_finite_and_positive(self, altitude):
