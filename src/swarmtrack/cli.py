@@ -298,20 +298,16 @@ def cmd_project(args: argparse.Namespace) -> int:
     return 0
 
 
-def _find_trajectory(directory: Path, names: tuple[str, ...]) -> Path:
+def _find(directory: Path, names: tuple[str, ...], is_dir: bool = False) -> Path | None:
+    """The first of ``names`` in ``directory`` that is a file, or with
+    ``is_dir`` a directory. No file is an error; no directory is None."""
     for name in names:
         p = directory / name
-        if p.is_file():
+        if p.is_dir() if is_dir else p.is_file():
             return p
+    if is_dir:
+        return None
     raise FormatError(f"{directory}: none of {', '.join(names)} found")
-
-
-def _find_mask_dir(directory: Path, names: tuple[str, ...]) -> Path | None:
-    for name in names:
-        p = directory / name
-        if p.is_dir():
-            return p
-    return None
 
 
 def _parse_radii(text: str) -> dict[str, float]:
@@ -341,44 +337,42 @@ def cmd_eval(args: argparse.Namespace) -> int:
     radii = _parse_radii(args.radii)
     if not (math.isfinite(args.radius_scale) and args.radius_scale > 0):
         raise UsageError(f"--radius-scale must be finite and > 0, got {args.radius_scale}")
-    pred_csv = _find_trajectory(pred_dir, ("trajectory.csv", "gt_track.csv"))
-    gt_csv = _find_trajectory(gt_dir, ("gt_track.csv", "trajectory.csv"))
-    pred_track = io_formats.read_trajectory(pred_csv)
-    gt_track = io_formats.read_trajectory(gt_csv)
-    pred_traj = Trajectory2D(
-        {int(f): tuple(uv) for f, uv in zip(pred_track["frame"], pred_track["uv"])}
-    )
-    gt_traj = Trajectory2D(
-        {int(f): tuple(uv) for f, uv in zip(gt_track["frame"], gt_track["uv"])}
-    )
-    common = sorted(set(pred_traj.points) & set(gt_traj.points))
-    if not common:
+    scaled = {key: r * args.radius_scale for key, r in radii.items()}
+    for r, s in zip(radii.values(), scaled.values()):
+        if not (math.isfinite(s) and s > 0):
+            raise UsageError(
+                f"--radius-scale {args.radius_scale} scales radius {r} to {s}, "
+                "not a finite radius > 0"
+            )
+    pred_csv = _find(pred_dir, ("trajectory.csv", "gt_track.csv"))
+    gt_csv = _find(gt_dir, ("gt_track.csv", "trajectory.csv"))
+    pred = io_formats.read_trajectory(pred_csv)
+    gt = io_formats.read_trajectory(gt_csv)
+    # Both frame columns strictly increase: ip and ig are the matched rows.
+    _, ip, ig = np.intersect1d(pred["frame"], gt["frame"], assume_unique=True,
+                               return_indices=True)
+    if not len(ip):
         raise MetricError("no overlapping frames between prediction and ground truth")
-    sdr_scores = {}
-    prev = None
-    monotone = True
-    for key, r in radii.items():
-        value = sdr(pred_traj, gt_traj, r * args.radius_scale)
-        sdr_scores[key] = value
-        if prev is not None and value < prev:
-            monotone = False
-        prev = value
+    pred_traj, gt_traj = (
+        Trajectory2D(dict(zip(t["frame"].tolist(), t["uv"].tolist()))) for t in (pred, gt)
+    )
+    sdr_scores = {key: sdr(pred_traj, gt_traj, r) for key, r in scaled.items()}
     report: dict = {
         "frames": {
-            "common_track": len(common),
-            "lost_pred": int(pred_track["lost"].sum()),
+            "common_track": len(ip),
+            "lost_pred": int(pred["lost"].sum()),
         },
         "sdr": {
             **sdr_scores,
             "radius_scale": args.radius_scale,
-            "monotone": monotone,
+            "monotone": list(sdr_scores.values()) == sorted(sdr_scores.values()),
         },
     }
     # Mask overlap: prediction prefers the tracker's shapes/, ground
     # truth prefers gt_masks/; evaluating a directory against itself
     # therefore compares identical files.
-    pred_masks = _find_mask_dir(pred_dir, ("shapes", "gt_masks", "masks"))
-    gt_masks = _find_mask_dir(gt_dir, ("gt_masks", "shapes", "masks"))
+    pred_masks = _find(pred_dir, ("shapes", "gt_masks", "masks"), is_dir=True)
+    gt_masks = _find(gt_dir, ("gt_masks", "shapes", "masks"), is_dir=True)
     if pred_masks is not None and gt_masks is not None:
         pred_paths = io_formats.mask_sequence_paths(pred_masks)
         gt_paths = io_formats.mask_sequence_paths(gt_masks)
@@ -409,22 +403,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
             },
         }
     # World-frame consistency on frames tracked by both and not lost.
-    pred_world = {
-        int(f): w
-        for f, w, lost in zip(pred_track["frame"], pred_track["world"], pred_track["lost"])
-        if not lost
-    }
-    gt_world = {int(f): w for f, w in zip(gt_track["frame"], gt_track["world"])}
-    world_common = sorted(set(pred_world) & set(gt_world))
-    if len(world_common) >= 2:
+    seen = ~pred["lost"][ip]
+    n_points = int(seen.sum())
+    if n_points >= 2:
         mean_err, std_err = relative_distance_error(
-            np.array([pred_world[f] for f in world_common]),
-            np.array([gt_world[f] for f in world_common]),
+            pred["world"][ip[seen]], gt["world"][ig[seen]]
         )
         report["world"] = {
             "rel_dist_mean_m": mean_err,
             "rel_dist_std_m": std_err,
-            "n_points": len(world_common),
+            "n_points": n_points,
         }
     out = Path(args.out)
     text = io_formats.write_report(report, out)

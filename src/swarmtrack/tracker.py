@@ -74,13 +74,6 @@ class TrackerConfig:
 Box = tuple[slice, slice]
 
 
-def _ring_box(box: Box, shape: tuple[int, int]) -> tuple[Box, Box]:
-    """``box`` grown by one pixel and clamped to ``shape``, and ``box`` inside that."""
-    ring = tuple(slice(max(s.start - 1, 0), min(s.stop + 1, n)) for s, n in zip(box, shape))
-    at = tuple(slice(s.start - r.start, s.stop - r.start) for s, r in zip(box, ring))
-    return ring, at
-
-
 def nonzero_box(values: np.ndarray) -> Box:
     """Smallest (rows, cols) slice pair holding every nonzero of a 2-D array.
 
@@ -95,20 +88,28 @@ def nonzero_box(values: np.ndarray) -> Box:
     return slice(r0, r1), slice(int(cols[0]), int(cols[-1]) + 1)
 
 
+def _is_range(s) -> bool:
+    """A slice with integer bounds and a step of 1 or none."""
+    return (isinstance(s, slice) and s.step in (None, 1)
+            and all(isinstance(v, (int, np.integer)) for v in (s.start, s.stop, s.step or 1)))
+
+
 class SoftMask:
     """Per-pixel swarm presence in [0, 1] on a frame of ``shape`` (height, width).
 
     ``SoftMask(inner, box, shape)`` holds a read-only copy of ``inner``
-    inside ``box``, a (rows, cols) pair of step-1 slices, and exactly 0.0
-    outside it. This class alone builds the stored block: the box grown
-    by a one-pixel ring of zeros and clamped to the frame, so that a
-    bilinear read next to the box finds the full frame's zeros. The range
+    inside ``box``, a (rows, cols) pair of step-1 integer slices, and
+    stands for exactly 0.0 outside it; it stores nothing else. The range
     check reads the box only, with the full frame's message.
     """
 
+    __slots__ = ("inner", "box", "shape")
+
     def __init__(self, inner: np.ndarray, box: Box, shape: tuple[int, int]) -> None:
-        inner = np.asarray(inner, dtype=float)
+        inner = np.array(inner, dtype=float)
         h, w = shape
+        if not (isinstance(box, tuple) and len(box) == 2 and all(map(_is_range, box))):
+            raise ValueError(f"mask box {box} is not two step-1 integer slices")
         if not all(0 <= s.start <= s.stop <= n for s, n in zip(box, shape)):
             raise ValueError(f"mask box {box} does not fit a {w}x{h} frame")
         if inner.shape != (box[0].stop - box[0].start, box[1].stop - box[1].start):
@@ -122,15 +123,11 @@ class SoftMask:
             lo, hi = min(lo, 0.0), max(hi, 0.0)
         if lo < 0.0 or hi > 1.0:
             raise ValueError(f"mask values must lie in [0, 1], got [{lo}, {hi}]")
-        ring, at = _ring_box(box, shape)
-        block = np.zeros((ring[0].stop - ring[0].start, ring[1].stop - ring[1].start))
-        block[at] = inner
-        block.flags.writeable = False
+        inner.flags.writeable = False
+        self.inner = inner
+        # Python int bounds: a numpy unsigned start would wrap in the reads.
+        self.box = tuple(slice(int(s.start), int(s.stop)) for s in box)
         self.shape = (h, w)
-        self.box = box
-        self.inner = block[at]
-        self._ring = ring
-        self._block = block
 
 
 @dataclass
@@ -215,9 +212,9 @@ def sample_bilinear(mask: SoftMask, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Positions are corner-origin pixels; integer coordinates hit pixel
     values exactly. Outside [0, w-1] x [0, h-1] the result is 0, and so
     it is at NaN and infinite positions, without a warning. The
-    four neighbours are found on the frame, then clipped into the stored
-    block: a neighbour outside it lies outside the box, and the clip
-    lands it on the zero ring, so every read equals the full frame's.
+    four neighbours are found on the frame, then clipped into the box
+    padded with zeros: a neighbour outside the box lands on the pad, so
+    every read equals the full frame's.
     """
     h, w = mask.shape
     x = np.asarray(x, dtype=float)
@@ -235,15 +232,19 @@ def sample_bilinear(mask: SoftMask, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y0 = np.minimum(np.floor(yc).astype(int), max(h - 2, 0))
     fx = xc - x0
     fy = yc - y0
-    rows, cols = mask._ring
-    bh, bw = mask._block.shape
-    # x1 = min(x0 + 1, w - 1) differs from x0 + 1 only at x0 = w - 1,
-    # where the block's last column is w - 1 too.
-    c0 = np.minimum(np.maximum(x0 - cols.start, 0), bw - 1)
-    c1 = np.minimum(np.maximum(x0 + (1 - cols.start), 0), bw - 1)
-    r0 = np.minimum(np.maximum(y0 - rows.start, 0), bh - 1) * bw
-    r1 = np.minimum(np.maximum(y0 + (1 - rows.start), 0), bh - 1) * bw
-    flat = mask._block.ravel()
+    # The box padded with one zero row and column on every side, not
+    # clamped to the frame: block column = frame column - cols.start + 1.
+    rows, cols = mask.box
+    bh, bw = mask.inner.shape[0] + 2, mask.inner.shape[1] + 2
+    block = np.zeros((bh, bw))
+    block[1:-1, 1:-1] = mask.inner
+    # x0 + 1 (y0 + 1) leaves the frame only at w = 1 (h = 1), where fx
+    # (fy) is 0 and weighs that neighbour out.
+    c0 = np.minimum(np.maximum(x0 + (1 - cols.start), 0), bw - 1)
+    c1 = np.minimum(np.maximum(x0 + (2 - cols.start), 0), bw - 1)
+    r0 = np.minimum(np.maximum(y0 + (1 - rows.start), 0), bh - 1) * bw
+    r1 = np.minimum(np.maximum(y0 + (2 - rows.start), 0), bh - 1) * bw
+    flat = block.ravel()
     gx = 1 - fx
     top = flat[r0 + c0] * gx + flat[r0 + c1] * fx
     bot = flat[r1 + c0] * gx + flat[r1 + c1] * fx

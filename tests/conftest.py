@@ -110,8 +110,7 @@ def soft_mask(values) -> SoftMask:
 
 
 def frame_values(mask: SoftMask) -> np.ndarray:
-    """The full frame a mask stands for, rebuilt from the block it stores
-    (its box and the zero ring around it), 0.0 elsewhere."""
+    """The full frame a mask stands for: its box's values, 0.0 elsewhere."""
     out = np.zeros(mask.shape)
-    out[mask._ring] = mask._block
+    out[mask.box] = mask.inner
     return out

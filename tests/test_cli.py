@@ -14,6 +14,7 @@ import pytest
 import swarmtrack
 from swarmtrack import io_formats
 from swarmtrack.io_formats import read_mask, read_poses, read_trajectory
+from swarmtrack.metrics import relative_distance_error
 from tests.conftest import (
     frame_values,
     invoke_cli,
@@ -760,6 +761,39 @@ class TestEval:
         )
         assert code == 1 and "none of" in err
 
+    def test_partial_overlap_scores_matched_frames_and_skips_lost_ones(self, tmp_path):
+        # Prediction: frames 0-9, 3 and 7 lost. Ground truth: frames 2-11.
+        # SDR counts the 8 shared frames, lost or not; the world error the
+        # 6 shared frames the prediction did not lose.
+        header = "frame,u_px,v_px,world_x_m,world_y_m,lost_flag\n"
+        pred_world = {f: (0.5 * f, 0.1 * f * f) for f in range(10)}
+        gt_world = {f: (0.4 * f + 1.0, -0.3 * f) for f in range(2, 12)}
+        pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+        pred_dir.mkdir()
+        gt_dir.mkdir()
+        # The predicted center is 3f px right of the annotated one.
+        (pred_dir / "trajectory.csv").write_text(header + "".join(
+            f"{f},{100.0 + 3 * f!r},50.0,{x!r},{y!r},{int(f in (3, 7))}\n"
+            for f, (x, y) in pred_world.items()
+        ))
+        (gt_dir / "gt_track.csv").write_text(header + "".join(
+            f"{f},100.0,50.0,{x!r},{y!r},0\n" for f, (x, y) in gt_world.items()
+        ))
+        out = tmp_path / "eval"
+        assert invoke_cli("eval", "--pred", pred_dir, "--gt", gt_dir, "--out", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["frames"] == {"common_track": 8, "lost_pred": 2}
+        # Errors 6, 9, ..., 27 px over frames 2-9.
+        assert [report["sdr"][f"radius_{r}"] for r in (10, 20, 30)] == [25.0, 62.5, 100.0]
+        seen = (2, 4, 5, 6, 8, 9)
+        mean_err, std_err = relative_distance_error(
+            np.array([pred_world[f] for f in seen]), np.array([gt_world[f] for f in seen])
+        )
+        assert report["world"] == {
+            "rel_dist_mean_m": mean_err, "rel_dist_std_m": std_err, "n_points": 6,
+        }
+        assert "masks" not in report
+
 
 class TestNonFiniteFlags:
     @pytest.mark.parametrize(
@@ -772,6 +806,9 @@ class TestNonFiniteFlags:
             ("fuse", ["--fps", "15", "--orientation-alpha", "2"],
              "--orientation-alpha: must be in (0, 1]"),
             ("eval", ["--radius-scale", "nan"], "--radius-scale must be finite and > 0"),
+            ("eval", ["--radius-scale", "1e308"], "--radius-scale 1e+308 scales radius 10.0 to inf"),
+            ("eval", ["--radii", "0.0001", "--radius-scale", "1e-321"],
+             "--radius-scale 1e-321 scales radius 0.0001 to 0.0"),
             ("eval", ["--radii", "10,nan"], "--radii must be finite, positive and ascending"),
             ("eval", ["--radii", "nan"], "--radii must be finite, positive and ascending"),
             ("eval", ["--radii", "10,inf"], "--radii must be finite, positive and ascending"),
@@ -780,8 +817,8 @@ class TestNonFiniteFlags:
             ("eval", ["--radii", "10,\u0662\u0660"], "--radii must be comma-separated numbers"),
         ],
         ids=["fps-nan", "fps-inf", "orientation-alpha-nan", "orientation-alpha-2",
-             "radius-scale-nan", "radii-10-nan", "radii-nan", "radii-10-inf",
-             "radii-empty-field", "radii-digit-separator", "radii-non-ascii-digits"],
+             "radius-scale-nan", "radius-scale-overflow", "radius-scale-underflow",
+             "radii-10-nan", "radii-nan", "radii-10-inf", "radii-empty-field", "radii-digit-separator", "radii-non-ascii-digits"],
     )
     def test_exits_2_with_one_error_line(
         self, scenario_dir, track_dir, tmp_path, run_cli, command, flags, message

@@ -1,6 +1,6 @@
 """SoftMask.box: every producer's box holds the support, every consumer
 that reads only the box gives the full-frame result byte for byte, and a
-mask stores its box (with a one-pixel zero ring) and nothing else."""
+mask stores a read-only copy of its box's values and nothing else."""
 import json
 import math
 from importlib import resources
@@ -17,7 +17,7 @@ from swarmtrack.synth import (
     SwarmShapeConfig,
     degrade_mask,
 )
-from swarmtrack.tracker import SoftMask, _ring_box, nonzero_box, sample_bilinear
+from swarmtrack.tracker import SoftMask, nonzero_box, sample_bilinear
 from tests.conftest import frame_values, invoke_cli, simulate, soft_mask, write_json
 from tests.test_synth import _full_frame, _support_masks, make_config
 
@@ -262,7 +262,8 @@ def _reference_bilinear(values, x, y):
 
 def _probe_positions(rng, box, shape):
     """Random positions over and around the frame, plus every line that
-    matters: the box edges, the ring, the frame edges and just beyond."""
+    matters: the box edges, the zero pad around it, the frame edges and
+    just beyond."""
     h, w = shape
     xs = [rng.uniform(-3.0, w + 2.0, 400)]
     ys = [rng.uniform(-3.0, h + 2.0, 400)]
@@ -323,12 +324,12 @@ class TestBoxedSampler:
 
 def _owned_floats(mask):
     """Floats in the arrays a mask owns (views of them count once)."""
-    return sum(a.size for a in vars(mask).values()
-               if isinstance(a, np.ndarray) and a.base is None)
+    held = (getattr(mask, name) for name in SoftMask.__slots__)
+    return sum(a.size for a in held if isinstance(a, np.ndarray) and a.base is None)
 
 
 class TestBoxedStorage:
-    def test_read_mask_holds_its_box_and_a_ring(self, tmp_path):
+    def test_read_mask_holds_its_box_only(self, tmp_path):
         # A cut of the bundled degradation scenario, as the robustness
         # study reads it from disk.
         doc = json.loads(
@@ -342,17 +343,21 @@ class TestBoxedStorage:
             mask = read_mask(path)
             h_box, w_box = mask.inner.shape
             assert 0 < h_box * w_box < mask.shape[0] * mask.shape[1] // 10
-            assert _owned_floats(mask) <= (h_box + 2) * (w_box + 2)
+            assert _owned_floats(mask) == h_box * w_box
 
-    def test_a_mask_owns_its_box_and_ring_only(self):
+    def test_a_mask_owns_its_box_only(self):
         values = np.zeros((7, 9))
         values[2:4, 3:6] = 0.5
         mask = soft_mask(values)
-        assert _owned_floats(mask) == 4 * 5
+        assert SoftMask.__slots__ == ("inner", "box", "shape")
+        assert not hasattr(mask, "__dict__")
+        with pytest.raises(AttributeError):
+            mask.block = values
+        assert _owned_floats(mask) == 2 * 3
         assert frame_values(mask).tobytes() == values.tobytes()
         assert mask.inner.tobytes() == values[2:4, 3:6].tobytes()
 
-    def test_producer_masks_store_a_read_only_block_with_a_zero_ring(self, tmp_path):
+    def test_producer_masks_store_a_read_only_copy_of_their_box(self, tmp_path):
         # read_mask and the blur hand SoftMask an array of their own; the
         # mask keeps a copy, never the producer's array.
         rng = np.random.default_rng(15)
@@ -364,15 +369,13 @@ class TestBoxedStorage:
         for mask in (read, degrade_mask(read), degrade_mask(read, 0.0, gain),
                      degrade_mask(read, 2.0, gain),
                      synth.soften(values > 0.5, 1.0, nonzero_box(values))):
-            ring, at = _ring_box(mask.box, mask.shape)
-            assert mask._block.shape == (ring[0].stop - ring[0].start,
-                                         ring[1].stop - ring[1].start)
-            assert not mask._block.flags.writeable and not mask.inner.flags.writeable
-            assert np.shares_memory(mask.inner, mask._block)
-            assert mask is read or not np.shares_memory(mask._block, read._block)
-            assert not np.any(_outside(mask._block, at))
+            rows, cols = mask.box
+            assert mask.inner.shape == (rows.stop - rows.start, cols.stop - cols.start)
+            assert mask.inner.base is None and not mask.inner.flags.writeable
+            assert mask is read or not np.shares_memory(mask.inner, read.inner)
             again = SoftMask(mask.inner, mask.box, mask.shape)
-            assert again._block.tobytes() == mask._block.tobytes()
+            assert not np.shares_memory(again.inner, mask.inner)
+            assert again.inner.tobytes() == mask.inner.tobytes()
 
     def test_constructor_copies_its_input(self):
         inner = np.full((3, 4), 0.5)
@@ -404,6 +407,31 @@ class TestBoxedStorage:
         with pytest.raises(ValueError) as err:
             SoftMask(values[box], box, values.shape)
         assert str(err.value) == _full_frame_message(values)
+
+    @pytest.mark.parametrize("box", [
+        (slice(0, 2, 2), slice(0, 2)),
+        (slice(None, 2), slice(0, 2)),
+        (slice(0, 2), slice(0, None)),
+        (slice(0.0, 2), slice(0, 2)),
+        (slice(0, 2, 1.0), slice(0, 2)),
+        (slice(0, 2), 2),
+        (slice(0, 2), slice(0, 2), slice(0, 2)),
+        [slice(0, 2), slice(0, 2)],
+    ], ids=["step-2", "open-start", "open-stop", "float-start", "float-step",
+            "not-a-slice", "three-slices", "list"])
+    def test_constructor_rejects_a_box_of_other_than_two_integer_slices(self, box):
+        with pytest.raises(ValueError, match="is not two step-1 integer slices"):
+            SoftMask(np.zeros((2, 2)), box, (6, 9))
+
+    def test_constructor_takes_numpy_integer_bounds(self):
+        box = (slice(np.int64(1), np.intp(3), np.int8(1)), slice(np.uint16(4), np.uint16(6)))
+        mask = SoftMask(np.full((2, 2), 0.5), box, (6, 9))
+        assert mask.box == (slice(1, 3), slice(4, 6))
+        values = np.zeros((6, 9))
+        values[1:3, 4:6] = 0.5
+        assert frame_values(mask).tobytes() == values.tobytes()
+        x, y = _probe_positions(np.random.default_rng(16), mask.box, values.shape)
+        assert sample_bilinear(mask, x, y).tobytes() == _reference_bilinear(values, x, y).tobytes()
 
     def test_constructor_rejects_a_box_that_does_not_fit(self):
         with pytest.raises(ValueError, match="does not fit a 9x6 frame"):

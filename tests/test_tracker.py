@@ -24,7 +24,7 @@ from swarmtrack.tracker import (
     track_sequence,
     update_weights,
 )
-from tests.conftest import simulate, small_scenario, soft_mask
+from tests.conftest import frame_values, simulate, small_scenario, soft_mask
 
 
 INTR_4K = Intrinsics.centered(1000.0, 3840, 2160)
@@ -132,7 +132,8 @@ class TestBilinear:
 
 
 def _clip_sample_bilinear(mask, x, y):
-    """Reference: sample_bilinear with the position clips as np.clip."""
+    """Reference: sample_bilinear with the position clips as np.clip, on
+    the full frame the mask stands for."""
     h, w = mask.shape
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -141,18 +142,14 @@ def _clip_sample_bilinear(mask, x, y):
     inside = (xc == x) & (yc == y)
     x0 = np.minimum(np.maximum(np.floor(xc).astype(int), 0), max(w - 2, 0))
     y0 = np.minimum(np.maximum(np.floor(yc).astype(int), 0), max(h - 2, 0))
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
     fx = xc - x0
     fy = yc - y0
-    rows, cols = mask._ring
-    bh, bw = mask._block.shape
-    c0 = np.minimum(np.maximum(x0 - cols.start, 0), bw - 1)
-    c1 = np.minimum(np.maximum(x0 + (1 - cols.start), 0), bw - 1)
-    r0 = np.minimum(np.maximum(y0 - rows.start, 0), bh - 1) * bw
-    r1 = np.minimum(np.maximum(y0 + (1 - rows.start), 0), bh - 1) * bw
-    flat = mask._block.ravel()
+    values = frame_values(mask)
     gx = 1 - fx
-    top = flat[r0 + c0] * gx + flat[r0 + c1] * fx
-    bot = flat[r1 + c0] * gx + flat[r1 + c1] * fx
+    top = values[y0, x0] * gx + values[y0, x1] * fx
+    bot = values[y1, x0] * gx + values[y1, x1] * fx
     out = top * (1 - fy) + bot * fy
     return np.where(inside, out, 0.0)
 
