@@ -21,13 +21,12 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, io_formats, synth
-from .fusion import ORIENTATION_ALPHA, NoiseConfig, check_orientation_alpha, fuse_log
+from .fusion import NoiseConfig, fuse_log
 from .geometry import Intrinsics, PixelPoint, backproject_image_to_ground
 from .io_formats import FormatError, RunConfig
 from .metrics import (
@@ -103,12 +102,23 @@ def _write_provenance(out_dir: Path, effective: dict) -> None:
 def _intrinsics(focal: float, cx: float | None, cy: float | None, width: int, height: int) -> Intrinsics:
     """Intrinsics whose principal point defaults to the image center; a
     value Intrinsics rejects is a usage error."""
-    cx = width / 2.0 if cx is None else cx
-    cy = height / 2.0 if cy is None else cy
     try:
-        return Intrinsics(focal, cx, cy, width, height)
+        center = Intrinsics.centered(focal, width, height)
+        return Intrinsics(
+            focal, center.cx if cx is None else cx, center.cy if cy is None else cy, width, height
+        )
     except ValueError as e:
         raise UsageError(str(e)) from None
+
+
+def _check_out_dir(flag: str, path: str) -> None:
+    """Raise UsageError unless ``path`` is a directory or can be made
+    one: neither it nor its nearest existing ancestor is another file."""
+    for p in (Path(path), *Path(path).parents):
+        if p.exists():
+            if not p.is_dir():
+                raise UsageError(f"{flag} {path}: {p} is not a directory")
+            return
 
 
 def _project_track(uv: np.ndarray, poses, intr: Intrinsics) -> np.ndarray:
@@ -150,7 +160,6 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     if args.n_frames is not None and args.n_frames < 1:
         raise UsageError(f"--n-frames must be >= 1, got {args.n_frames}")
     try:
-        check_orientation_alpha(args.orientation_alpha, "--orientation-alpha")
         noise = NoiseConfig(
             gps_sigma=args.gps_sigma,
             imu_vel_sigma=args.imu_vel_sigma,
@@ -159,13 +168,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     except ValueError as e:
         raise UsageError(str(e)) from None
     log = io_formats.read_sensor_log(args.sensors)
-    poses = fuse_log(
-        log,
-        noise,
-        args.fps,
-        n_frames=args.n_frames,
-        orientation_alpha=args.orientation_alpha,
-    )
+    poses = fuse_log(log, noise, args.fps, n_frames=args.n_frames)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     io_formats.write_poses(poses, args.fps, out / "fused_poses.csv")
@@ -176,7 +179,6 @@ def cmd_fuse(args: argparse.Namespace) -> int:
             "sensors": str(args.sensors),
             "fps": args.fps,
             "n_frames": args.n_frames,
-            "orientation_alpha": args.orientation_alpha,
             "noise": io_formats.dump(noise),
         },
     )
@@ -186,8 +188,6 @@ def cmd_fuse(args: argparse.Namespace) -> int:
 
 def cmd_track(args: argparse.Namespace) -> int:
     cfg = _read_config(RunConfig, args.config)
-    if args.no_resample:
-        cfg = replace(cfg, tracker=replace(cfg.tracker, resample_every=0))
     mask_paths = io_formats.mask_sequence_paths(args.masks)
     n_frames = len(mask_paths)
     first = io_formats.read_mask(mask_paths[0])
@@ -195,8 +195,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     intr = _intrinsics(cfg.focal_px, cfg.cx, cfg.cy, width, height)
     # The log (and the frame arrays it keeps) is freed once fused.
     poses = fuse_log(
-        io_formats.read_sensor_log(args.sensors), cfg.noise, cfg.fps,
-        n_frames=n_frames, orientation_alpha=cfg.orientation_alpha,
+        io_formats.read_sensor_log(args.sensors), cfg.noise, cfg.fps, n_frames=n_frames
     )
     logger.info(
         "tracking %d frames (%dx%d, %d particles)",
@@ -244,7 +243,6 @@ def cmd_track(args: argparse.Namespace) -> int:
             "command": "track",
             "masks": str(args.masks),
             "sensors": str(args.sensors),
-            "no_resample": bool(args.no_resample),
             "width": width,
             "height": height,
         },
@@ -257,10 +255,6 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 
 def cmd_project(args: argparse.Namespace) -> int:
-    if args.focal <= 0:
-        raise UsageError(f"--focal must be > 0, got {args.focal}")
-    if args.width <= 0 or args.height <= 0:
-        raise UsageError("--width/--height must be > 0")
     intr = _intrinsics(args.focal, args.cx, args.cy, args.width, args.height)
     track = io_formats.read_trajectory(args.trajectory)
     poses = io_formats.read_poses(args.poses)
@@ -540,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gps-sigma", type=_number, default=NoiseConfig.gps_sigma, help="GPS noise std, m")
     p.add_argument("--imu-vel-sigma", type=_number, default=NoiseConfig.imu_vel_sigma, help="IMU velocity noise std, m/s")
     p.add_argument("--process-accel-sigma", type=_number, default=NoiseConfig.process_accel_sigma, help="process accel std, m/s^2")
-    p.add_argument("--orientation-alpha", type=_number, default=ORIENTATION_ALPHA, help="attitude EMA factor (1 = pass-through)")
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("track", help="run the particle filter over a mask directory")
@@ -548,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sensors", required=True, help="sensor log CSV")
     p.add_argument("--config", required=True, help="run config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--no-resample", action="store_true", help="disable resampling (diagnostic)")
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("project", help="backproject an image trajectory to world frame")
@@ -583,6 +575,10 @@ def main(argv: list[str] | None = None) -> int:
         stream=sys.stderr, level=args.log_level.upper(), format="%(levelname)s %(message)s"
     )
     try:
+        # An output path that cannot be a directory fails before any work.
+        for flag in ("out", "keep"):
+            if getattr(args, flag, None) is not None:
+                _check_out_dir(f"--{flag}", getattr(args, flag))
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

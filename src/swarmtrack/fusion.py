@@ -5,8 +5,7 @@ gimbal attitude. A log is a ``SensorLog``, one array per column; its
 columns are linearly interpolated onto the frame timestamps, then a
 constant-velocity Kalman filter over the 6-state [position; velocity]
 smooths position and velocity. Attitude angles are not filtered (the
-gimbal already stabilizes them); an optional exponential moving
-average is available for noisy logs.
+gimbal already stabilizes them).
 
 A record observes the full state directly (H = I6), with measurement
 noise diag(gps_sigma^2 I3, imu_vel_sigma^2 I3) and discrete
@@ -239,38 +238,6 @@ def _frame_arrays(
     return arrays
 
 
-# The attitude EMA factor's default: 1 passes the logged attitude through.
-ORIENTATION_ALPHA = 1.0
-
-
-def check_orientation_alpha(alpha: float, name: str = "orientation_alpha") -> None:
-    """Raise FusionError unless the attitude EMA factor is in (0, 1].
-
-    ``name`` leads the message: the config key or the CLI flag.
-    """
-    if not (0 < alpha <= 1):
-        raise FusionError(f"{name}: must be in (0, 1], got {alpha!r}")
-
-
-def _smooth_angles(angles: np.ndarray, alpha: float) -> np.ndarray:
-    """EMA over unwrapped attitude angles (n, 3); alpha=1 is pass-through."""
-    check_orientation_alpha(alpha)
-    if alpha == 1.0:
-        return angles
-    # Per column on Python floats: the float64 products and sum of
-    # alpha * angles[i] + (1 - alpha) * out[i - 1], in that order.
-    a, b = float(alpha), float(1 - alpha)
-    out = []
-    for column in angles.T.tolist():
-        y = column[0]
-        ys = [y]
-        for x in column[1:]:
-            y = a * x + b * y
-            ys.append(y)
-        out.append(ys)
-    return np.array(out).T
-
-
 # The last settled gain schedule: ((dt, noise), its gains up to the
 # point where the covariance repeats, the period of that repetition).
 # See the module docstring.
@@ -362,18 +329,16 @@ def fuse_log(
     noise: NoiseConfig,
     fps: float,
     n_frames: int | None = None,
-    orientation_alpha: float = ORIENTATION_ALPHA,
 ) -> Poses:
     """Kalman-fused camera pose per frame.
 
     The filter is initialized from the first frame-aligned record and
     run predict/update at frame cadence. Returns one pose per frame;
-    position from the filter, attitude from the (optionally
-    smoothed) log. The three axes share one 2x2 covariance and gain
-    sequence (see the module docstring).
+    position from the filter, attitude from the log. The three axes
+    share one 2x2 covariance and gain sequence (see the module
+    docstring).
     """
     gps, vel, angles = _frame_arrays(log, fps, n_frames)
-    angles = _smooth_angles(angles, orientation_alpha)
     dt = 1.0 / fps
     gains = _axis_gains(len(gps), dt, noise)
     # Mean recursion of each axis with the shared gains: predict

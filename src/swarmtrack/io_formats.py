@@ -37,7 +37,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .fusion import ORIENTATION_ALPHA, NoiseConfig, SensorLog, check_orientation_alpha
+from .fusion import NoiseConfig, SensorLog
 from .geometry import Poses
 from .shapes import BinaryMask
 from .tracker import SoftMask, TrackerConfig, nonzero_box
@@ -379,15 +379,13 @@ class RunConfig:
     fps is the frame rate of the mask sequence. cx/cy default to the
     image center; with alpha_px null, ``shapes.alpha_shape`` derives each
     frame's alpha from that frame's support points (3x their median
-    nearest-neighbour distance); orientation_alpha is the attitude EMA
-    factor of ``fusion.fuse_log`` (1 = pass-through).
+    nearest-neighbour distance).
     """
 
     fps: float
     focal_px: float
     cx: float | None = None
     cy: float | None = None
-    orientation_alpha: float = ORIENTATION_ALPHA
     alpha_px: float | None = None
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
@@ -397,7 +395,6 @@ class RunConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name}: must be > 0, got {v!r}")
-        check_orientation_alpha(self.orientation_alpha)
         if self.alpha_px is not None and not (
             math.isfinite(self.alpha_px) and self.alpha_px > 0
         ):

@@ -47,7 +47,6 @@ class TrackerConfig:
     motion_noise_sigma: float = 3.0
     resample_every: int = 1
     seed: int = 0
-    likelihood_exponent: float = 1.0
     lost_reinit_after: int = 30
 
     def __post_init__(self) -> None:
@@ -61,10 +60,6 @@ class TrackerConfig:
             raise ValueError(f"resample_every: must be >= 0, got {self.resample_every}")
         if self.seed < 0:
             raise ValueError(f"seed: must be >= 0, got {self.seed}")
-        if not (math.isfinite(self.likelihood_exponent) and self.likelihood_exponent > 0):
-            raise ValueError(
-                f"likelihood_exponent: must be > 0, got {self.likelihood_exponent!r}"
-            )
         if self.lost_reinit_after < 1:
             raise ValueError(
                 f"lost_reinit_after: must be >= 1, got {self.lost_reinit_after}"
@@ -252,17 +247,13 @@ def sample_bilinear(mask: SoftMask, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(inside, out, 0.0)
 
 
-def update_weights(
-    ps: ParticleSet, mask: SoftMask, exponent: float = 1.0
-) -> ParticleSet:
+def update_weights(ps: ParticleSet, mask: SoftMask) -> ParticleSet:
     """Set weights to the (normalized) mask likelihood at each particle.
 
     Raises TrackLostError when the total likelihood is zero; the caller
     decides whether to flag the frame and keep a uniform belief.
     """
     like = sample_bilinear(mask, ps.xy[:, 0], ps.xy[:, 1])
-    if exponent != 1.0:
-        like = like**exponent
     total = float(like.sum())
     if total <= 0.0:
         raise TrackLostError("all particles have zero mask likelihood")
@@ -360,7 +351,7 @@ def track_sequence(
             z_mid = 0.5 * (prev_pose.z + pose.z)
             ps = predict(ps, motion, intr, z_mid, config.motion_noise_sigma)
         try:
-            ps = update_weights(ps, mask, config.likelihood_exponent)
+            ps = update_weights(ps, mask)
             lost = False
             lost_streak = 0
         except TrackLostError:

@@ -1,7 +1,9 @@
 """Command-line interface: file outputs, exit codes, error channels."""
+import argparse
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import pytest
 
 import swarmtrack
 from swarmtrack import io_formats
+from swarmtrack.cli import build_parser
 from swarmtrack.io_formats import read_mask, read_poses, read_trajectory
 from swarmtrack.metrics import relative_distance_error
 from tests.conftest import (
@@ -315,26 +318,42 @@ class TestTrack:
         assert len(frames) == 45
         assert calls == frames
 
-    def test_no_resample_flag_recorded_and_applied(self, scenario_dir, tmp_path):
-        cfg = write_json(tmp_path / "run.json", small_run_config())
+    def test_resample_off_from_run_config_recorded(self, scenario_dir, tmp_path):
+        cfg = write_json(
+            tmp_path / "run.json",
+            small_run_config(
+                tracker={"n_particles": 500, "motion_noise_sigma": 5.0, "seed": 0,
+                         "resample_every": 0}
+            ),
+        )
         out = tmp_path / "t"
         assert invoke_cli(
             "track", "--masks", scenario_dir / "masks",
             "--sensors", scenario_dir / "sensors.csv",
-            "--config", cfg, "--out", out, "--no-resample",
+            "--config", cfg, "--out", out,
         ) == 0
         effective = json.loads((out / "effective_config.json").read_text())
-        assert effective["no_resample"] is True
         assert effective["tracker"]["resample_every"] == 0
 
-    def test_unknown_config_key_exits_2(self, scenario_dir, tmp_path, run_cli):
-        cfg = write_json(tmp_path / "run.json", small_run_config(smoothing=3))
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            ({"smoothing": 3}, "smoothing"),
+            ({"orientation_alpha": 1.0}, "orientation_alpha"),
+            ({"tracker": {"likelihood_exponent": 1.0}}, "tracker.likelihood_exponent"),
+        ],
+        ids=["smoothing", "orientation_alpha", "tracker.likelihood_exponent"],
+    )
+    def test_unknown_config_key_exits_2(self, scenario_dir, tmp_path, run_cli, edit, key):
+        cfg = write_json(tmp_path / "run.json", small_run_config(**edit))
+        out = tmp_path / "o"
         code, _, err = run_cli(
             "track", "--masks", scenario_dir / "masks",
             "--sensors", scenario_dir / "sensors.csv",
-            "--config", cfg, "--out", tmp_path / "o",
+            "--config", cfg, "--out", out,
         )
-        assert code == 2 and "smoothing: unknown key" in err
+        assert code == 2 and err == f"error: {key}: unknown key\n", err
+        assert not out.exists()
 
     def test_bad_tracker_value_exits_2(self, scenario_dir, tmp_path, run_cli):
         cfg = write_json(
@@ -354,10 +373,9 @@ class TestTrack:
             ({"alpha_px": math.nan}, "alpha_px"),
             ({"fps": math.nan}, "fps"),
             ({"fps": math.inf}, "fps"),
-            ({"orientation_alpha": 2.0}, "orientation_alpha"),
             ({"tracker": {"n_particles": 500, "seed": -1}}, "tracker.seed"),
         ],
-        ids=["alpha_px-nan", "fps-nan", "fps-inf", "orientation_alpha-2", "tracker.seed-neg"],
+        ids=["alpha_px-nan", "fps-nan", "fps-inf", "tracker.seed-neg"],
     )
     def test_out_of_range_value_exits_2_naming_key(
         self, scenario_dir, tmp_path, run_cli, edit, key
@@ -384,12 +402,9 @@ class TestTrack:
             "fps": 15.0,
             "height": 180,
             "masks": str(scenario_dir / "masks"),
-            "no_resample": False,
             "noise": {"gps_sigma": 0.5, "imu_vel_sigma": 0.2, "process_accel_sigma": 1.0},
-            "orientation_alpha": 1.0,
             "sensors": str(scenario_dir / "sensors.csv"),
             "tracker": {
-                "likelihood_exponent": 1.0,
                 "lost_reinit_after": 30,
                 "motion_noise_sigma": 5.0,
                 "n_particles": 500,
@@ -591,7 +606,6 @@ class TestProject:
 
     def test_reproduces_track_trajectory_from_fused_poses(self, scenario_dir, tmp_path):
         cfg = small_run_config(
-            orientation_alpha=0.5,
             noise={"gps_sigma": 0.7, "imu_vel_sigma": 0.3, "process_accel_sigma": 1.0},
         )
         trk = tmp_path / "track"
@@ -604,7 +618,7 @@ class TestProject:
         noise = cfg["noise"]
         assert invoke_cli(
             "fuse", "--sensors", scenario_dir / "sensors.csv", "--fps", cfg["fps"],
-            "--n-frames", n_frames, "--orientation-alpha", cfg["orientation_alpha"],
+            "--n-frames", n_frames,
             "--gps-sigma", noise["gps_sigma"], "--imu-vel-sigma", noise["imu_vel_sigma"],
             "--process-accel-sigma", noise["process_accel_sigma"],
             "--out", tmp_path / "fuse",
@@ -653,7 +667,23 @@ class TestProject:
             "--focal", -1.0, "--width", 320, "--height", 180,
             "--out", tmp_path / "o",
         )
-        assert code == 2 and "--focal" in err
+        assert code == 2 and err == "error: focal length must be positive, got -1.0\n", err
+
+    @pytest.mark.parametrize(
+        "width, height, shown",
+        [(0, 180, "0x180"), (320, -1, "320x-1")],
+        ids=["width-0", "height-neg"],
+    )
+    def test_bad_image_size_exits_2(self, scenario_dir, tmp_path, run_cli, width, height, shown):
+        out = tmp_path / "o"
+        code, _, err = run_cli(
+            "project", "--trajectory", scenario_dir / "gt_track.csv",
+            "--poses", scenario_dir / "gt_poses.csv",
+            "--focal", 350.0, "--width", width, "--height", height,
+            "--out", out,
+        )
+        assert code == 2 and err == f"error: image size must be positive, got {shown}\n", err
+        assert not out.exists()
 
 
 class TestEval:
@@ -801,10 +831,6 @@ class TestNonFiniteFlags:
         [
             ("fuse", ["--fps", "nan"], "--fps must be finite and > 0"),
             ("fuse", ["--fps", "inf"], "--fps must be finite and > 0"),
-            ("fuse", ["--fps", "15", "--orientation-alpha", "nan"],
-             "--orientation-alpha: must be in (0, 1]"),
-            ("fuse", ["--fps", "15", "--orientation-alpha", "2"],
-             "--orientation-alpha: must be in (0, 1]"),
             ("eval", ["--radius-scale", "nan"], "--radius-scale must be finite and > 0"),
             ("eval", ["--radius-scale", "1e308"], "--radius-scale 1e+308 scales radius 10.0 to inf"),
             ("eval", ["--radii", "0.0001", "--radius-scale", "1e-321"],
@@ -816,8 +842,7 @@ class TestNonFiniteFlags:
             ("eval", ["--radii", "1_0"], "--radii must be comma-separated numbers"),
             ("eval", ["--radii", "10,\u0662\u0660"], "--radii must be comma-separated numbers"),
         ],
-        ids=["fps-nan", "fps-inf", "orientation-alpha-nan", "orientation-alpha-2",
-             "radius-scale-nan", "radius-scale-overflow", "radius-scale-underflow",
+        ids=["fps-nan", "fps-inf", "radius-scale-nan", "radius-scale-overflow", "radius-scale-underflow",
              "radii-10-nan", "radii-nan", "radii-10-inf", "radii-empty-field", "radii-digit-separator", "radii-non-ascii-digits"],
     )
     def test_exits_2_with_one_error_line(
@@ -905,3 +930,75 @@ class TestEntryPoint:
         assert code == 0
         assert "selftest: pass" in out
         assert "deterministic_trajectory" in out
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("track", ["--no-resample"]), ("fuse", ["--orientation-alpha", "0.5"])],
+        ids=["track-no-resample", "fuse-orientation-alpha"],
+    )
+    def test_removed_flags_exit_2(self, scenario_dir, track_dir, tmp_path, run_cli, command, flags):
+        out = tmp_path / "o"
+        inputs = _command_inputs(command, scenario_dir, track_dir, tmp_path)
+        code, _, err = run_cli(command, *inputs, "--out", out, *flags)
+        assert code == 2 and f"unrecognized arguments: {' '.join(flags)}" in err
+        assert not out.exists()
+
+
+def _command_inputs(command, scenario_dir, track_dir, tmp_path):
+    """Valid inputs of each command but its output directory."""
+    sensors = scenario_dir / "sensors.csv"
+    if command == "simulate":
+        return ["--config", write_json(tmp_path / "scenario.json", small_scenario())]
+    if command == "fuse":
+        return ["--sensors", sensors, "--fps", "15"]
+    if command == "track":
+        cfg = write_json(tmp_path / "run.json", small_run_config())
+        return ["--masks", scenario_dir / "masks", "--sensors", sensors, "--config", cfg]
+    if command == "project":
+        return ["--trajectory", scenario_dir / "gt_track.csv",
+                "--poses", scenario_dir / "gt_poses.csv",
+                "--focal", "350", "--width", "320", "--height", "180"]
+    if command == "eval":
+        return ["--pred", track_dir, "--gt", scenario_dir]
+    return []
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["simulate", "fuse", "track", "project", "eval", "selftest"])
+def test_an_output_directory_that_is_a_file_exits_2_before_any_work(
+    scenario_dir, track_dir, tmp_path, run_cli, command, under
+):
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"not a directory\n")
+    out = blocker / "sub" if under else blocker
+    flag = "--keep" if command == "selftest" else "--out"
+    inputs = _command_inputs(command, scenario_dir, track_dir, tmp_path)
+    code, stdout, err = run_cli(command, *inputs, flag, out)
+    assert code == 2 and err == f"error: {flag} {out}: {blocker} is not a directory\n", err
+    assert stdout == ""
+    assert blocker.read_bytes() == b"not a directory\n"
+
+
+def _readme_synopsis_flags() -> dict[str, set[str]]:
+    """Flags in the first code block of each ``### <command>`` section of
+    the README's CLI part."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cli_part = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    flags = {}
+    for section in cli_part.split("\n### ")[1:]:
+        name, body = section.split("\n", 1)
+        blocks = body.split("```")
+        synopsis = blocks[1] if len(blocks) > 2 else ""
+        flags[name.strip()] = set(re.findall(r"--[a-z][a-z0-9-]*", synopsis))
+    return flags
+
+
+def test_readme_synopses_name_exactly_each_subcommands_flags():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    parser_flags = {
+        name: {o for a in sub._actions for o in a.option_strings
+               if o.startswith("--") and o != "--help"}
+        for name, sub in commands.items()
+    }
+    assert _readme_synopsis_flags() == parser_flags

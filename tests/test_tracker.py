@@ -210,17 +210,6 @@ class TestUpdateWeights:
         with pytest.raises(TrackLostError):
             update_weights(ps, soft_mask(np.zeros((8, 8))))
 
-    def test_exponent_sharpens_weights(self):
-        values = np.zeros((4, 4))
-        values[0, 0], values[0, 1] = 0.9, 0.3
-        ps = particle_set([[0.0, 0.0], [1.0, 0.0]])
-        flat = update_weights(ps, soft_mask(values), exponent=1.0)
-        sharp = update_weights(ps, soft_mask(values), exponent=3.0)
-        assert sharp.weights[0] > flat.weights[0]
-        np.testing.assert_allclose(
-            sharp.weights[0] / sharp.weights[1], (0.9 / 0.3) ** 3, rtol=1e-12
-        )
-
 
 class TestResample:
     def test_degenerate_weight_clones_the_survivor(self):
@@ -474,6 +463,35 @@ class TestTrackSequence:
         # after re-initialization the cloud spans the image again
         assert spread[:, 0].max() - spread[:, 0].min() > 250.0
         assert result.lost[-1]
+
+    @pytest.mark.parametrize(
+        "every, resampled",
+        [(0, []), (1, [0, 1, 2, 4, 5]), (2, [1, 5])],
+        ids=["off", "every-frame", "every-2nd"],
+    )
+    def test_resample_every_picks_frames(self, every, resampled, monkeypatch):
+        """Resampling follows frame t when (t + 1) % every == 0, never on
+        a lost frame, and never with every = 0."""
+        good = disc_mask(320, 180, (160, 90), 30.0)
+        empty = soft_mask(np.zeros((180, 320)))
+        masks = [good, good, good, empty, good, good]
+        frame = []
+        calls = []
+
+        def frames():
+            for t, m in enumerate(masks):
+                frame[:] = [t]
+                yield m
+
+        def counting_resample(ps):
+            calls.append(frame[0])
+            return resample_roulette(ps)
+
+        monkeypatch.setattr(tracker_module, "resample_roulette", counting_resample)
+        config = TrackerConfig(n_particles=300, seed=4, resample_every=every)
+        result = track_sequence(frames(), [HOVER] * 6, INTR, config)
+        assert list(result.lost) == [False, False, False, True, False, False]
+        assert calls == resampled
 
     def test_more_masks_than_poses_rejected(self):
         masks = [disc_mask(320, 180, (160, 90), 20.0)] * 3
