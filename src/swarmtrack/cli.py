@@ -111,14 +111,37 @@ def _intrinsics(focal: float, cx: float | None, cy: float | None, width: int, he
         raise UsageError(str(e)) from None
 
 
-def _check_out_dir(flag: str, path: str) -> None:
+# The directories, then the files, that each command writes into --out,
+# besides the provenance files that every command writes.
+_PROVENANCE = ("effective_config.json", "version.txt")
+_OUT_ENTRIES = {
+    "simulate": (("masks", "gt_masks"),
+                 ("sensors.csv", "gt_poses.csv", "gt_track.csv", "scenario.json")),
+    "fuse": ((), ("fused_poses.csv",)),
+    "track": (("shapes",), ("trajectory.csv",)),
+    "project": ((), ("trajectory.csv",)),
+    "eval": ((), ("report.json", "report.txt")),
+}
+
+
+def _check_out_dir(
+    flag: str, path: str, dirs: tuple[str, ...] = (), files: tuple[str, ...] = ()
+) -> None:
     """Raise UsageError unless ``path`` is a directory or can be made
-    one: neither it nor its nearest existing ancestor is another file."""
+    one: neither it nor its nearest existing ancestor is another file.
+    Inside it, an existing entry of ``dirs`` must be a directory and one
+    of ``files`` must not be."""
     for p in (Path(path), *Path(path).parents):
         if p.exists():
             if not p.is_dir():
                 raise UsageError(f"{flag} {path}: {p} is not a directory")
-            return
+            break
+    for name in dirs:
+        if (p := Path(path, name)).exists() and not p.is_dir():
+            raise UsageError(f"{flag} {path}: {p} is not a directory")
+    for name in files:
+        if (p := Path(path, name)).is_dir():
+            raise UsageError(f"{flag} {path}: {p} is a directory")
 
 
 def _project_track(uv: np.ndarray, poses, intr: Intrinsics) -> np.ndarray:
@@ -575,10 +598,15 @@ def main(argv: list[str] | None = None) -> int:
         stream=sys.stderr, level=args.log_level.upper(), format="%(levelname)s %(message)s"
     )
     try:
-        # An output path that cannot be a directory fails before any work.
-        for flag in ("out", "keep"):
-            if getattr(args, flag, None) is not None:
-                _check_out_dir(f"--{flag}", getattr(args, flag))
+        # An output path that cannot be a directory, or that holds an
+        # entry of the wrong kind where the command writes, fails before
+        # any work.
+        if args.command == "selftest":
+            if args.keep is not None:
+                _check_out_dir("--keep", args.keep)
+        else:
+            dirs, files = _OUT_ENTRIES[args.command]
+            _check_out_dir("--out", args.out, dirs, files + _PROVENANCE)
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

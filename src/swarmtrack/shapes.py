@@ -41,14 +41,6 @@ class BinaryMask:
                 raise ValueError("bits must be boolean or 0/1 valued")
             self.bits = self.bits.astype(bool)
 
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
 
 @dataclass
 class AlphaShape:

@@ -7,8 +7,9 @@ value read bilinearly at their positions, and resampled with a roulette
 wheel (inverse-CDF draw with independent uniforms).
 
 Weights are set to the mask likelihood, not multiplied into the prior
-weight; with per-frame resampling the two are equivalent, and this is
-the update the tracker is specified to perform.
+weight. The two are the same bootstrap-filter update because every
+frame with mask support is resampled, which leaves the next frame's
+prior weights uniform; a lost frame resets them to uniform as well.
 
 Pixel coordinates in this module are corner-origin: (0, 0) is the
 center of the top-left pixel, x right, y down. The sampleable domain
@@ -17,7 +18,6 @@ is [0, w-1] x [0, h-1]; particles outside it have likelihood 0.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -25,7 +25,9 @@ import numpy as np
 
 from .geometry import CameraMotion, CameraPose, Intrinsics, Poses, flow_field, motion_between_poses
 
-logger = logging.getLogger(__name__)
+# Consecutive lost frames after which the particle cloud is re-spread
+# uniformly over the image.
+LOST_REINIT_AFTER = 30
 
 
 class TrackLostError(RuntimeError):
@@ -38,16 +40,12 @@ class TrackerConfig:
 
     motion_noise_sigma is the per-axis Gaussian diffusion in pixels per
     frame, covering swarm self-motion on top of the egomotion flow.
-    resample_every = k resamples on every k-th frame; 0 disables
-    resampling. lost_reinit_after is the number of consecutive lost
-    frames after which the particle cloud is re-spread uniformly.
+    seed fixes every random draw of a run.
     """
 
     n_particles: int = 1000
     motion_noise_sigma: float = 3.0
-    resample_every: int = 1
     seed: int = 0
-    lost_reinit_after: int = 30
 
     def __post_init__(self) -> None:
         if self.n_particles < 2:
@@ -56,14 +54,8 @@ class TrackerConfig:
             raise ValueError(
                 f"motion_noise_sigma: must be >= 0, got {self.motion_noise_sigma!r}"
             )
-        if self.resample_every < 0:
-            raise ValueError(f"resample_every: must be >= 0, got {self.resample_every}")
         if self.seed < 0:
             raise ValueError(f"seed: must be >= 0, got {self.seed}")
-        if self.lost_reinit_after < 1:
-            raise ValueError(
-                f"lost_reinit_after: must be >= 1, got {self.lost_reinit_after}"
-            )
 
 
 Box = tuple[slice, slice]
@@ -289,10 +281,6 @@ def estimate_centroid(ps: ParticleSet) -> tuple[float, float]:
     return cx, cy
 
 
-def effective_sample_size(ps: ParticleSet) -> float:
-    return 1.0 / float(np.dot(ps.weights, ps.weights))
-
-
 @dataclass
 class TrackResult:
     """Per-frame tracker output.
@@ -322,9 +310,10 @@ def track_sequence(
 
     ``masks`` may be any iterable of SoftMask (a generator keeps memory
     flat for long sequences); ``poses`` must have one pose per frame.
-    On a lost frame the belief is re-spread uniform over the image and
-    flagged; after lost_reinit_after consecutive lost frames the
-    particle positions are re-drawn uniformly as well.
+    A lost frame is flagged and its weights are reset to uniform; after
+    LOST_REINIT_AFTER consecutive lost frames the particle positions are
+    re-drawn uniformly over the image as well. Every frame that is not
+    lost is resampled after its snapshot.
     """
     ps = init_uniform(intr, config)
     centroids = []
@@ -332,8 +321,6 @@ def track_sequence(
     snapshots: list[np.ndarray] = []
     weight_snapshots: list[np.ndarray] = []
     lost_streak = 0
-    ess_warned = False
-    n_seen = 0
     prev_pose: CameraPose | None = None
     for t, mask in enumerate(masks):
         if t >= len(poses):
@@ -357,7 +344,7 @@ def track_sequence(
         except TrackLostError:
             lost = True
             lost_streak += 1
-            if lost_streak >= config.lost_reinit_after:
+            if lost_streak >= LOST_REINIT_AFTER:
                 xy = _uniform_cloud(intr.width, intr.height, config.n_particles, ps.rng)
                 lost_streak = 0
             else:
@@ -370,22 +357,13 @@ def track_sequence(
             # resampling below only prepares the next frame.
             snapshots.append(ps.xy.copy())
             weight_snapshots.append(ps.weights.copy())
-        if not lost and config.resample_every > 0 and (t + 1) % config.resample_every == 0:
+        if not lost:
             ps = resample_roulette(ps)
-        elif not ess_warned and (ess := effective_sample_size(ps)) < 0.05 * config.n_particles:
-            logger.warning(
-                "frame %d: effective sample size %.1f of %d, weights degenerate",
-                t,
-                ess,
-                config.n_particles,
-            )
-            ess_warned = True
         prev_pose = pose
-        n_seen += 1
-    if n_seen != len(poses):
-        raise ValueError(f"got {n_seen} masks for {len(poses)} poses")
+    if len(centroids) != len(poses):
+        raise ValueError(f"got {len(centroids)} masks for {len(poses)} poses")
     return TrackResult(
-        centroids=np.array(centroids, dtype=float).reshape(n_seen, 2),
+        centroids=np.array(centroids, dtype=float).reshape(len(centroids), 2),
         lost=np.array(lost_flags, dtype=bool),
         particles=snapshots,
         weights=weight_snapshots,

@@ -250,7 +250,7 @@ class TestTrack:
         assert not track["lost"].any()
         assert len(list((track_dir / "shapes").glob("*.pgm"))) == 45
         effective = json.loads((track_dir / "effective_config.json").read_text())
-        assert effective["tracker"]["lost_reinit_after"] == 30  # default resolved
+        assert effective["noise"]["gps_sigma"] == 0.5  # default resolved
         assert effective["width"] == 320 and effective["height"] == 180
 
     def test_track_centers_on_static_blob(self, track_dir, scenario_dir):
@@ -318,31 +318,17 @@ class TestTrack:
         assert len(frames) == 45
         assert calls == frames
 
-    def test_resample_off_from_run_config_recorded(self, scenario_dir, tmp_path):
-        cfg = write_json(
-            tmp_path / "run.json",
-            small_run_config(
-                tracker={"n_particles": 500, "motion_noise_sigma": 5.0, "seed": 0,
-                         "resample_every": 0}
-            ),
-        )
-        out = tmp_path / "t"
-        assert invoke_cli(
-            "track", "--masks", scenario_dir / "masks",
-            "--sensors", scenario_dir / "sensors.csv",
-            "--config", cfg, "--out", out,
-        ) == 0
-        effective = json.loads((out / "effective_config.json").read_text())
-        assert effective["tracker"]["resample_every"] == 0
-
     @pytest.mark.parametrize(
         "edit, key",
         [
             ({"smoothing": 3}, "smoothing"),
             ({"orientation_alpha": 1.0}, "orientation_alpha"),
             ({"tracker": {"likelihood_exponent": 1.0}}, "tracker.likelihood_exponent"),
+            ({"tracker": {"resample_every": 1}}, "tracker.resample_every"),
+            ({"tracker": {"lost_reinit_after": 30}}, "tracker.lost_reinit_after"),
         ],
-        ids=["smoothing", "orientation_alpha", "tracker.likelihood_exponent"],
+        ids=["smoothing", "orientation_alpha", "tracker.likelihood_exponent",
+             "tracker.resample_every", "tracker.lost_reinit_after"],
     )
     def test_unknown_config_key_exits_2(self, scenario_dir, tmp_path, run_cli, edit, key):
         cfg = write_json(tmp_path / "run.json", small_run_config(**edit))
@@ -405,10 +391,8 @@ class TestTrack:
             "noise": {"gps_sigma": 0.5, "imu_vel_sigma": 0.2, "process_accel_sigma": 1.0},
             "sensors": str(scenario_dir / "sensors.csv"),
             "tracker": {
-                "lost_reinit_after": 30,
                 "motion_noise_sigma": 5.0,
                 "n_particles": 500,
-                "resample_every": 1,
                 "seed": 0,
             },
             "width": 320,
@@ -977,6 +961,57 @@ def test_an_output_directory_that_is_a_file_exits_2_before_any_work(
     assert code == 2 and err == f"error: {flag} {out}: {blocker} is not a directory\n", err
     assert stdout == ""
     assert blocker.read_bytes() == b"not a directory\n"
+
+
+# The entries each command writes into --out, and whether each is a directory.
+PROVENANCE = {"effective_config.json": False, "version.txt": False}
+OUT_ENTRIES = {
+    "simulate": {"masks": True, "gt_masks": True, "sensors.csv": False,
+                 "gt_poses.csv": False, "gt_track.csv": False, "scenario.json": False},
+    "fuse": {"fused_poses.csv": False},
+    "track": {"shapes": True, "trajectory.csv": False},
+    "project": {"trajectory.csv": False},
+    "eval": {"report.json": False, "report.txt": False},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_ENTRIES))
+def test_each_command_writes_exactly_its_listed_entries(
+    scenario_dir, track_dir, tmp_path, command
+):
+    out = tmp_path / "o"
+    inputs = _command_inputs(command, scenario_dir, track_dir, tmp_path)
+    assert invoke_cli(command, *inputs, "--out", out) == 0
+    written = {p.name: p.is_dir() for p in out.iterdir()}
+    assert written == {**OUT_ENTRIES[command], **PROVENANCE}
+
+
+@pytest.mark.parametrize("command, name, is_dir", [
+    pytest.param(command, name, is_dir, id=f"{command}-{name}")
+    for command, entries in sorted(OUT_ENTRIES.items())
+    for name, is_dir in {**entries, **PROVENANCE}.items()
+])
+def test_an_output_entry_of_the_wrong_kind_exits_2_before_any_work(
+    scenario_dir, track_dir, tmp_path, run_cli, command, name, is_dir
+):
+    out = tmp_path / "o"
+    out.mkdir()
+    entry = out / name
+    if is_dir:
+        entry.write_bytes(b"not a directory\n")
+    else:
+        entry.mkdir()
+    inputs = _command_inputs(command, scenario_dir, track_dir, tmp_path)
+    code, stdout, err = run_cli(command, *inputs, "--out", out)
+    kind = "is not a directory" if is_dir else "is a directory"
+    assert code == 2 and err == f"error: --out {out}: {entry} {kind}\n", err
+    assert stdout == ""
+    assert [p.name for p in out.iterdir()] == [name]
+    assert entry.is_dir() != is_dir
+    if is_dir:
+        assert entry.read_bytes() == b"not a directory\n"
+    else:
+        assert not any(entry.iterdir())
 
 
 def _readme_synopsis_flags() -> dict[str, set[str]]:

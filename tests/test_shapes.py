@@ -209,7 +209,7 @@ class TestRasterize:
         with pytest.raises(ValueError):
             BinaryMask(np.zeros((0, 4), dtype=bool))
         m = BinaryMask(np.eye(3))
-        assert m.bits.dtype == bool and m.width == 3 and m.height == 3
+        assert m.bits.dtype == bool and m.bits.shape == (3, 3)
 
 
 # -- Sort-based references ------------------------------------------------

@@ -11,11 +11,11 @@ from swarmtrack import tracker as tracker_module
 from swarmtrack.geometry import CameraMotion, CameraPose, Intrinsics
 from swarmtrack.io_formats import scenario_config_from_json
 from swarmtrack.tracker import (
+    LOST_REINIT_AFTER,
     ParticleSet,
     SoftMask,
     TrackerConfig,
     TrackLostError,
-    effective_sample_size,
     estimate_centroid,
     init_uniform,
     predict,
@@ -249,13 +249,16 @@ class TestResample:
         )
 
     def test_ess_collapses_after_degenerate_update(self):
+        def ess(ps):
+            return 1.0 / float(np.dot(ps.weights, ps.weights))
+
         ps = particle_set(np.random.default_rng(0).uniform(0, 7, (100, 2)))
-        assert effective_sample_size(ps) == pytest.approx(100.0)
+        assert ess(ps) == pytest.approx(100.0)
         values = np.zeros((8, 8))
         values[3, 3] = 1.0
         ps2 = particle_set(np.vstack([[3.0, 3.0], np.zeros((99, 2))]))
         out = update_weights(ps2, soft_mask(values))
-        assert effective_sample_size(out) == pytest.approx(1.0)
+        assert ess(out) == pytest.approx(1.0)
 
 
 def _reference_resample_roulette(ps):
@@ -455,43 +458,55 @@ class TestTrackSequence:
     def test_consecutive_losses_respread_particles(self):
         good = disc_mask(320, 180, (160, 90), 20.0)
         empty = soft_mask(np.zeros((180, 320)))
-        masks = [good] * 4 + [empty] * 4
-        config = TrackerConfig(n_particles=400, motion_noise_sigma=2.0,
-                               seed=6, lost_reinit_after=2)
-        result = track_sequence(masks, [HOVER] * 8, INTR, config)
-        spread = result.particles[-1]
-        # after re-initialization the cloud spans the image again
-        assert spread[:, 0].max() - spread[:, 0].min() > 250.0
-        assert result.lost[-1]
+        assert LOST_REINIT_AFTER == 30
+        masks = [good] * 4 + [empty] * LOST_REINIT_AFTER
+        config = TrackerConfig(n_particles=400, motion_noise_sigma=2.0, seed=6)
+        result = track_sequence(masks, [HOVER] * len(masks), INTR, config)
+        assert result.lost[4:].all()
 
-    @pytest.mark.parametrize(
-        "every, resampled",
-        [(0, []), (1, [0, 1, 2, 4, 5]), (2, [1, 5])],
-        ids=["off", "every-frame", "every-2nd"],
-    )
-    def test_resample_every_picks_frames(self, every, resampled, monkeypatch):
-        """Resampling follows frame t when (t + 1) % every == 0, never on
-        a lost frame, and never with every = 0."""
+        def width(xy):
+            return xy[:, 0].max() - xy[:, 0].min()
+
+        # one lost frame short of the limit the cloud is still the disc's,
+        # diffused; at the limit it spans the image again
+        assert width(result.particles[-2]) < 150.0
+        assert width(result.particles[-1]) > 250.0
+
+    def test_every_update_starts_from_uniform_weights(self, monkeypatch):
+        """Setting the weights to the likelihood is the Bayes update only
+        from a uniform prior: every frame with support is resampled, a
+        lost frame never is, and each update starts from weights of
+        exactly 1/n."""
         good = disc_mask(320, 180, (160, 90), 30.0)
         empty = soft_mask(np.zeros((180, 320)))
         masks = [good, good, good, empty, good, good]
+        n = 300
         frame = []
-        calls = []
+        priors = []
+        resampled = []
 
         def frames():
             for t, m in enumerate(masks):
                 frame[:] = [t]
                 yield m
 
-        def counting_resample(ps):
-            calls.append(frame[0])
+        def recording_update(ps, mask):
+            priors.append((frame[0], ps.weights.copy()))
+            return update_weights(ps, mask)
+
+        def recording_resample(ps):
+            resampled.append(frame[0])
             return resample_roulette(ps)
 
-        monkeypatch.setattr(tracker_module, "resample_roulette", counting_resample)
-        config = TrackerConfig(n_particles=300, seed=4, resample_every=every)
+        monkeypatch.setattr(tracker_module, "update_weights", recording_update)
+        monkeypatch.setattr(tracker_module, "resample_roulette", recording_resample)
+        config = TrackerConfig(n_particles=n, seed=4)
         result = track_sequence(frames(), [HOVER] * 6, INTR, config)
         assert list(result.lost) == [False, False, False, True, False, False]
-        assert calls == resampled
+        assert resampled == [0, 1, 2, 4, 5]
+        assert [t for t, _ in priors] == list(range(6))
+        for t, w in priors:
+            assert np.all(w == 1.0 / n), t
 
     def test_more_masks_than_poses_rejected(self):
         masks = [disc_mask(320, 180, (160, 90), 20.0)] * 3
